@@ -1,5 +1,6 @@
 """Scheduler simulator behavior: fairness limits, dynamics, and estimates."""
 
+import hashlib
 import io
 import math
 
@@ -7,8 +8,10 @@ import pytest
 
 from fairshare.errors import ValidationError
 from fairshare.mva import ClassLoad, WorkloadSpec, solve_ts
+from fairshare.scenario import parse_scenario
 from fairshare.shares import GroupAlloc, ShareHierarchy, UserAlloc, compute_entitlements
 from fairshare.sim import (
+    SIM_MODES,
     SimConfig,
     TimelineEvent,
     convergence_time,
@@ -377,3 +380,62 @@ def test_config_validation():
         SimConfig(duration=10.0, warmup=20.0).validate()
     with pytest.raises(ValidationError):
         SimConfig(duration=10.0, mode="fifo").validate()
+
+
+# Two groups, thinking and multi-process users, a user offline at the start,
+# a 13 ms demand (shorter than a quantum) and events both on and off the
+# quantum grid.
+MIXED_SCENARIO = """\
+total_shares 100
+group A shares=70
+group B shares=30
+user a1 group=A shares=40 procs=2 think=0.5 demand=0.3 active=yes
+user a2 group=A shares=30 procs=1 think=0 demand=0.013 active=yes
+user b1 group=B shares=20 procs=3 think=1.5 demand=0.7 active=no
+user b2 group=B shares=10 procs=1 think=0.2 demand=1 active=yes
+event t=10 activate=b1
+event t=23.456 deactivate=a1
+event t=40 activate=a1
+event t=55.005 deactivate=b1
+solver simulate
+"""
+
+
+def sim_digest_lines(scenario_dir):
+    """One ``case mode jitter seed sha256`` line per pinned simulator run.
+
+    The digest covers the full-precision repr of everything a trace
+    records, so any change to dispatch order, rounding or random draws
+    shows up as a changed line.
+    """
+    cases = [(path.stem, path.read_text()) for path in sorted(scenario_dir.glob("*.fsp"))]
+    cases.append(("mixed", MIXED_SCENARIO))
+    lines = []
+    for name, text in cases:
+        s = parse_scenario(text, label=name)
+        for mode in SIM_MODES:
+            for jitter in (False, True):
+                for seed in (0, 7):
+                    config = SimConfig(
+                        duration=80.0, warmup=5.0, mode=mode, seed=seed, think_jitter=jitter
+                    )
+                    tr = run_sim(s.hierarchy, s.workload, s.timeline, config)
+                    observed = (
+                        tr.users,
+                        tr.window_seconds,
+                        tr.fractions,
+                        tr.busy,
+                        tr.elapsed,
+                        tr.cycles,
+                        tr.events_applied,
+                        tr.warnings,
+                        tr.perf,
+                    )
+                    digest = hashlib.sha256(repr(observed).encode()).hexdigest()
+                    lines.append(f"{name} {mode} {int(jitter)} {seed} {digest}")
+    return lines
+
+
+def test_traces_match_pinned_digests(scenario_dir, golden_dir):
+    expected = (golden_dir / "sim_digests.txt").read_text().splitlines()
+    assert sim_digest_lines(scenario_dir) == expected
