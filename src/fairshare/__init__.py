@@ -7,7 +7,6 @@ from .errors import (
     PopulationGuardError,
     PsLogError,
     ScenarioParseError,
-    SolverConvergenceError,
     UnknownUserError,
     ValidationError,
     ZeroEntitlementError,

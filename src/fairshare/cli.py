@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import FairshareError, InfeasiblePlanError, ScenarioParseError, ValidationError
+from .errors import FairshareError, InfeasiblePlanError, ScenarioParseError
 from .planning import (
     allocate_topdown,
     goal_deviation,
@@ -249,9 +249,6 @@ def main(argv=None) -> int:
     except InfeasiblePlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FairshareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

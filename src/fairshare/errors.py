@@ -25,14 +25,6 @@ class PopulationGuardError(FairshareError):
     """The exact solver's population-vector space is too large."""
 
 
-class SolverConvergenceError(FairshareError):
-    """Iterative refinement failed to converge; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
-
 class ScenarioParseError(FairshareError):
     """Scenario text could not be parsed; carries line/column when known."""
 

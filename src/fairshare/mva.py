@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    PopulationGuardError,
-    SolverConvergenceError,
-    ValidationError,
-    ZeroEntitlementError,
-)
+from .errors import PopulationGuardError, ValidationError, ZeroEntitlementError
 from .shares import EntitlementTable
 
 # Largest population-vector space the exact recursion will attempt.
@@ -199,57 +194,43 @@ def solve_srm_partition(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
     return PerfTable(solver="partition", rows=rows, entitlements=e)
 
 
-def solve_srm_conserving(
-    w: WorkloadSpec,
-    e: EntitlementTable,
-    max_iterations: int = 1000,
-    tolerance: float = 1e-6,
-) -> PerfTable:
+def solve_srm_conserving(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
     """Work-conserving refinement: idle entitlement is lent to saturated users.
 
     Starting from entitlement speeds, any user whose demanded utilization
     falls below its virtual speed (think time or small demand) keeps its
     entitlement but releases the unused capacity; the release is split
-    among still-saturated users in proportion to their shares.  The
-    saturated set only shrinks, so the fixed point is reached in at most
-    one pass per user.  With every user CPU bound this is exactly the
-    partition model.
+    among still-saturated users in proportion to their shares.  With every
+    user CPU bound this is exactly the partition model.
     """
     w.validate()
     _require_entitlements(w, e)
 
-    users = [c.user for c in w.classes]
-    base = {u: e.entitlements[u] for u in users}
+    base = {c.user: e.entitlements[c.user] for c in w.classes}
     speeds = dict(base)
-    saturated = set(users)
-
-    def demanded(user: str, speed: float) -> float:
-        c = w.for_user(user)
-        _, x = _repairman(c.procs, c.think, c.demand / speed)
-        return x * c.demand
-
-    for _ in range(max_iterations):
-        used = {u: demanded(u, speeds[u]) for u in users}
+    saturated = set(base)
+    # Bound on the passes: the saturated set only shrinks, and a pass's
+    # speeds depend only on that set and on what the other users use.  When
+    # two passes in a row leave the set unchanged, the users outside it ran
+    # at base speed in both, so the second repeats the first's speeds.  That
+    # allows at most users shrinking passes, users + 1 passes that change
+    # only the speeds, and one final pass that changes nothing.
+    for _ in range(2 * len(base) + 2):
+        used = {}
+        for c in w.classes:
+            _, x = _repairman(c.procs, c.think, c.demand / speeds[c.user])
+            used[c.user] = x * c.demand
         still = {u for u in saturated if speeds[u] - used[u] <= _SATURATION_TOL}
+        new_speeds = dict(base)  # nobody can absorb the slack when still is empty
         if still:
-            lendable = 1.0 - sum(used[u] for u in users if u not in still)
-            weight = sum(base[u] for u in still)
-            new_speeds = {
-                u: (lendable * base[u] / weight if u in still else base[u]) for u in users
-            }
-        else:
-            new_speeds = dict(base)  # nobody can absorb the slack
-        drift = max(abs(new_speeds[u] - speeds[u]) for u in users)
-        shrunk = still != saturated
-        speeds = new_speeds
-        saturated = still
-        if not shrunk and drift < tolerance:
+            # Sum in workload order: set order depends on the string hash seed.
+            lendable = 1.0 - sum(used[u] for u in base if u not in still)
+            weight = sum(base[u] for u in base if u in still)
+            for u in still:
+                new_speeds[u] = lendable * base[u] / weight
+        if still == saturated and new_speeds == speeds:
             break
-    else:
-        raise SolverConvergenceError(
-            f"work-conserving refinement did not settle in {max_iterations} iterations",
-            last_iterate=speeds,
-        )
+        speeds, saturated = new_speeds, still
 
     rows = {}
     for c in w.classes:

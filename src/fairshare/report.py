@@ -14,7 +14,6 @@ from .errors import ValidationError
 from .mva import (
     PerfTable,
     WorkloadSpec,
-    compare_tables,
     solve_srm_conserving,
     solve_srm_partition,
     solve_ts,
@@ -199,9 +198,3 @@ def cross_compare(reports) -> str:
             lines.append(" ".join(cells))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
-
-
-def srm_response_ratio(a: CapacityReport, b: CapacityReport, user: str):
-    """Convenience: a's SRM response over b's for one user (None if absent)."""
-    table = compare_tables(a.srm, b.srm)
-    return table.ratios.get(user)

@@ -17,10 +17,14 @@ CPU demand followed by a think delay.  Four dispatch disciplines:
   equal rates.  Implemented event-driven and exact; used as the
   independent check against the analytic time-share solver.
 
-Scheduling state is quantized (10 ms default); fair-share priorities are
-decayed-usage/shares with least-recently-run, then lexicographic
-tie-breaking, so runs are reproducible bit for bit.  Randomness enters
-only through optional exponentially jittered think times.
+One core keeps what every mode shares: process setup, demand cycles and
+think-time parking, the timeline, busy-time windows and the trace.  Time
+advances in one of two ways.  The first three modes step one quantum at a
+time (10 ms default), dispatching and then decaying usage; fair-share
+priorities are decayed-usage/shares with least-recently-run, then
+lexicographic tie-breaking, so runs are reproducible bit for bit.  The
+processor-sharing mode jumps from event to event.  Randomness enters only
+through optional exponentially jittered think times.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -118,14 +123,13 @@ class SimTrace:
 
 
 class _Proc:
-    __slots__ = ("user", "index", "remaining", "ready_since", "wake_tick")
+    __slots__ = ("user", "index", "remaining", "ready_since")
 
     def __init__(self, user: str, index: int):
         self.user = user
         self.index = index
         self.remaining = 0.0
         self.ready_since = 0.0
-        self.wake_tick = 0
 
 
 def run_sim(
@@ -152,8 +156,8 @@ def run_sim(
     validate_timeline(timeline, h)
 
     if config.mode == TS_PS_REFERENCE:
-        return _run_fluid_ps(h, w, tuple(timeline), config)
-    return _run_quantized(h, w, tuple(timeline), config)
+        return _run_fluid_ps(h, w, timeline, config)
+    return _run_quantized(h, w, timeline, config)
 
 
 def _think_sampler(config: SimConfig):
@@ -169,82 +173,145 @@ def _think_sampler(config: SimConfig):
     return sample
 
 
+class _Core:
+    """Process life cycles, the timeline and busy-time accounting.
+
+    Both engines share this; each keeps only its own way of advancing
+    time.  Timeline events and wakeups are ordered by a key that the
+    engine derives from a time with ``to_key``: the quantum index in the
+    quantized engine, the time itself in the fluid one.  Runnable
+    processes join ``queues[user]``, one FIFO per user, or one FIFO that
+    every user shares when ``shared_queue`` is set.
+    """
+
+    def __init__(self, h, w, timeline, config, n_windows, to_key, shared_queue):
+        self.config = config
+        self.workload = w
+        self.to_key = to_key
+        self.sample_think = _think_sampler(config)
+        self.loads = {c.user: c for c in w.classes}
+        self.user_names = list(self.loads)
+        self.active = {u.name: u.active for u in h.users()}
+        self.procs = {u: [_Proc(u, i) for i in range(c.procs)] for u, c in self.loads.items()}
+        self.run_queue: list[_Proc] = []
+        self.queues = {u: self.run_queue if shared_queue else [] for u in self.user_names}
+        self.parked: list[tuple[float, int, _Proc]] = []  # heap on (wake key, seq)
+        self.seq = 0
+        # validate_timeline guarantees non-decreasing times, hence keys.
+        self.events = deque((to_key(ev.time), ev) for ev in timeline)
+        self.applied: list[TimelineEvent] = []
+        self.window_busy = [dict.fromkeys(self.user_names, 0.0) for _ in range(n_windows)]
+        self.post_busy = dict.fromkeys(self.user_names, 0.0)
+        self.cycles = {u: [] for u in self.user_names}
+        for u in self.user_names:
+            if self.active[u]:
+                for proc in self.procs[u]:
+                    self.start_cycle(proc, 0.0)
+
+    def start_cycle(self, proc: _Proc, when: float) -> None:
+        proc.remaining = self.loads[proc.user].demand
+        proc.ready_since = when
+        self.queues[proc.user].append(proc)
+
+    def finish_cycle(self, proc: _Proc, when: float, earliest):
+        """Record a completed cycle, then restart the process or park it.
+
+        Returns the key at which a parked process wakes, never below
+        ``earliest``, or infinity when it restarted at once.
+        """
+        self.cycles[proc.user].append((proc.index, proc.ready_since, when))
+        think = self.sample_think(self.loads[proc.user].think)
+        if think <= 0.0:
+            self.start_cycle(proc, when)
+            return math.inf
+        key = max(self.to_key(when + think), earliest)
+        self.seq += 1
+        heapq.heappush(self.parked, (key, self.seq, proc))
+        return key
+
+    def release(self, limit, when: float):
+        """Apply the events and wake the processes due at ``limit`` or before.
+
+        Returns the key of the next event or wakeup, infinity if none.
+        """
+        events, parked = self.events, self.parked
+        while events and events[0][0] <= limit:
+            self._apply(events.popleft()[1], when)
+        while parked and parked[0][0] <= limit:
+            self.start_cycle(heapq.heappop(parked)[2], when)
+        due = parked[0][0] if parked else math.inf
+        return min(due, events[0][0]) if events else due
+
+    def _apply(self, ev: TimelineEvent, when: float) -> None:
+        user = ev.user
+        if ev.action == "activate":
+            if not self.active[user]:
+                self.active[user] = True
+                for proc in self.procs.get(user, ()):
+                    self.start_cycle(proc, when)
+        elif self.active[user]:
+            self.active[user] = False
+            queue = self.queues.get(user)
+            if queue:
+                queue[:] = [p for p in queue if p.user != user]
+            self.parked[:] = [e for e in self.parked if e[2].user != user]
+            heapq.heapify(self.parked)
+        self.applied.append(ev)
+
+    def trace(self, window_seconds: float, elapsed: float, total_busy: float) -> SimTrace:
+        warnings = ()
+        if total_busy <= 0.0:
+            warnings = ("no process was runnable during the run; trace is empty",)
+        trace = SimTrace(
+            config=self.config,
+            workload=self.workload,
+            users=tuple(self.user_names),
+            window_seconds=window_seconds,
+            fractions=[
+                {u: busy / window_seconds for u, busy in wb.items()}
+                for wb in self.window_busy
+            ],
+            busy=self.post_busy,
+            elapsed=elapsed,
+            cycles=self.cycles,
+            events_applied=tuple(self.applied),
+            warnings=warnings,
+        )
+        trace.perf = trace_perf(trace)
+        return trace
+
+
 def _run_quantized(h, w, timeline, config) -> SimTrace:
+    """Advance one quantum at a time, dispatching and then decaying usage."""
     q = config.quantum
     n_ticks = int(round(config.duration / q))
     warmup_ticks = int(round(config.warmup / q))
     window_ticks = max(1, int(round(config.window / q)))
-    window_seconds = window_ticks * q
-    n_windows = n_ticks // window_ticks
     decay = 2.0 ** (-q / config.usage_half_life)
-    sample_think = _think_sampler(config)
+    round_robin = config.mode == TS_ROUNDROBIN
 
-    user_names = [c.user for c in w.classes]
-    loads = {c.user: c for c in w.classes}
+    def to_tick(t: float) -> int:
+        return max(0, math.ceil(t / q - _TIME_EPS))
+
+    n_windows = n_ticks // window_ticks
+    core = _Core(h, w, timeline, config, n_windows, to_tick, shared_queue=round_robin)
+    user_names = core.user_names
+    queues = core.queues
+    run_queue = core.run_queue  # FIFO over processes (ts-roundrobin)
+    window_busy = core.window_busy
+    post_busy = core.post_busy
+
     shares = {u.name: u.shares for u in h.users()}
     group_of = {u.name: g.name for g in h.groups for u in g.users}
     group_shares = {g.name: g.shares for g in h.groups}
-    group_members = {g.name: [u.name for u in g.users if u.name in loads] for g in h.groups}
-
-    active = {u.name: u.active for u in h.users()}
+    group_members = {g.name: [u.name for u in g.users if u.name in core.loads] for g in h.groups}
     usage = {name: 0.0 for name in shares}  # decayed CPU seconds charged per user
     last_run = {name: -1 for name in shares}
     group_last_run = {g.name: -1 for g in h.groups}
-
-    procs: dict[str, list[_Proc]] = {
-        u: [_Proc(u, i) for i in range(loads[u].procs)] for u in user_names
-    }
-    ready: dict[str, list[_Proc]] = {u: [] for u in user_names}  # FIFO per user
-    rr_queue: list[_Proc] = []  # FIFO over processes (ts-roundrobin)
-    parked: list[_Proc] = []
-
-    fair_flat = config.mode == FAIRSHARE_FLAT
     fair_hier = config.mode == FAIRSHARE_HIERARCHICAL
-    round_robin = config.mode == TS_ROUNDROBIN
 
-    def start_cycle(proc: _Proc, when: float) -> None:
-        proc.remaining = loads[proc.user].demand
-        proc.ready_since = when
-        if round_robin:
-            rr_queue.append(proc)
-        else:
-            ready[proc.user].append(proc)
-
-    for u in user_names:
-        if active[u]:
-            for proc in procs[u]:
-                start_cycle(proc, 0.0)
-
-    event_queue = [
-        (max(0, math.ceil(ev.time / q - _TIME_EPS)), i, ev) for i, ev in enumerate(timeline)
-    ]
-    event_queue.sort(key=lambda t: (t[0], t[1]))
-    next_event = 0
-
-    window_busy = [dict.fromkeys(user_names, 0.0) for _ in range(n_windows)]
-    post_busy = dict.fromkeys(user_names, 0.0)
-    cycles: dict[str, list[tuple[int, float, float]]] = {u: [] for u in user_names}
-    applied: list[TimelineEvent] = []
-    total_busy = 0.0
-
-    def apply_event(ev: TimelineEvent, when: float) -> None:
-        if ev.action == "activate":
-            if not active[ev.user]:
-                active[ev.user] = True
-                for proc in procs.get(ev.user, []):
-                    start_cycle(proc, when)
-        else:
-            if active[ev.user]:
-                active[ev.user] = False
-                if ev.user in ready:
-                    ready[ev.user] = []
-                if round_robin:
-                    rr_queue[:] = [p for p in rr_queue if p.user != ev.user]
-                parked[:] = [p for p in parked if p.user != ev.user]
-        applied.append(ev)
-
-    def pick_user(tick: int) -> str | None:
-        candidates = [u for u in user_names if ready[u]]
+    def pick_user() -> str | None:
+        candidates = [u for u in user_names if queues[u]]
         if not candidates:
             return None
         if fair_hier:
@@ -260,17 +327,12 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
             candidates = [u for u in candidates if group_of[u] == best_group]
         return min(candidates, key=lambda u: (usage[u] / shares[u], last_run[u], u))
 
+    total_busy = 0.0
+    next_due = 0
     for tick in range(n_ticks):
         tick_time = tick * q
-        while next_event < len(event_queue) and event_queue[next_event][0] <= tick:
-            apply_event(event_queue[next_event][2], tick_time)
-            next_event += 1
-        if parked:
-            waking = [p for p in parked if p.wake_tick <= tick]
-            if waking:
-                parked[:] = [p for p in parked if p.wake_tick > tick]
-                for proc in waking:
-                    start_cycle(proc, tick_time)
+        if tick >= next_due:
+            next_due = core.release(tick, tick_time)
 
         widx = tick // window_ticks
         in_window = widx < n_windows
@@ -279,10 +341,10 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
         sub = tick_time
         while time_left > _TIME_EPS:
             if round_robin:
-                proc = rr_queue.pop(0) if rr_queue else None
+                proc = run_queue.pop(0) if run_queue else None
             else:
-                user = pick_user(tick)
-                proc = ready[user].pop(0) if user else None
+                user = pick_user()
+                proc = queues[user].pop(0) if user else None
             if proc is None:
                 break
             run = proc.remaining if proc.remaining < time_left else time_left
@@ -299,42 +361,18 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
             if post:
                 post_busy[u] += run
             if proc.remaining <= _TIME_EPS:
-                cycles[u].append((proc.index, proc.ready_since, sub))
-                think = sample_think(loads[u].think)
-                if think <= 0.0:
-                    start_cycle(proc, sub)
-                else:
-                    proc.wake_tick = math.ceil((sub + think) / q - _TIME_EPS)
-                    parked.append(proc)
+                # Wakeups are released at the start of a quantum, so a
+                # process parked now wakes in the next one at the earliest.
+                wake = core.finish_cycle(proc, sub, tick + 1)
+                if wake < next_due:
+                    next_due = wake
             else:
-                if round_robin:
-                    rr_queue.append(proc)
-                else:
-                    ready[u].append(proc)
+                queues[u].append(proc)
         if decay != 1.0:
             for u in usage:
                 usage[u] *= decay
 
-    warnings = ()
-    if total_busy <= 0.0:
-        warnings = ("no process was runnable during the run; trace is empty",)
-
-    trace = SimTrace(
-        config=config,
-        workload=w,
-        users=tuple(user_names),
-        window_seconds=window_seconds,
-        fractions=[
-            {u: busy / window_seconds for u, busy in wb.items()} for wb in window_busy
-        ],
-        busy=post_busy,
-        elapsed=n_ticks * q - warmup_ticks * q,
-        cycles=cycles,
-        events_applied=tuple(applied),
-        warnings=warnings,
-    )
-    trace.perf = trace_perf(trace)
-    return trace
+    return core.trace(window_ticks * q, n_ticks * q - warmup_ticks * q, total_busy)
 
 
 def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
@@ -342,65 +380,16 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
     duration = config.duration
     window_seconds = config.window
     n_windows = int((duration + _TIME_EPS) // window_seconds)
-    sample_think = _think_sampler(config)
+    core = _Core(h, w, timeline, config, n_windows, lambda t: t, shared_queue=True)
+    ready = core.run_queue
+    window_busy = core.window_busy
+    post_busy = core.post_busy
 
-    user_names = [c.user for c in w.classes]
-    loads = {c.user: c for c in w.classes}
-    active = {u.name: u.active for u in h.users()}
-
-    procs: dict[str, list[_Proc]] = {
-        u: [_Proc(u, i) for i in range(loads[u].procs)] for u in user_names
-    }
-    ready: list[_Proc] = []
-    parked: list[tuple[float, int, _Proc]] = []  # heap on wake time
-    seq = 0
-
-    window_busy = [dict.fromkeys(user_names, 0.0) for _ in range(n_windows)]
-    post_busy = dict.fromkeys(user_names, 0.0)
-    cycles: dict[str, list[tuple[int, float, float]]] = {u: [] for u in user_names}
-    applied: list[TimelineEvent] = []
     total_busy = 0.0
-
-    def start_cycle(proc: _Proc, when: float) -> None:
-        proc.remaining = loads[proc.user].demand
-        proc.ready_since = when
-        ready.append(proc)
-
-    for u in user_names:
-        if active[u]:
-            for proc in procs[u]:
-                start_cycle(proc, 0.0)
-
-    events = sorted(enumerate(timeline), key=lambda t: (t[1].time, t[0]))
-    next_event = 0
     next_edge = 1  # window edge index; warmup is handled as its own boundary
     now = 0.0
-
     while now < duration - _TIME_EPS:
-        while next_event < len(events) and events[next_event][1].time <= now + _TIME_EPS:
-            ev = events[next_event][1]
-            if ev.action == "activate":
-                if not active[ev.user]:
-                    active[ev.user] = True
-                    for proc in procs.get(ev.user, []):
-                        start_cycle(proc, now)
-            else:
-                if active[ev.user]:
-                    active[ev.user] = False
-                    ready[:] = [p for p in ready if p.user != ev.user]
-                    parked[:] = [e for e in parked if e[2].user != ev.user]
-                    heapq.heapify(parked)
-            applied.append(ev)
-            next_event += 1
-        while parked and parked[0][0] <= now + _TIME_EPS:
-            _, _, proc = heapq.heappop(parked)
-            start_cycle(proc, now)
-
-        horizon = duration
-        if next_event < len(events):
-            horizon = min(horizon, events[next_event][1].time)
-        if parked:
-            horizon = min(horizon, parked[0][0])
+        horizon = min(duration, core.release(now + _TIME_EPS, now))
 
         if not ready:
             if horizon <= now + _TIME_EPS:
@@ -436,34 +425,9 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
         if finished:
             ready[:] = [p for p in ready if p.remaining > 1e-9]
             for p in finished:
-                cycles[p.user].append((p.index, p.ready_since, now))
-                think = sample_think(loads[p.user].think)
-                if think <= 0.0:
-                    start_cycle(p, now)
-                else:
-                    seq += 1
-                    heapq.heappush(parked, (now + think, seq, p))
+                core.finish_cycle(p, now, now)
 
-    warnings = ()
-    if total_busy <= 0.0:
-        warnings = ("no process was runnable during the run; trace is empty",)
-
-    trace = SimTrace(
-        config=config,
-        workload=w,
-        users=tuple(user_names),
-        window_seconds=window_seconds,
-        fractions=[
-            {u: busy / window_seconds for u, busy in wb.items()} for wb in window_busy
-        ],
-        busy=post_busy,
-        elapsed=duration - config.warmup,
-        cycles=cycles,
-        events_applied=tuple(applied),
-        warnings=warnings,
-    )
-    trace.perf = trace_perf(trace)
-    return trace
+    return core.trace(window_seconds, duration - config.warmup, total_busy)
 
 
 def trace_perf(tr: SimTrace) -> PerfTable:

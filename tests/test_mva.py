@@ -1,10 +1,16 @@
 """Analytic solver checks against hand-unrolled recursions and a CTMC oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairshare
 from fairshare.errors import PopulationGuardError, ValidationError, ZeroEntitlementError
 from fairshare.mva import (
     ClassLoad,
@@ -158,6 +164,35 @@ class TestSolveSrmConserving:
         partition = solve_srm_partition(w, e)
         for user in w.users():
             assert conserving.rows[user] == partition.rows[user]
+
+    def test_rows_do_not_depend_on_the_string_hash_seed(self, scenario_dir):
+        # Sets of user names iterate in hash order; the solver must not add
+        # floats in that order, or the same scenario prints different bytes.
+        script = (
+            "import sys\n"
+            "from fairshare.mva import solve_srm_conserving, solve_srm_partition\n"
+            "from fairshare.scenario import parse_scenario\n"
+            "from fairshare.shares import compute_entitlements\n"
+            "s = parse_scenario(open(sys.argv[1]).read())\n"
+            "e = compute_entitlements(s.hierarchy)\n"
+            "print(solve_srm_conserving(s.workload, e).rows)\n"
+            "print(solve_srm_partition(s.workload, e).rows)\n"
+        )
+        src_dir = str(Path(fairshare.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src_dir)
+            result = subprocess.run(
+                [sys.executable, "-c", script, str(scenario_dir / "report4.fsp")],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            conserving, partition = result.stdout.splitlines()
+            assert conserving == partition
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_idle_capacity_flows_to_the_saturated_user(self):
         # Fixed point by hand: the thinker demands 1/(9+2) = 1/11 of the

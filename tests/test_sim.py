@@ -340,6 +340,16 @@ class TestTimelineHandling:
         with pytest.raises(ValidationError):
             run_sim(h, TWO_EQUAL_W, events, SimConfig(duration=60.0))
 
+    def test_wakeups_in_one_quantum_keep_parking_order(self):
+        # b's 1e-12 s think rounds its wake into the quantum that parked it;
+        # it still wakes in the next quantum, queued behind a, parked earlier.
+        h = pool(("a", 50, True), ("b", 50, True))
+        w = WorkloadSpec((ClassLoad("b", 1, 1e-12, 1e-12), ClassLoad("a", 1, 0.015, 0.004)))
+        trace = run_sim(h, w, (), SimConfig(duration=0.05, mode="ts-roundrobin"))
+        a_done = next(rec[2] for rec in trace.cycles["a"] if 0.02 <= rec[2] < 0.03)
+        b_done = next(rec[2] for rec in trace.cycles["b"] if 0.02 <= rec[2] < 0.03)
+        assert a_done < b_done
+
     def test_unknown_event_user_rejected(self):
         h = pool(("a", 50, True), ("b", 50, True))
         with pytest.raises(ValidationError):
