@@ -7,6 +7,7 @@ is infeasible or a monitored deviation exceeds the threshold.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -31,18 +32,23 @@ from .shares import (
 from .sim import SIM_MODES, SimConfig, convergence_time, export_trace, run_sim
 
 
-def _load_scenario(path: str):
+def _open(path: str):
     try:
-        text = Path(path).read_text()
+        return open(path)
     except OSError as exc:
-        raise ScenarioParseError(f"{path}: {exc.strerror or exc}") from exc
+        raise FairshareError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _load_scenario(path: str):
+    with _open(path) as fh:
+        text = fh.read()
     try:
         return parse_scenario(text, label=Path(path).stem)
     except ScenarioParseError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
 
 
-def _sim_config(args, mode=None) -> SimConfig:
+def _sim_config(args) -> SimConfig:
     return SimConfig(
         duration=args.duration,
         warmup=args.warmup,
@@ -50,21 +56,20 @@ def _sim_config(args, mode=None) -> SimConfig:
         usage_half_life=args.half_life,
         window=args.window,
         seed=args.seed,
-        mode=mode or args.mode,
-        think_jitter=getattr(args, "jitter_think", False),
+        mode=args.sim_mode,
+        think_jitter=args.jitter_think,
     )
 
 
-def _add_sim_options(parser, with_mode=True):
+def _add_sim_options(parser):
     parser.add_argument("--duration", type=float, default=300.0, help="simulated seconds")
     parser.add_argument("--warmup", type=float, default=30.0, help="seconds discarded before measuring")
     parser.add_argument("--quantum", type=float, default=0.01, help="scheduler quantum in seconds")
     parser.add_argument("--half-life", type=float, default=5.0, help="usage decay half-life in seconds")
     parser.add_argument("--window", type=float, default=1.0, help="utilization sampling window in seconds")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    if with_mode:
-        parser.add_argument("--sim-mode", dest="mode", choices=SIM_MODES, default="fairshare-flat",
-                            help="dispatch discipline")
+    parser.add_argument("--sim-mode", choices=SIM_MODES, default="fairshare-flat",
+                        help="dispatch discipline")
     parser.add_argument("--jitter-think", action="store_true",
                         help="draw think times from an exponential instead of fixed values")
 
@@ -88,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=ENTITLEMENT_MODES, default=FLAT_POOL)
     p.add_argument("--solver", choices=("partition", "conserving", "simulate"), default=None,
                    help="override the scenario's solver line")
-    _add_sim_options(p, with_mode=True)
+    _add_sim_options(p)
 
     p = sub.add_parser("compare", help="ratio tables across two or more scenarios",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -100,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--mode-entitle", dest="entitle_mode", choices=ENTITLEMENT_MODES,
                    default=FLAT_POOL, help="entitlement mode used for the convergence check")
-    _add_sim_options(p, with_mode=True)
+    _add_sim_options(p)
     p.add_argument("--epsilon", type=float, default=0.05,
                    help="per-window tolerance for the convergence check")
     p.add_argument("--trace", metavar="PATH", default=None,
@@ -143,13 +148,7 @@ def _cmd_entitle(args) -> int:
 def _cmd_report(args) -> int:
     scenario = _load_scenario(args.scenario)
     if args.solver:
-        scenario = type(scenario)(
-            label=scenario.label,
-            hierarchy=scenario.hierarchy,
-            workload=scenario.workload,
-            timeline=scenario.timeline,
-            solver=args.solver,
-        )
+        scenario = dataclasses.replace(scenario, solver=args.solver)
     report = run_scenario(scenario, mode=args.mode, sim_config=_sim_config(args))
     sys.stdout.write(render_report(report))
     return 0
@@ -199,12 +198,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_advise(args) -> int:
-    try:
-        text = Path(args.slo_file).read_text()
-    except OSError as exc:
-        print(f"{args.slo_file}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    targets = parse_slo_file(text)
+    with _open(args.slo_file) as fh:
+        targets = parse_slo_file(fh.read())
     plan = allocate_topdown(targets, args.total_shares)
     sys.stdout.write(render_plan(plan))
     return 0
@@ -213,12 +208,8 @@ def _cmd_advise(args) -> int:
 def _cmd_monitor(args) -> int:
     scenario = _load_scenario(args.scenario)
     table = compute_entitlements(scenario.hierarchy, args.mode)
-    try:
-        with open(args.ps_log) as fh:
-            log = parse_ps_log(fh)
-    except OSError as exc:
-        print(f"{args.ps_log}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+    with _open(args.ps_log) as fh:
+        log = parse_ps_log(fh)
     if log.skipped:
         print(f"note: skipped {log.skipped} malformed line(s)", file=sys.stderr)
     report = goal_deviation(log.samples, table, args.window, threshold=args.threshold)
@@ -246,12 +237,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except InfeasiblePlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FairshareError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InfeasiblePlanError) else 1
 
 
 def run() -> None:

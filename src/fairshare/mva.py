@@ -42,12 +42,20 @@ class ClassLoad:
     think: float
     demand: float
 
+    def __post_init__(self):
+        if not isinstance(self.procs, int) or self.procs < 1:
+            raise ValidationError(f"user {self.user}: procs must be an integer >= 1")
+        if not (math.isfinite(self.think) and self.think >= 0):
+            raise ValidationError(f"user {self.user}: think time must be finite and >= 0")
+        if not (math.isfinite(self.demand) and self.demand > 0):
+            raise ValidationError(f"user {self.user}: CPU demand must be finite and > 0")
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
     classes: tuple[ClassLoad, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.classes:
             raise ValidationError("workload is empty")
         seen = set()
@@ -55,12 +63,6 @@ class WorkloadSpec:
             if c.user in seen:
                 raise ValidationError(f"duplicate workload user {c.user!r}")
             seen.add(c.user)
-            if not isinstance(c.procs, int) or c.procs < 1:
-                raise ValidationError(f"user {c.user}: procs must be an integer >= 1")
-            if c.think < 0:
-                raise ValidationError(f"user {c.user}: think time must be >= 0")
-            if c.demand <= 0:
-                raise ValidationError(f"user {c.user}: CPU demand must be > 0")
 
     def for_user(self, name: str) -> ClassLoad:
         for c in self.classes:
@@ -77,6 +79,10 @@ class PerfRow:
     throughput: float
     response: float
     utilization: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.throughput, self.response, self.utilization))):
+            raise ValidationError(f"non-finite model estimate {self}: the workload overflows floats")
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,6 @@ def solve_ts(w: WorkloadSpec) -> PerfTable:
     class also has a think (delay) station.  The recursion visits every
     population vector, so the product of (N_c + 1) is guarded.
     """
-    w.validate()
     dims = [c.procs + 1 for c in w.classes]
     size = math.prod(dims)
     if size > POPULATION_GUARD:
@@ -184,7 +189,6 @@ def solve_srm_partition(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
     virtual processor; users do not interact.  For one CPU-bound process
     this gives R = D/E and U = E.
     """
-    w.validate()
     _require_entitlements(w, e)
     rows = {}
     for c in w.classes:
@@ -203,7 +207,6 @@ def solve_srm_conserving(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
     among still-saturated users in proportion to their shares.  With every
     user CPU bound this is exactly the partition model.
     """
-    w.validate()
     _require_entitlements(w, e)
 
     base = {c.user: e.entitlements[c.user] for c in w.classes}

@@ -37,12 +37,16 @@ class SLOTarget:
     demand: float | None = None
     r_slo: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 < self.u_max <= 1.0:
             raise ValidationError(f"target {self.name}: u_max must be in (0, 1], got {self.u_max}")
+        if self.demand is not None and not (math.isfinite(self.demand) and self.demand > 0):
+            raise ValidationError(f"target {self.name}: demand must be finite and > 0")
         if self.r_slo is not None:
             if self.demand is None:
                 raise ValidationError(f"target {self.name}: rslo needs a demand")
+            if not math.isfinite(self.r_slo):
+                raise ValidationError(f"target {self.name}: rslo must be finite")
             if self.r_slo < self.demand:
                 raise ValidationError(
                     f"target {self.name}: rslo {self.r_slo} is below the demand {self.demand}"
@@ -76,7 +80,6 @@ def allocate_topdown(targets, total_shares: int) -> SharePlan:
         raise ValidationError("no targets given")
     names = set()
     for t in targets:
-        t.validate()
         if t.name in names:
             raise ValidationError(f"duplicate target {t.name!r}")
         names.add(t.name)
@@ -160,7 +163,6 @@ def parse_slo_file(text: str):
         )
         if kv:
             raise ValidationError(f"line {line_no}: unknown key {next(iter(kv))!r}")
-        target.validate()
         targets.append(target)
     if not targets:
         raise ValidationError("no targets defined")
@@ -189,7 +191,10 @@ def _parse_cputime(text: str) -> float:
         hours, minutes, seconds = parts
     else:
         raise ValueError(text)
-    return int(hours) * 3600.0 + int(minutes) * 60.0 + float(seconds)
+    total = int(hours) * 3600.0 + int(minutes) * 60.0 + float(seconds)
+    if not math.isfinite(total):
+        raise ValueError(text)
+    return total
 
 
 def parse_ps_log(stream) -> PsLog:
@@ -197,7 +202,8 @@ def parse_ps_log(stream) -> PsLog:
 
     Records are ``T <epoch-seconds>`` header lines followed by ps lines
     (USER PID %CPU %MEM SZ RSS TT S START TIME COMMAND, TIME as mm:ss or
-    hh:mm:ss).  Malformed lines are skipped and counted.
+    hh:mm:ss).  Malformed lines, and the ps lines under a malformed header,
+    are skipped and counted.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
@@ -212,10 +218,12 @@ def parse_ps_log(stream) -> PsLog:
         if tokens[0] == "T" and len(tokens) == 2:
             try:
                 timestamp = float(tokens[1])
-                continue
+                if not math.isfinite(timestamp):
+                    raise ValueError(tokens[1])
             except ValueError:
+                timestamp = None  # the block's lines have no time: skip them too
                 skipped += 1
-                continue
+            continue
         if timestamp is None or len(tokens) < 10:
             skipped += 1
             continue
@@ -273,8 +281,10 @@ def goal_deviation(
     consuming CPU in the window; users missing from the entitlement table
     are pooled under ``unallocated`` with entitlement zero.
     """
-    if window <= 0:
-        raise ValidationError("window must be > 0")
+    if not (math.isfinite(window) and window > 0):
+        raise ValidationError(f"window must be finite and > 0, got {window!r}")
+    if not math.isfinite(threshold):
+        raise ValidationError(f"threshold must be finite, got {threshold!r}")
     samples = sorted(samples, key=lambda s: (s.timestamp, s.user, s.pid))
     if not samples:
         raise PsLogError("no samples")
@@ -285,14 +295,12 @@ def goal_deviation(
             f"window {window}s exceeds the log span {t_max - t_min}s"
         )
 
-    by_pid: dict[tuple[str, int], list[tuple[float, float]]] = {}
+    by_pid: dict[tuple[str, int], list[list[tuple[float, float]]]] = {}
     for s in samples:
-        series = by_pid.setdefault((s.user, s.pid), [])
-        if series and s.cputime < series[-1][1] - 1e-9:
-            raise ValidationError(
-                f"cumulative cputime decreased for pid {s.pid} ({s.user})"
-            )
-        series.append((s.timestamp, s.cputime))
+        runs = by_pid.setdefault((s.user, s.pid), [[]])
+        if runs[-1] and s.cputime < runs[-1][-1][1] - 1e-9:
+            runs.append([])  # cumulative TIME went down: the pid was reused
+        runs[-1].append((s.timestamp, s.cputime))
 
     def value_at(series, when: float) -> float:
         # Last sample at or before `when`; before the first sample, its value.
@@ -311,12 +319,13 @@ def goal_deviation(
     while start + window <= t_max + 1e-9:
         end = start + window
         busy: dict[str, float] = {}
-        for (user, _pid), series in by_pid.items():
-            delta = value_at(series, end) - value_at(series, start)
-            if delta <= 0:
-                continue
-            label = user if user in e.entitlements else UNALLOCATED
-            busy[label] = busy.get(label, 0.0) + delta
+        for (user, _pid), runs in by_pid.items():
+            for series in runs:
+                delta = value_at(series, end) - value_at(series, start)
+                if delta <= 0:
+                    continue
+                label = user if user in e.entitlements else UNALLOCATED
+                busy[label] = busy.get(label, 0.0) + delta
         total = sum(busy.values())
         rows: dict[str, DeviationRow] = {}
         if total > 0:

@@ -48,12 +48,9 @@ def run_scenario(
     solver additionally replays the scenario timeline.
     """
     entitlements = compute_entitlements(s.hierarchy, mode)
-    active_classes = tuple(
-        c for c in s.workload.classes if c.user in entitlements.active_users
+    active = WorkloadSpec(
+        classes=tuple(c for c in s.workload.classes if c.user in entitlements.active_users)
     )
-    if not active_classes:
-        raise ValidationError("no active user has a workload")
-    active = WorkloadSpec(classes=active_classes)
 
     ts = solve_ts(active)
     if s.solver == "partition":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import ScenarioParseError, ValidationError
 from .mva import ClassLoad, WorkloadSpec
 from .shares import GroupAlloc, ShareHierarchy, UserAlloc
-from .sim import TimelineEvent
+from .sim import TimelineEvent, validate_timeline
 
 SOLVERS = ("partition", "conserving", "simulate")
 
@@ -132,15 +132,12 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
                 raise ScenarioParseError(f"unknown key {extra!r} on user line", line_no, kv[extra][1])
             if group not in users_by_group:
                 raise ScenarioParseError(f"unknown group {group!r}", line_no, _column_of(line, group))
-            if procs < 1:
-                raise ScenarioParseError("procs must be >= 1", line_no)
-            if think < 0:
-                raise ScenarioParseError("think must be >= 0", line_no)
-            if demand <= 0:
-                raise ScenarioParseError("demand must be > 0", line_no)
+            try:
+                loads.append(ClassLoad(user=name, procs=procs, think=think, demand=demand))
+            except ValidationError as exc:
+                raise ScenarioParseError(str(exc), line_no) from exc
             user_names.add(name)
             users_by_group[group].append(UserAlloc(name=name, shares=shares, active=active))
-            loads.append(ClassLoad(user=name, procs=procs, think=think, demand=demand))
 
         elif keyword == "event":
             kv = _parse_kv(tokens[1:], line_no, line)
@@ -158,7 +155,10 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             if kv:
                 extra = next(iter(kv))
                 raise ScenarioParseError(f"unknown key {extra!r} on event line", line_no, kv[extra][1])
-            events.append(TimelineEvent(time=when, action=action, user=user))
+            try:
+                events.append(TimelineEvent(time=when, action=action, user=user))
+            except ValidationError as exc:
+                raise ScenarioParseError(str(exc), line_no) from exc
 
         elif keyword == "solver":
             if len(tokens) != 2 or tokens[1] not in SOLVERS:
@@ -175,39 +175,29 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
     if total_shares is None:
         raise ScenarioParseError("missing total_shares line")
 
-    hierarchy = ShareHierarchy(
-        total_allocated_shares=total_shares,
-        groups=tuple(
-            GroupAlloc(name=name, shares=shares, users=tuple(users_by_group[name]))
-            for name, shares, _ in group_rows
-        ),
-    )
     try:
-        hierarchy.validate()
+        hierarchy = ShareHierarchy(
+            total_allocated_shares=total_shares,
+            groups=tuple(
+                GroupAlloc(name=name, shares=shares, users=tuple(users_by_group[name]))
+                for name, shares, _ in group_rows
+            ),
+        )
     except ValidationError as exc:
-        line = None
-        for name, _, group_line in group_rows:
-            if f"group {name}" in str(exc):
-                line = group_line
-                break
+        line = next(
+            (group_line for name, _, group_line in group_rows if f"group {name}:" in str(exc)),
+            None,
+        )
         raise ScenarioParseError(str(exc), line) from exc
-
-    workload = WorkloadSpec(classes=tuple(loads))
-    if workload.classes:
-        workload.validate()
-
-    last = -1.0
-    for ev in events:
-        if ev.time < last:
-            raise ScenarioParseError("event times must be non-decreasing")
-        last = ev.time
-        if ev.user not in user_names:
-            raise ScenarioParseError(f"event references unknown user {ev.user!r}")
+    try:
+        validate_timeline(events, hierarchy)
+    except ValidationError as exc:
+        raise ScenarioParseError(str(exc)) from exc
 
     return Scenario(
         label=label,
         hierarchy=hierarchy,
-        workload=workload,
+        workload=WorkloadSpec(classes=tuple(loads)),
         timeline=tuple(events),
         solver=solver or "partition",
     )
@@ -223,10 +213,10 @@ def render_scenario(s: Scenario) -> str:
             load = s.workload.for_user(user.name)
             lines.append(
                 f"user {user.name} group={group.name} shares={user.shares} "
-                f"procs={load.procs} think={load.think:g} demand={load.demand:g} "
+                f"procs={load.procs} think={load.think!r} demand={load.demand!r} "
                 f"active={'yes' if user.active else 'no'}"
             )
     for ev in s.timeline:
-        lines.append(f"event t={ev.time:g} {ev.action}={ev.user}")
+        lines.append(f"event t={ev.time!r} {ev.action}={ev.user}")
     lines.append(f"solver {s.solver}")
     return "\n".join(lines) + "\n"

@@ -35,7 +35,7 @@ class GroupAlloc:
 class ShareHierarchy:
     """Immutable allocation universe: groups of users holding integer shares.
 
-    Invariants (checked by :meth:`validate`): user shares within a group sum
+    Invariants (checked on construction): user shares within a group sum
     to the group's shares, group shares sum to ``total_allocated_shares``,
     all shares are positive integers, and user names are globally unique.
     """
@@ -43,7 +43,7 @@ class ShareHierarchy:
     total_allocated_shares: int
     groups: tuple[GroupAlloc, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not isinstance(self.total_allocated_shares, int) or self.total_allocated_shares <= 0:
             raise ValidationError(
                 f"total allocated shares must be a positive integer, got {self.total_allocated_shares!r}"
@@ -126,7 +126,6 @@ def compute_entitlements(h: ShareHierarchy, mode: str = FLAT_POOL) -> Entitlemen
     at least one active user (by group shares), then splits each group's
     fraction between its active users (by user shares).
     """
-    h.validate()
     if mode not in ENTITLEMENT_MODES:
         raise ValidationError(f"unknown entitlement mode {mode!r}; expected one of {ENTITLEMENT_MODES}")
     active = [u for u in h.users() if u.active]
@@ -175,7 +174,6 @@ def least_upper_bounds(h: ShareHierarchy) -> EntitlementTable:
     Equals each user's shares over the total allocation; actual entitlements
     can only meet or exceed these bounds as other users go offline.
     """
-    h.validate()
     everyone = replace(
         h,
         groups=tuple(

@@ -59,15 +59,18 @@ class SimConfig:
     mode: str = FAIRSHARE_FLAT
     think_jitter: bool = False
 
-    def validate(self) -> None:
-        if self.quantum <= 0:
-            raise ValidationError("quantum must be > 0")
-        if self.window < self.quantum:
-            raise ValidationError("window must be >= quantum")
-        if not self.warmup >= 0:
-            raise ValidationError("warmup must be >= 0")
-        if not self.duration > self.warmup:
-            raise ValidationError("duration must exceed warmup")
+    def __post_init__(self):
+        if not (math.isfinite(self.quantum) and self.quantum > 0):
+            raise ValidationError("quantum must be finite and > 0")
+        if not (math.isfinite(self.window) and self.window >= self.quantum):
+            raise ValidationError("window must be finite and >= quantum")
+        if not (math.isfinite(self.warmup) and self.warmup >= 0):
+            raise ValidationError("warmup must be finite and >= 0")
+        # The quantized engine measures round(duration/quantum) - round(warmup/quantum) quanta.
+        ticks = self.duration / self.quantum
+        if not (self.duration > self.warmup and math.isfinite(ticks)
+                and round(ticks) > round(self.warmup / self.quantum)):
+            raise ValidationError("duration must be finite and exceed warmup by a quantum")
         if not self.usage_half_life > 0:
             raise ValidationError("usage half-life must be > 0")
         if self.mode not in SIM_MODES:
@@ -80,12 +83,17 @@ class TimelineEvent:
     action: str
     user: str
 
+    def __post_init__(self):
+        if self.action not in ("activate", "deactivate"):
+            raise ValidationError(f"unknown timeline action {self.action!r}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValidationError(f"event time must be finite and >= 0, got {self.time!r}")
+
 
 def validate_timeline(events, h: ShareHierarchy) -> None:
-    last = -math.inf
+    """Check what no single event can: times in order, users in the hierarchy."""
+    last = 0.0
     for ev in events:
-        if ev.action not in ("activate", "deactivate"):
-            raise ValidationError(f"unknown timeline action {ev.action!r}")
         if ev.time < last:
             raise ValidationError("timeline event times must be non-decreasing")
         last = ev.time
@@ -146,9 +154,6 @@ def run_sim(
     """
     if config is None:
         raise ValidationError("a SimConfig is required")
-    h.validate()
-    w.validate()
-    config.validate()
     known = set(h.user_names())
     for c in w.classes:
         if c.user not in known:
@@ -471,6 +476,8 @@ def convergence_time(tr: SimTrace, e: EntitlementTable, epsilon: float):
 
     Returns seconds, or None when no trailing run of windows qualifies.
     """
+    if not math.isfinite(epsilon):
+        raise ValidationError(f"epsilon must be finite, got {epsilon!r}")
     last_event = tr.last_event_time()
     window = tr.window_seconds
     eligible = [

@@ -1,5 +1,6 @@
 """Analytic solver checks against hand-unrolled recursions and a CTMC oracle."""
 
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import fairshare
 from fairshare.errors import PopulationGuardError, ValidationError, ZeroEntitlementError
 from fairshare.mva import (
     ClassLoad,
+    PerfRow,
     WorkloadSpec,
     compare_tables,
     solve_srm_conserving,
@@ -352,3 +354,35 @@ def _report_workload(fin=True, web=True, ops_a=True, ops_b=True, ops_c=True):
     if ops_c:
         names.append("opsC")
     return cpu_bound(*names)
+
+
+class TestModelValues:
+    @pytest.mark.parametrize(
+        "think, demand",
+        [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (0.0, math.nan), (0.0, math.inf), (0.0, 0.0)],
+    )
+    def test_class_load_rejects_bad_numbers(self, think, demand):
+        with pytest.raises(ValidationError, match="user a:"):
+            ClassLoad("a", 1, think, demand)
+
+    def test_class_load_needs_an_integer_process_count(self):
+        with pytest.raises(ValidationError, match="procs"):
+            ClassLoad("a", 1.5, 0.0, 1.0)
+
+    def test_duplicate_workload_user(self):
+        with pytest.raises(ValidationError, match="duplicate workload user 'a'"):
+            WorkloadSpec((ClassLoad("a", 1, 0.0, 1.0), ClassLoad("a", 2, 0.0, 1.0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_perf_row_rejects_non_finite_fields(self, bad):
+        for fields in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                PerfRow(*fields)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_workload_is_rejected_not_answered(self):
+        w = WorkloadSpec((ClassLoad("a", 2, 0.0, 1e308),))
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_ts(w)
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_srm_partition(w, equal_pool("a", "b"))

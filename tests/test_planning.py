@@ -1,5 +1,7 @@
 """Share advisor and ps-log goal monitoring."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,17 @@ class TestAllocateTopdown:
             SLOTarget("bad", u_max=0.5, demand=2.0, r_slo=1.0).validate()
 
 
+    @pytest.mark.parametrize("demand", [math.nan, math.inf, 0.0, -1.0])
+    def test_target_demand_must_be_finite_and_positive(self, demand):
+        with pytest.raises(ValidationError, match="demand must be"):
+            SLOTarget("bad", u_max=0.5, demand=demand)
+
+    @pytest.mark.parametrize("r_slo", [math.nan, math.inf])
+    def test_target_rslo_must_be_finite(self, r_slo):
+        with pytest.raises(ValidationError, match="rslo must be finite"):
+            SLOTarget("bad", u_max=0.5, demand=1.0, r_slo=r_slo)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(
@@ -157,6 +170,19 @@ class TestParsePsLog:
             "alice 4242 55.5 1.0 100 200 pts/1 R 10:00 2:05 crunch\n" + PS_LOG
         )
         assert log.skipped == 1
+
+
+    @pytest.mark.parametrize("bad", ["T nan", "T inf", "alice 4242 55.0 1.0 100 200 pts/1 R 10:00 1:nan x"])
+    def test_non_finite_numbers_are_malformed(self, bad):
+        log = parse_ps_log(PS_LOG.replace("T 1060", f"{bad}\nT 1060"))
+        assert log.skipped == 1
+        assert [s.timestamp for s in log.samples] == [1000.0, 1000.0, 1060.0, 1060.0]
+
+    @pytest.mark.parametrize("header", ["T nan", "T 10:00"])
+    def test_lines_under_a_bad_header_are_skipped(self, header):
+        log = parse_ps_log(PS_LOG.replace("T 1060", header))
+        assert log.skipped == 3
+        assert [s.timestamp for s in log.samples] == [1000.0, 1000.0]
 
 
 def equal_table(*names):
@@ -249,3 +275,18 @@ class TestGoalDeviation:
         text = render_deviation(report)
         assert "EXCEEDED" in text
         assert "*" in text
+
+    @pytest.mark.parametrize("window, threshold", [(math.nan, 0.05), (math.inf, 0.05),
+                                                   (100.0, math.nan), (100.0, math.inf)])
+    def test_window_and_threshold_must_be_finite(self, window, threshold):
+        log = parse_ps_log(synth_log([(0, "a", 1, 0), (100, "a", 1, 60)]))
+        with pytest.raises(ValidationError, match="must be finite"):
+            goal_deviation(log.samples, equal_table("a"), window, threshold)
+
+    def test_reused_pid_starts_a_new_process(self):
+        # pid 1 exits after 100 s; a new process takes the pid at 0:00
+        rows = [(0, "a", 1, 0), (0, "b", 2, 0), (100, "a", 1, 50), (100, "b", 2, 50),
+                (110, "a", 1, 0), (110, "b", 2, 50), (200, "a", 1, 45), (200, "b", 2, 95)]
+        report = goal_deviation(parse_ps_log(synth_log(rows)).samples, equal_table("a", "b"),
+                                window=100.0)
+        assert [w.rows["a"].achieved for w in report.windows] == [0.5, 0.5]

@@ -1,8 +1,13 @@
 """Capacity report rendering: golden sections, determinism, comparisons."""
 
-import pytest
+import dataclasses
+import math
 
-from fairshare.errors import ValidationError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairshare.errors import FairshareError, ScenarioParseError, ValidationError
 from fairshare.mva import PerfTable
 from fairshare.report import (
     CapacityReport,
@@ -137,3 +142,54 @@ class TestSimulateSolver:
         for user in ("opsA", "opsB"):
             cells = next(l for l in section.splitlines() if l.startswith(user)).split()
             assert float(cells[3]) == pytest.approx(100 * table.entitlements[user], abs=2.0)
+
+
+PROCS = ("1", "2", "3")
+THINK = ("0", "1e-300", "0.5", "1", "3", "1e308")
+DEMAND = THINK[1:]
+BAD = ("nan", "inf", "-inf", "-1", "0", "1.5")
+
+
+@st.composite
+def scenario_texts(draw):
+    """Valid hierarchies with extreme workload and event numbers, one of
+    which is mostly swapped for nan, an infinity, a negative or a zero."""
+    groups = draw(st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=2),
+                           min_size=1, max_size=2))
+    users = [(f"u{g}{u}", g, share) for g, shares in enumerate(groups)
+             for u, share in enumerate(shares)]
+    n_events = draw(st.integers(0, 2))
+    numbers = [draw(st.sampled_from(choices))
+               for choices in [PROCS, THINK, DEMAND] * len(users) + [THINK] * n_events]
+    bad = draw(st.sampled_from((None, *range(len(numbers)))))
+    if bad is not None:
+        numbers[bad] = draw(st.sampled_from(BAD))
+    numbers = iter(numbers)
+    lines = [f"total_shares {sum(map(sum, groups))}"]
+    lines += [f"group G{g} shares={sum(shares)}" for g, shares in enumerate(groups)]
+    for name, g, share in users:
+        lines.append(
+            f"user {name} group=G{g} shares={share} procs={next(numbers)} think={next(numbers)} "
+            f"demand={next(numbers)} active={draw(st.sampled_from(('yes', 'no')))}"
+        )
+    for _ in range(n_events):
+        lines.append(f"event t={next(numbers)} activate={draw(st.sampled_from(users))[0]}")
+    return "\n".join(lines) + "\n"
+
+
+# numpy warns while 1e308 overflows to the inf or nan that PerfRow then rejects
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(text=scenario_texts(), solver=st.sampled_from(("partition", "conserving")))
+def test_accepted_scenarios_give_finite_rows_or_a_toolkit_error(text, solver):
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioParseError:
+        return
+    try:
+        report = run_scenario(dataclasses.replace(scenario, solver=solver))
+    except FairshareError:
+        return
+    for table in (report.srm, report.ts):
+        for row in table.rows.values():
+            assert all(map(math.isfinite, (row.throughput, row.response, row.utilization)))

@@ -1,9 +1,15 @@
 """Scenario grammar: parsing, diagnostics, and round-tripping."""
 
+import dataclasses
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairshare.errors import ScenarioParseError
+from fairshare.mva import WorkloadSpec
 from fairshare.scenario import parse_scenario, render_scenario
+from fairshare.sim import TimelineEvent
 
 GOOD = """\
 # demo
@@ -93,6 +99,39 @@ class TestParse:
         with pytest.raises(ScenarioParseError, match="non-decreasing"):
             parse_scenario(bad)
 
+    def test_share_sum_error_names_the_right_group_line(self):
+        text = (
+            "total_shares 20\n"
+            "group OPS shares=10\n"
+            "group OPS2 shares=10\n"
+            "user a group=OPS shares=10 procs=1 think=0 demand=1 active=yes\n"
+            "user b group=OPS2 shares=9 procs=1 think=0 demand=1 active=yes\n"
+        )
+        with pytest.raises(ScenarioParseError, match=r"^line 3: group OPS2:"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("think=0", "think=nan", "think time"),
+            ("think=0", "think=-1", "think time"),
+            ("demand=1", "demand=inf", "demand"),
+            ("demand=1", "demand=0", "demand"),
+            ("procs=1", "procs=0", "procs"),
+        ],
+    )
+    def test_bad_workload_numbers_name_their_line(self, old, new, message):
+        line = "user wAgg group=WEB shares=10 procs=1 think=0 demand=1 active=yes"
+        bad = GOOD.replace(line, line.replace(old, new))
+        with pytest.raises(ScenarioParseError, match=rf"^line 7: user wAgg: .*{message}"):
+            parse_scenario(bad)
+
+    @pytest.mark.parametrize("when", ["nan", "inf", "-1"])
+    def test_event_time_must_be_finite_and_not_negative(self, when):
+        bad = GOOD.replace("event t=60", f"event t={when}")
+        with pytest.raises(ScenarioParseError, match=r"^line 11: event time"):
+            parse_scenario(bad)
+
     def test_defaults_to_partition_solver(self):
         no_solver = "\n".join(l for l in GOOD.splitlines() if not l.startswith("solver"))
         assert parse_scenario(no_solver).solver == "partition"
@@ -110,3 +149,21 @@ class TestRoundTrip:
             original = parse_scenario(path.read_text(), label=path.stem)
             rendered = render_scenario(original)
             assert parse_scenario(rendered, label=path.stem) == original
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        think=st.floats(min_value=0.0, allow_infinity=False),
+        demand=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        when=st.floats(min_value=0.0, allow_infinity=False),
+    )
+    @example(think=0.123456789, demand=1e-12, when=60.000000001)
+    def test_render_keeps_every_float(self, think, demand, when):
+        base = parse_scenario(GOOD, label="demo")
+        classes = list(base.workload.classes)
+        classes[0] = dataclasses.replace(classes[0], think=think, demand=demand)
+        scenario = dataclasses.replace(
+            base,
+            workload=WorkloadSpec(tuple(classes)),
+            timeline=(TimelineEvent(when, "deactivate", "opsC"),),
+        )
+        assert parse_scenario(render_scenario(scenario), label="demo") == scenario

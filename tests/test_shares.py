@@ -82,19 +82,19 @@ class TestComputeEntitlements:
             compute_entitlements(h)
 
     def test_bad_shares_rejected(self):
-        h = ShareHierarchy(1, (GroupAlloc("G", 1, (UserAlloc("u", 0),)),))
         with pytest.raises(ValidationError):
+            h = ShareHierarchy(1, (GroupAlloc("G", 1, (UserAlloc("u", 0),)),))
             compute_entitlements(h)
 
     def test_share_sum_mismatch_names_group_and_sums(self):
-        h = ShareHierarchy(
-            100,
-            (
-                GroupAlloc("FIN", 70, (UserAlloc("fAgg", 70),)),
-                GroupAlloc("OPS", 30, (UserAlloc("opsA", 6), UserAlloc("opsB", 5))),
-            ),
-        )
         with pytest.raises(ValidationError, match=r"OPS.*11.*30"):
+            h = ShareHierarchy(
+                100,
+                (
+                    GroupAlloc("FIN", 70, (UserAlloc("fAgg", 70),)),
+                    GroupAlloc("OPS", 30, (UserAlloc("opsA", 6), UserAlloc("opsB", 5))),
+                ),
+            )
             compute_entitlements(h)
 
     def test_unknown_mode(self):

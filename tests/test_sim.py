@@ -449,3 +449,36 @@ def sim_digest_lines(scenario_dir):
 def test_traces_match_pinned_digests(scenario_dir, golden_dir):
     expected = (golden_dir / "sim_digests.txt").read_text().splitlines()
     assert sim_digest_lines(scenario_dir) == expected
+
+
+class TestModelValues:
+    @pytest.mark.parametrize("field", ["quantum", "window", "warmup", "duration"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SimConfig(**{"duration": 10.0, field: value})
+
+    def test_half_life_may_be_infinite_but_not_nan(self):
+        assert SimConfig(duration=10.0, usage_half_life=math.inf).usage_half_life == math.inf
+        with pytest.raises(ValidationError, match="half-life"):
+            SimConfig(duration=10.0, usage_half_life=math.nan)
+
+    @pytest.mark.parametrize("duration, warmup", [(1.0, 0.999), (0.004, 0.0), (0.025, 0.015)])
+    def test_config_measures_at_least_one_quantum(self, duration, warmup):
+        # each pair rounds to the same number of 10 ms quanta
+        with pytest.raises(ValidationError, match="exceed warmup"):
+            SimConfig(duration=duration, warmup=warmup)
+
+    @pytest.mark.parametrize("when", [math.nan, math.inf, -1.0])
+    def test_event_time_must_be_finite_and_not_negative(self, when):
+        with pytest.raises(ValidationError, match="event time"):
+            TimelineEvent(when, "activate", "a")
+
+    def test_event_action_checked(self):
+        with pytest.raises(ValidationError, match="pause"):
+            TimelineEvent(1.0, "pause", "a")
+
+    def test_convergence_epsilon_must_be_finite(self):
+        trace = run_sim(TWO_EQUAL, TWO_EQUAL_W, (), SimConfig(duration=3.0, warmup=0.0))
+        with pytest.raises(ValidationError, match="epsilon"):
+            convergence_time(trace, compute_entitlements(TWO_EQUAL), math.nan)
