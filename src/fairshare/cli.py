@@ -7,6 +7,7 @@ is infeasible or a monitored deviation exceeds the threshold.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -32,11 +33,20 @@ from .shares import (
 from .sim import SIM_MODES, SimConfig, convergence_time, export_trace, run_sim
 
 
+@contextlib.contextmanager
 def _open(path: str):
+    """Open an input file as UTF-8 text; errors opening or decoding it name the file."""
     try:
-        return open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise FairshareError(f"{path}: {exc.strerror or exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FairshareError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            ) from exc
 
 
 def _load_scenario(path: str):

@@ -47,6 +47,16 @@ def two_user_files(tmp_path):
         path = tmp_path / f"{role}.fsp"
         path.write_text(TWO_USERS.format(**fields))
         paths[role] = str(path)
+    # A byte that is not UTF-8 in each kind of input file; in the ps log it
+    # comes after two hours of good lines, so it is met while streaming.
+    for role, data in {
+        "fsp_not_utf8": b"total_shares 10\n\xff\n",
+        "slo_not_utf8": b"target alice umax=0.4\n\xff\n",
+        "log_not_utf8": (tmp_path / "steady.log").read_bytes() + b"alice \xff\n",
+    }.items():
+        path = tmp_path / role
+        path.write_bytes(data)
+        paths[role] = str(path)
     return paths
 
 
@@ -282,6 +292,9 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("simulate", "good", "--duration", "inf"),
         ("monitor", "log", "good", "--window", "nan"),
         ("monitor", "log", "good", "--threshold", "nan"),
+        ("entitle", "fsp_not_utf8"),
+        ("advise", "slo_not_utf8", "--total-shares", "100"),
+        ("monitor", "log_not_utf8", "good"),
     ],
     ids=lambda argv: "-".join(argv[:4]),
 )

@@ -1,5 +1,6 @@
 """Analytic solver checks against hand-unrolled recursions and a CTMC oracle."""
 
+import functools
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairshare
+from fairshare import mva
 from fairshare.errors import PopulationGuardError, ValidationError, ZeroEntitlementError
 from fairshare.mva import (
     ClassLoad,
@@ -107,12 +109,104 @@ class TestSolveTs:
 
     def test_population_guard(self):
         w = WorkloadSpec(tuple(ClassLoad(f"u{i}", 100, 0.0, 1.0) for i in range(4)))
-        with pytest.raises(PopulationGuardError, match="simulator"):
+        with pytest.raises(PopulationGuardError, match="80 MB .* use the simulator"):
             solve_ts(w)
 
     def test_empty_workload(self):
         with pytest.raises(ValidationError):
             solve_ts(WorkloadSpec(()))
+
+
+def reference_ts(w: WorkloadSpec) -> dict[str, PerfRow]:
+    """Textbook exact MVA (Reiser & Lavenberg 1980), memoised per population vector.
+
+    The queue length at a vector sums, class by class in workload order, the
+    Little's-law queue of every class present in it; each class's response
+    time reads the queue at the vector with one of its processes removed.
+    """
+
+    @functools.cache
+    def queue(pop: tuple[int, ...]) -> float:
+        total = 0.0
+        for i, c in enumerate(w.classes):
+            if pop[i]:
+                r = c.demand * (1.0 + queue(pop[:i] + (pop[i] - 1,) + pop[i + 1:]))
+                total += pop[i] / (c.think + r) * r
+        return total
+
+    full = tuple(c.procs for c in w.classes)
+    rows = {}
+    for i, c in enumerate(w.classes):
+        r = c.demand * (1.0 + queue(full[:i] + (c.procs - 1,) + full[i + 1:]))
+        x = c.procs / (c.think + r)
+        rows[c.user] = PerfRow(x, r, x * c.demand)
+    return rows
+
+
+reference_workloads = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=5),
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=20.0)),
+        st.floats(min_value=1e-3, max_value=10.0),
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda rows: WorkloadSpec(tuple(ClassLoad(f"u{i}", *row) for i, row in enumerate(rows))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_workloads)
+def test_solve_ts_equals_the_textbook_recursion(w):
+    rows = solve_ts(w).rows
+    assert rows == reference_ts(w)
+    if len(w.classes) == 1:
+        c = w.classes[0]
+        r, x = mva._repairman(c.procs, c.think, c.demand)
+        assert rows[c.user] == PerfRow(x, r, x * c.demand)
+
+
+@pytest.mark.parametrize("cells", [mva._LEVEL_CELLS, 3])
+def test_wide_and_blocked_levels_equal_the_textbook_recursion(monkeypatch, cells):
+    # A level wider than a block is solved a block of vectors at a time;
+    # three cells make every level of these workloads take that path.  Nine
+    # and ten classes are more than numpy's pairwise summation adds one by
+    # one, so a sum taken out of class order, as over a one-vector block,
+    # would show.
+    monkeypatch.setattr(mva, "_LEVEL_CELLS", cells)
+    for procs in ((1,) * 9, (4, 3, 5), (2, 1, 3, 1), (2, 1, 1, 3, 1, 1, 2, 1, 1), (1, 2, 3) * 3 + (1,)):
+        w = WorkloadSpec(
+            tuple(
+                ClassLoad(f"u{i}", n, (0.0, 0.3, 2.7)[i % 3], 0.05 + 0.37 * i)
+                for i, n in enumerate(procs)
+            )
+        )
+        assert solve_ts(w).rows == reference_ts(w)
+
+
+# Mid-size workloads (1e4 to 2e5 population vectors) whose rows are pinned in
+# golden/mva_rows.txt, as (procs, think, demand) per class.
+PINNED_WORKLOADS = {
+    "three-classes": ((21, 0.0, 1.0), (21, 2.5, 0.7), (21, 0.0, 1.3)),
+    "four-classes": ((15, 1.7, 0.37), (12, 0.0, 1.9), (10, 4.0, 0.05), (9, 0.25, 2.2)),
+    "five-classes": ((10, 0.0, 0.6), (9, 3.3, 1.1), (8, 0.0, 0.45), (7, 12.0, 2.0), (6, 0.8, 0.9)),
+    "two-classes": ((499, 10.0, 0.3), (399, 0.0, 0.11)),
+}
+
+
+def mva_row_lines() -> list[str]:
+    """One ``workload user throughput response utilization`` line per row, floats as repr."""
+    lines = []
+    for name, classes in PINNED_WORKLOADS.items():
+        w = WorkloadSpec(tuple(ClassLoad(f"u{i}", *c) for i, c in enumerate(classes)))
+        for user, row in solve_ts(w).rows.items():
+            fields = (row.throughput, row.response, row.utilization)
+            lines.append(" ".join([name, user, *(repr(float(v)) for v in fields)]))
+    return lines
+
+
+def test_solve_ts_rows_match_pinned_values(golden_dir):
+    expected = (golden_dir / "mva_rows.txt").read_text().splitlines()
+    assert mva_row_lines() == expected
 
 
 class TestSolveSrmPartition:
