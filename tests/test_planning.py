@@ -1,6 +1,7 @@
 """Share advisor and ps-log goal monitoring."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -290,3 +291,83 @@ class TestGoalDeviation:
         report = goal_deviation(parse_ps_log(synth_log(rows)).samples, equal_table("a", "b"),
                                 window=100.0)
         assert [w.rows["a"].achieved for w in report.windows] == [0.5, 0.5]
+
+
+def _ps_time(centis: int) -> str:
+    seconds = centis / 100
+    if seconds >= 3600:
+        return f"{int(seconds // 3600)}:{int(seconds % 3600 // 60):02d}:{seconds % 60:05.2f}"
+    return f"{int(seconds // 60)}:{seconds % 60:05.2f}"
+
+
+def generated_ps_log(seed: int, users) -> str:
+    """A two-hour ps log with pid churn, one reused pid whose TIME falls,
+    malformed lines, a bad header, an idle stretch, a sampling gap and the
+    user ``guest``, who is in no scenario.
+
+    Every malformed line has a bad TIME column, so it is skipped whether or
+    not the %CPU column is read.
+    """
+    rng = random.Random(seed)
+    users = [*users, "guest"]
+    live: dict[int, list] = {}  # pid -> [user, cumulative CPU in centiseconds]
+    next_pid = 100
+    t = 1000 * seed
+    lines = []
+    for step in range(120):
+        dt = 900 if step == 90 else rng.choice((30, 60, 60, 90))
+        t += dt
+        for pid in [p for p in live if rng.random() < 0.05]:
+            del live[pid]  # the process exited
+        while len(live) < 5 or rng.random() < 0.1:
+            live[next_pid] = [rng.choice(users), 0]
+            next_pid += 1
+        if step == 70:
+            reused = min(live)
+            live[reused][1] = rng.randrange(0, 200)  # a new process took the pid
+        elif not 40 <= step < 50:  # steps 40-49 are idle
+            budget = dt * 100
+            for proc in live.values():
+                used = rng.randrange(0, budget // len(live) + 1)
+                proc[1] += used
+        header = f"T {t}" if step != 20 else "T 10:00"
+        lines.append(header)
+        if rng.random() < 0.3:
+            lines.append("USER PID %CPU %MEM SZ RSS TT S START TIME COMMAND")
+        for pid, (user, centis) in live.items():
+            pcpu = f"{rng.uniform(0, 100):.1f}"
+            lines.append(f"{user} {pid} {pcpu} 0.5 900 300 ?? R 9:00 {_ps_time(centis)} job -x {pid}")
+            roll = rng.random()
+            if roll < 0.02:
+                lines.append(f"{user} {pid} n/a 0.5 900 300 ?? R 9:00 n/a job")
+            elif roll < 0.04:
+                lines.append(f"{user} {pid} {pcpu} 0.5 900 300 ?? R 9:00 {centis}:xx job")
+            elif roll < 0.05:
+                lines.append(f"{user} truncated line")
+    return "\n".join(lines) + "\n"
+
+
+# (seed, scenario, entitlement mode, window seconds) per pinned monitor run.
+MONITOR_CASES = (
+    (1, "report4", "flat-pool", 300.0),
+    (2, "report5", "hierarchical", 120.0),
+    (3, "report2", "hierarchical", 600.0),
+)
+
+
+def monitor_deviation_text(load_scenario) -> str:
+    blocks = []
+    for seed, name, mode, window in MONITOR_CASES:
+        s = load_scenario(name)
+        log = parse_ps_log(generated_ps_log(seed, s.hierarchy.user_names()))
+        report = goal_deviation(log.samples, compute_entitlements(s.hierarchy, mode), window)
+        blocks.append(
+            f"== seed {seed} {name} {mode} window {window:g}: skipped {log.skipped}\n"
+            + render_deviation(report)
+        )
+    return "\n".join(blocks)
+
+
+def test_monitor_output_matches_pinned_text(load_scenario, golden_dir):
+    expected = (golden_dir / "monitor_deviation.txt").read_text()
+    assert monitor_deviation_text(load_scenario) == expected

@@ -132,6 +132,22 @@ class TestParse:
         with pytest.raises(ScenarioParseError, match=r"^line 11: event time"):
             parse_scenario(bad)
 
+    @pytest.mark.parametrize(
+        "line, directive, line_no",
+        [
+            ("group WEB shares=10", "group", 4),
+            ("user wAgg group=WEB shares=10 procs=1 think=0 demand=1 active=yes", "user", 7),
+            ("event t=60 deactivate=opsC", "event", 11),
+        ],
+    )
+    def test_unknown_key_names_line_and_column(self, line, directive, line_no):
+        bad = GOOD.replace(line, f"{line} color=red")
+        column = len(line) + 2
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(bad)
+        assert str(exc.value) == f"line {line_no}, col {column}: unknown key 'color' on {directive} line"
+        assert (exc.value.line, exc.value.column) == (line_no, column)
+
     def test_defaults_to_partition_solver(self):
         no_solver = "\n".join(l for l in GOOD.splitlines() if not l.startswith("solver"))
         assert parse_scenario(no_solver).solver == "partition"
