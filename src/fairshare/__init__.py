@@ -15,9 +15,7 @@ from .mva import (
     ClassLoad,
     PerfRow,
     PerfTable,
-    RatioTable,
     WorkloadSpec,
-    compare_tables,
     solve_srm_conserving,
     solve_srm_partition,
     solve_ts,

@@ -72,12 +72,6 @@ class WorkloadSpec:
                 raise ValidationError(f"duplicate workload user {c.user!r}")
             seen.add(c.user)
 
-    def for_user(self, name: str) -> ClassLoad:
-        for c in self.classes:
-            if c.user == name:
-                return c
-        raise ValidationError(f"user {name!r} not in workload")
-
     def users(self) -> tuple[str, ...]:
         return tuple(c.user for c in self.classes)
 
@@ -99,20 +93,7 @@ class PerfTable:
 
     solver: str
     rows: dict[str, PerfRow]
-    entitlements: EntitlementTable | None = None
     notes: tuple[str, ...] = ()
-
-    def users(self) -> tuple[str, ...]:
-        return tuple(self.rows)
-
-
-@dataclass(frozen=True)
-class RatioTable:
-    """Response-time ratios a.R / b.R per user; None where a user is absent."""
-
-    label_a: str
-    label_b: str
-    ratios: dict[str, float | None]
 
 
 def solve_ts(w: WorkloadSpec) -> PerfTable:
@@ -212,7 +193,7 @@ def solve_srm_partition(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
         speed = e.entitlements[c.user]
         r, x = _repairman(c.procs, c.think, c.demand / speed)
         rows[c.user] = PerfRow(x, r, x * c.demand)
-    return PerfTable(solver="partition", rows=rows, entitlements=e)
+    return PerfTable(solver="partition", rows=rows)
 
 
 def solve_srm_conserving(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
@@ -256,19 +237,4 @@ def solve_srm_conserving(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
     for c in w.classes:
         r, x = _repairman(c.procs, c.think, c.demand / speeds[c.user])
         rows[c.user] = PerfRow(x, r, x * c.demand)
-    return PerfTable(solver="conserving", rows=rows, entitlements=e)
-
-
-def compare_tables(a: PerfTable, b: PerfTable) -> RatioTable:
-    """Per-user response-time ratios a.R/b.R; users missing from either side map to None."""
-    common = [u for u in a.rows if u in b.rows]
-    if not common:
-        raise ValidationError("performance tables share no users")
-    order = list(a.rows) + [u for u in b.rows if u not in a.rows]
-    ratios: dict[str, float | None] = {}
-    for user in order:
-        if user in a.rows and user in b.rows:
-            ratios[user] = a.rows[user].response / b.rows[user].response
-        else:
-            ratios[user] = None
-    return RatioTable(label_a=a.solver, label_b=b.solver, ratios=ratios)
+    return PerfTable(solver="conserving", rows=rows)

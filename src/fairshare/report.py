@@ -31,7 +31,6 @@ class CapacityReport:
     workload: WorkloadSpec  # active users only, definition order
     srm: PerfTable
     ts: PerfTable
-    solver: str
 
 
 DEFAULT_SIM = SimConfig(duration=300.0, warmup=30.0)
@@ -40,7 +39,7 @@ DEFAULT_SIM = SimConfig(duration=300.0, warmup=30.0)
 def run_scenario(
     s: Scenario,
     mode: str = FLAT_POOL,
-    sim_config: SimConfig | None = None,
+    sim_config: SimConfig = DEFAULT_SIM,
 ) -> CapacityReport:
     """Compute entitlements, solve both disciplines, assemble the report.
 
@@ -58,9 +57,7 @@ def run_scenario(
     elif s.solver == "conserving":
         srm = solve_srm_conserving(active, entitlements)
     else:
-        config = sim_config or DEFAULT_SIM
-        trace = run_sim(s.hierarchy, s.workload, s.timeline, config)
-        srm = trace.perf
+        srm = run_sim(s.hierarchy, s.workload, s.timeline, sim_config).perf
 
     return CapacityReport(
         label=s.label,
@@ -69,7 +66,6 @@ def run_scenario(
         workload=active,
         srm=srm,
         ts=ts,
-        solver=s.solver,
     )
 
 
@@ -137,15 +133,11 @@ def render_report(r: CapacityReport) -> str:
         ["User Workload Parameters"],
         workload_lines(r.workload),
         ["Estimated SRM Performance"],
-        perf_lines(r.srm) + [f"Solver: {_solver_name(r)}"],
+        perf_lines(r.srm) + [f"Solver: {r.srm.solver}"],
         ["Comparative TS Performance"],
         perf_lines(r.ts),
     ]
     return "\n\n".join("\n".join(block) for block in blocks) + "\n"
-
-
-def _solver_name(r: CapacityReport) -> str:
-    return {"simulate": "simulated"}.get(r.solver, r.solver)
 
 
 def extract_section(text: str, heading: str) -> str:

@@ -61,6 +61,12 @@ def _take(kv, key, cast, line_no):
         raise ScenarioParseError(f"bad value for {key}: {value!r}", line_no, column) from None
 
 
+def _reject_unknown_keys(kv, directive, line_no):
+    if kv:
+        extra = next(iter(kv))
+        raise ScenarioParseError(f"unknown key {extra!r} on {directive} line", line_no, kv[extra][1])
+
+
 def _yes_no(value: str) -> bool:
     if value == "yes":
         return True
@@ -107,9 +113,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
                 raise ScenarioParseError(f"duplicate group {name!r}", line_no)
             kv = _parse_kv(tokens[2:], line_no, line)
             shares = _take(kv, "shares", int, line_no)
-            if kv:
-                extra = next(iter(kv))
-                raise ScenarioParseError(f"unknown key {extra!r} on group line", line_no, kv[extra][1])
+            _reject_unknown_keys(kv, "group", line_no)
             group_rows.append((name, shares, line_no))
             group_lines[name] = line_no
             users_by_group[name] = []
@@ -127,9 +131,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             think = _take(kv, "think", float, line_no)
             demand = _take(kv, "demand", float, line_no)
             active = _take(kv, "active", _yes_no, line_no)
-            if kv:
-                extra = next(iter(kv))
-                raise ScenarioParseError(f"unknown key {extra!r} on user line", line_no, kv[extra][1])
+            _reject_unknown_keys(kv, "user", line_no)
             if group not in users_by_group:
                 raise ScenarioParseError(f"unknown group {group!r}", line_no, _column_of(line, group))
             try:
@@ -152,9 +154,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
                     user = _take(kv, candidate, str, line_no)
             if action is None:
                 raise ScenarioParseError("event needs activate=<user> or deactivate=<user>", line_no)
-            if kv:
-                extra = next(iter(kv))
-                raise ScenarioParseError(f"unknown key {extra!r} on event line", line_no, kv[extra][1])
+            _reject_unknown_keys(kv, "event", line_no)
             try:
                 events.append(TimelineEvent(time=when, action=action, user=user))
             except ValidationError as exc:
@@ -205,12 +205,15 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
 
 def render_scenario(s: Scenario) -> str:
     """Serialize a scenario back to the grammar (parse/render round-trips)."""
+    loads = {c.user: c for c in s.workload.classes}
     lines = [f"total_shares {s.hierarchy.total_allocated_shares}"]
     for group in s.hierarchy.groups:
         lines.append(f"group {group.name} shares={group.shares}")
     for group in s.hierarchy.groups:
         for user in group.users:
-            load = s.workload.for_user(user.name)
+            if user.name not in loads:
+                raise ValidationError(f"user {user.name!r} not in workload")
+            load = loads[user.name]
             lines.append(
                 f"user {user.name} group={group.name} shares={user.shares} "
                 f"procs={load.procs} think={load.think!r} demand={load.demand!r} "

@@ -90,12 +90,6 @@ class ShareHierarchy:
                 return user
         raise UnknownUserError(f"unknown user {name!r}")
 
-    def group_of(self, name: str) -> GroupAlloc:
-        for group in self.groups:
-            if any(u.name == name for u in group.users):
-                return group
-        raise UnknownUserError(f"unknown user {name!r}")
-
 
 @dataclass(frozen=True)
 class EntitlementTable:
@@ -111,11 +105,6 @@ class EntitlementTable:
     entitlements: dict[str, float]
     group_fractions: dict[str, float]
     active_users: frozenset[str]
-
-    def of(self, user: str) -> float:
-        if user not in self.entitlements:
-            raise UnknownUserError(f"unknown user {user!r}")
-        return self.entitlements[user]
 
 
 def compute_entitlements(h: ShareHierarchy, mode: str = FLAT_POOL) -> EntitlementTable:

@@ -126,9 +126,6 @@ class SimTrace:
         """Post-warmup busy-time fraction of the physical CPU."""
         return self.busy.get(user, 0.0) / self.elapsed
 
-    def last_event_time(self) -> float:
-        return max((ev.time for ev in self.events_applied), default=0.0)
-
 
 class _Proc:
     __slots__ = ("user", "index", "remaining", "ready_since")
@@ -143,8 +140,8 @@ class _Proc:
 def run_sim(
     h: ShareHierarchy,
     w: WorkloadSpec,
-    timeline=(),
-    config: SimConfig | None = None,
+    timeline,
+    config: SimConfig,
 ) -> SimTrace:
     """Simulate the configured discipline and return the full trace.
 
@@ -152,8 +149,6 @@ def run_sim(
     hierarchy contribute nothing until an activate event; deactivation
     drops a user's in-flight cycles.
     """
-    if config is None:
-        raise ValidationError("a SimConfig is required")
     known = set(h.user_names())
     for c in w.classes:
         if c.user not in known:
@@ -478,7 +473,7 @@ def convergence_time(tr: SimTrace, e: EntitlementTable, epsilon: float):
     """
     if not math.isfinite(epsilon):
         raise ValidationError(f"epsilon must be finite, got {epsilon!r}")
-    last_event = tr.last_event_time()
+    last_event = max((ev.time for ev in tr.events_applied), default=0.0)
     window = tr.window_seconds
     eligible = [
         i for i in range(len(tr.fractions)) if i * window >= last_event - _TIME_EPS

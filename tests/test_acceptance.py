@@ -19,7 +19,6 @@ import pytest
 from fairshare.mva import (
     ClassLoad,
     WorkloadSpec,
-    compare_tables,
     solve_srm_conserving,
     solve_srm_partition,
     solve_ts,
@@ -100,9 +99,9 @@ def test_criterion_03_partition_exact_rows_and_cross_ratio(reports):
             cells = line.split()
             assert cells[2] == rtime, f"scenario {n} {user} RTime {cells[2]} != {rtime}"
             assert cells[3] == ucpu, f"scenario {n} {user} %Ucpu {cells[3]} != {ucpu}"
-    ratios = compare_tables(reports[5].srm, reports[4].srm)
-    assert ratios.ratios["fAgg"] == pytest.approx(0.81, abs=0.01)
-    assert ratios.ratios["wAgg"] == pytest.approx(0.81, abs=0.01)
+    for user in ("fAgg", "wAgg"):
+        ratio = reports[5].srm.rows[user].response / reports[4].srm.rows[user].response
+        assert ratio == pytest.approx(0.81, abs=0.01)
 
 
 # Published response times for the OPS users in scenarios 1-3.
@@ -130,7 +129,7 @@ def test_criterion_04a_partition_tracks_published_ops_rows(reports):
         assert err <= 0.05, f"scenario {key[0]} {key[1]}: {err:.2%} off the published value"
     # opsC SRM/TS ratios in scenarios 2 and 3: model prints 0.53, published 0.52
     for n in (2, 3):
-        ratio = compare_tables(reports[n].srm, reports[n].ts).ratios["opsC"]
+        ratio = reports[n].srm.rows["opsC"].response / reports[n].ts.rows["opsC"].response
         assert round(ratio, 2) == 0.53
         assert ratio == pytest.approx(0.52, abs=0.02)
 

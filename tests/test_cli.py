@@ -53,6 +53,9 @@ def two_user_files(tmp_path):
         "fsp_not_utf8": b"total_shares 10\n\xff\n",
         "slo_not_utf8": b"target alice umax=0.4\n\xff\n",
         "log_not_utf8": (tmp_path / "steady.log").read_bytes() + b"alice \xff\n",
+        # Two samples 1e12 s apart: about 1.7e10 windows of 60 s.
+        "log_far_header": b"T 0\nalice 1 1.0 0 0 0 ? S 10:00 0:01 x\n"
+                          b"T 1000000000000\nalice 1 1.0 0 0 0 ? S 10:00 0:02 x\n",
     }.items():
         path = tmp_path / role
         path.write_bytes(data)
@@ -295,6 +298,7 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("entitle", "fsp_not_utf8"),
         ("advise", "slo_not_utf8", "--total-shares", "100"),
         ("monitor", "log_not_utf8", "good"),
+        ("monitor", "log_far_header", "good", "--window", "60"),
     ],
     ids=lambda argv: "-".join(argv[:4]),
 )

@@ -19,7 +19,6 @@ from fairshare.mva import (
     ClassLoad,
     PerfRow,
     WorkloadSpec,
-    compare_tables,
     solve_srm_conserving,
     solve_srm_partition,
     solve_ts,
@@ -333,37 +332,28 @@ class TestSolveSrmConserving:
 
 class TestCompareTables:
     def test_identity(self):
-        table = solve_ts(cpu_bound("a", "b"))
-        ratios = compare_tables(table, table)
-        assert all(r == pytest.approx(1.0, rel=REL) for r in ratios.ratios.values())
+        a = solve_ts(cpu_bound("a", "b"))
+        b = solve_ts(cpu_bound("a", "b"))
+        for user in a.rows:
+            assert a.rows[user].response / b.rows[user].response == pytest.approx(1.0, rel=REL)
 
     def test_report2_opsc_against_ts(self):
         e = compute_entitlements(_report_hierarchy(fin=False, web=False))
         w = _report_workload(fin=False, web=False)
         srm = solve_srm_partition(w, e)
         ts = solve_ts(w)
-        ratios = compare_tables(srm, ts)
-        assert ratios.ratios["opsC"] == pytest.approx((30 / 19) / 3.0, rel=REL)
-        assert round(ratios.ratios["opsC"], 2) == 0.53
+        ratio = srm.rows["opsC"].response / ts.rows["opsC"].response
+        assert ratio == pytest.approx((30 / 19) / 3.0, rel=REL)
+        assert round(ratio, 2) == 0.53
 
     def test_report5_over_report4(self):
         e4 = compute_entitlements(_report_hierarchy())
         e5 = compute_entitlements(_report_hierarchy(ops_c=False))
         srm4 = solve_srm_partition(_report_workload(), e4)
         srm5 = solve_srm_partition(_report_workload(ops_c=False), e5)
-        ratios = compare_tables(srm5, srm4)
-        assert ratios.ratios["fAgg"] == pytest.approx(0.81, abs=1e-12)
-        assert ratios.ratios["wAgg"] == pytest.approx(0.81, abs=1e-12)
-
-    def test_absent_user_is_none(self):
-        a = solve_ts(cpu_bound("a", "b", "c"))
-        b = solve_ts(cpu_bound("a", "b"))
-        ratios = compare_tables(a, b)
-        assert ratios.ratios["c"] is None
-
-    def test_disjoint_tables_rejected(self):
-        with pytest.raises(ValidationError):
-            compare_tables(solve_ts(cpu_bound("a")), solve_ts(cpu_bound("b")))
+        for user in ("fAgg", "wAgg"):
+            ratio = srm5.rows[user].response / srm4.rows[user].response
+            assert ratio == pytest.approx(0.81, abs=1e-12)
 
 
 def test_equal_demand_ts_response_is_population_times_demand():

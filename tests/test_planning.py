@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fairshare.errors import InfeasiblePlanError, PsLogError, ValidationError
 from fairshare.planning import (
+    MAX_WINDOWS,
     SLOTarget,
     allocate_topdown,
     goal_deviation,
@@ -27,7 +28,7 @@ class TestAllocateTopdown:
         )
         assert plan.shares == {"A": 50, "B": 30}
         assert plan.residual == 20
-        assert plan.verdict == "feasible"
+        assert render_plan(plan).startswith("Share plan: 100 total shares, 20 residual (feasible)\n")
 
     def test_single_target(self):
         plan = allocate_topdown([SLOTarget("only", u_max=0.9)], 10)
@@ -147,7 +148,6 @@ class TestParsePsLog:
         assert first.timestamp == 1000.0
         assert first.user == "alice"
         assert first.pid == 4242
-        assert first.pcpu == 55.5
         assert first.cputime == 125.0
         assert log.skipped == 0
 
@@ -178,6 +178,11 @@ class TestParsePsLog:
         log = parse_ps_log(PS_LOG.replace("T 1060", f"{bad}\nT 1060"))
         assert log.skipped == 1
         assert [s.timestamp for s in log.samples] == [1000.0, 1000.0, 1060.0, 1060.0]
+
+    def test_cpu_column_is_not_read(self):
+        log = parse_ps_log(PS_LOG.replace("4242 55.0", "4242 n/a"))
+        assert log.skipped == 0
+        assert [s.cputime for s in log.samples] == [125.0, 60.0, 185.0, 100.0]
 
     @pytest.mark.parametrize("header", ["T nan", "T 10:00"])
     def test_lines_under_a_bad_header_are_skipped(self, header):
@@ -244,6 +249,11 @@ class TestGoalDeviation:
         log = parse_ps_log(synth_log([(0, "a", 1, 0), (50, "a", 1, 30)]))
         with pytest.raises(ValidationError, match="span"):
             goal_deviation(log.samples, table, window=100.0)
+
+    def test_windows_over_the_budget_rejected(self):
+        log = parse_ps_log(synth_log([(0, "a", 1, 0), (60 * (MAX_WINDOWS + 1), "a", 1, 60)]))
+        with pytest.raises(ValidationError, match=rf"budget of {MAX_WINDOWS}; use a larger --window"):
+            goal_deviation(log.samples, equal_table("a"), window=60.0)
 
     def test_scale_invariance(self):
         table = equal_table("a", "b")
@@ -335,13 +345,13 @@ def generated_ps_log(seed: int, users) -> str:
         if rng.random() < 0.3:
             lines.append("USER PID %CPU %MEM SZ RSS TT S START TIME COMMAND")
         for pid, (user, centis) in live.items():
-            pcpu = f"{rng.uniform(0, 100):.1f}"
-            lines.append(f"{user} {pid} {pcpu} 0.5 900 300 ?? R 9:00 {_ps_time(centis)} job -x {pid}")
+            cpu_pct = f"{rng.uniform(0, 100):.1f}"
+            lines.append(f"{user} {pid} {cpu_pct} 0.5 900 300 ?? R 9:00 {_ps_time(centis)} job -x {pid}")
             roll = rng.random()
             if roll < 0.02:
                 lines.append(f"{user} {pid} n/a 0.5 900 300 ?? R 9:00 n/a job")
             elif roll < 0.04:
-                lines.append(f"{user} {pid} {pcpu} 0.5 900 300 ?? R 9:00 {centis}:xx job")
+                lines.append(f"{user} {pid} {cpu_pct} 0.5 900 300 ?? R 9:00 {centis}:xx job")
             elif roll < 0.05:
                 lines.append(f"{user} truncated line")
     return "\n".join(lines) + "\n"

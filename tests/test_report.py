@@ -65,7 +65,6 @@ class TestRendering:
             workload=reports[1].workload,
             srm=PerfTable(solver="partition", rows={}),
             ts=PerfTable(solver="ts", rows={}),
-            solver="partition",
         )
         text = render_report(empty)
         section = extract_section(text, "Comparative TS Performance")
@@ -104,6 +103,14 @@ class TestCrossCompare:
             cells = line.split()
             if cells and cells[0] in reports[3].srm.rows:
                 assert cells[-1] == "1.00"
+
+    def test_reports_with_no_shared_users_compare_as_na(self, reports, load_scenario):
+        other = run_scenario(load_scenario("example-2-2"))
+        text = cross_compare([reports[4], other])
+        second_block = text.split("Scenario 2")[1].splitlines()
+        rows = [l.split() for l in second_block if l.startswith("usr")]
+        assert [cells[0] for cells in rows] == ["usr1", "usr2"]
+        assert all(cells[-1] == "N/A" for cells in rows)
 
     def test_requires_two_reports(self, reports):
         with pytest.raises(ValidationError):

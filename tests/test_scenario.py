@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairshare.errors import ScenarioParseError
-from fairshare.mva import WorkloadSpec
+from fairshare.errors import ScenarioParseError, ValidationError
+from fairshare.mva import ClassLoad, WorkloadSpec
 from fairshare.scenario import parse_scenario, render_scenario
 from fairshare.sim import TimelineEvent
 
@@ -35,7 +35,7 @@ class TestParse:
         assert len(list(s.hierarchy.users())) == 5
         assert all(u.active for u in s.hierarchy.users())
         assert s.hierarchy.total_allocated_shares == 100
-        assert s.workload.for_user("opsC").demand == 1.0
+        assert s.workload.classes[4] == ClassLoad("opsC", procs=1, think=0.0, demand=1.0)
         assert s.timeline[0].action == "deactivate"
         assert s.timeline[0].user == "opsC"
         assert s.solver == "partition"
@@ -183,3 +183,9 @@ class TestRoundTrip:
             timeline=(TimelineEvent(when, "deactivate", "opsC"),),
         )
         assert parse_scenario(render_scenario(scenario), label="demo") == scenario
+
+    def test_render_names_a_user_without_a_workload(self):
+        base = parse_scenario(GOOD, label="demo")
+        scenario = dataclasses.replace(base, workload=WorkloadSpec(base.workload.classes[:4]))
+        with pytest.raises(ValidationError, match="user 'opsC' not in workload"):
+            render_scenario(scenario)

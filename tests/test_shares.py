@@ -212,7 +212,7 @@ def test_raising_shares_raises_own_entitlement(h, data):
     target = data.draw(st.sampled_from(active))
     before = compute_entitlements(h)
 
-    group = h.group_of(target)
+    group = next(g for g in h.groups if any(u.name == target for u in g.users))
     bumped_users = tuple(
         UserAlloc(u.name, u.shares + (1 if u.name == target else 0), u.active)
         for u in group.users
