@@ -311,7 +311,7 @@ def _ps_time(centis: int) -> str:
 
 
 def generated_ps_log(seed: int, users) -> str:
-    """A two-hour ps log with pid churn, one reused pid whose TIME falls,
+    """About two hours of ps log with pid churn, one reused pid whose TIME falls,
     malformed lines, a bad header, an idle stretch, a sampling gap and the
     user ``guest``, who is in no scenario.
 
@@ -333,15 +333,11 @@ def generated_ps_log(seed: int, users) -> str:
             live[next_pid] = [rng.choice(users), 0]
             next_pid += 1
         if step == 70:
-            reused = min(live)
-            live[reused][1] = rng.randrange(0, 200)  # a new process took the pid
+            live[min(live)][1] = rng.randrange(0, 200)  # a new process took the pid
         elif not 40 <= step < 50:  # steps 40-49 are idle
-            budget = dt * 100
             for proc in live.values():
-                used = rng.randrange(0, budget // len(live) + 1)
-                proc[1] += used
-        header = f"T {t}" if step != 20 else "T 10:00"
-        lines.append(header)
+                proc[1] += rng.randrange(0, dt * 100 // len(live) + 1)
+        lines.append(f"T {t}" if step != 20 else "T 10:00")
         if rng.random() < 0.3:
             lines.append("USER PID %CPU %MEM SZ RSS TT S START TIME COMMAND")
         for pid, (user, centis) in live.items():
