@@ -414,9 +414,10 @@ solver simulate
 def sim_digest_lines(scenario_dir):
     """One ``case mode jitter seed sha256`` line per pinned simulator run.
 
-    The digest covers the full-precision repr of everything a trace
-    records, so any change to dispatch order, rounding or random draws
-    shows up as a changed line.
+    The digest covers everything a trace records, as plain values with
+    each float written by ``repr``, so any change to dispatch order,
+    rounding or random draws shows up as a changed line, while renaming a
+    trace class or field does not.
     """
     cases = [(path.stem, path.read_text()) for path in sorted(scenario_dir.glob("*.fsp"))]
     cases.append(("mixed", MIXED_SCENARIO))
@@ -430,6 +431,7 @@ def sim_digest_lines(scenario_dir):
                         duration=80.0, warmup=5.0, mode=mode, seed=seed, think_jitter=jitter
                     )
                     tr = run_sim(s.hierarchy, s.workload, s.timeline, config)
+                    perf = tr.perf
                     observed = (
                         tr.users,
                         tr.window_seconds,
@@ -437,9 +439,16 @@ def sim_digest_lines(scenario_dir):
                         tr.busy,
                         tr.elapsed,
                         tr.cycles,
-                        tr.events_applied,
+                        tuple((ev.time, ev.action, ev.user) for ev in tr.events_applied),
                         tr.warnings,
-                        tr.perf,
+                        (
+                            perf.solver,
+                            tuple(
+                                (user, row.throughput, row.response, row.utilization)
+                                for user, row in perf.rows.items()
+                            ),
+                            perf.notes,
+                        ),
                     )
                     digest = hashlib.sha256(repr(observed).encode()).hexdigest()
                     lines.append(f"{name} {mode} {int(jitter)} {seed} {digest}")
