@@ -35,7 +35,7 @@ from .sim import SIM_MODES, SimConfig, convergence_time, export_trace, run_sim
 
 @contextlib.contextmanager
 def _open(path: str):
-    """Open an input file as UTF-8 text; errors opening or decoding it name the file."""
+    """Open an input file as UTF-8 text; errors opening, decoding or parsing it name the file."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
@@ -47,15 +47,13 @@ def _open(path: str):
             raise FairshareError(
                 f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
             ) from exc
+        except ScenarioParseError as exc:
+            raise ScenarioParseError(f"{path}: {exc}") from exc
 
 
 def _load_scenario(path: str):
     with _open(path) as fh:
-        text = fh.read()
-    try:
-        return parse_scenario(text, label=Path(path).stem)
-    except ScenarioParseError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from exc
+        return parse_scenario(fh.read(), label=Path(path).stem)
 
 
 def _sim_config(args) -> SimConfig:
@@ -166,8 +164,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_compare(args) -> int:
     if len(args.scenarios) < 2:
-        print("compare needs at least two scenario files", file=sys.stderr)
-        return 1
+        raise FairshareError("compare needs at least two scenario files")
     reports = [run_scenario(_load_scenario(path), mode=args.mode) for path in args.scenarios]
     sys.stdout.write(cross_compare(reports))
     return 0

@@ -25,8 +25,8 @@ class PopulationGuardError(FairshareError):
     """The exact solver's population-vector space is too large."""
 
 
-class ScenarioParseError(FairshareError):
-    """Scenario text could not be parsed; carries line/column when known."""
+class ScenarioParseError(ValidationError):
+    """Scenario or SLO text could not be parsed; carries line/column when known."""
 
     def __init__(self, message, line=None, column=None):
         location = ""

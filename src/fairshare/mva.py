@@ -72,9 +72,6 @@ class WorkloadSpec:
                 raise ValidationError(f"duplicate workload user {c.user!r}")
             seen.add(c.user)
 
-    def users(self) -> tuple[str, ...]:
-        return tuple(c.user for c in self.classes)
-
 
 @dataclass(frozen=True)
 class PerfRow:

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InfeasiblePlanError, PsLogError, ValidationError
+from .errors import InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError
+from .scenario import _build, _lines, _parse_kv, _reject_unknown_keys, _take
 from .shares import EntitlementTable
 
 SPLIT_ADVICE = "use domains, or split groups across separate servers"
@@ -136,39 +137,30 @@ def render_plan(plan: SharePlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_slo_file(text: str):
-    """Parse advisor input: ``target <name> umax=<f> [demand=<f>] [rslo=<f>]``."""
+def parse_slo_file(text: str) -> list[SLOTarget]:
+    """Parse advisor input, one ``target <name> umax=<f> [demand=<f>] [rslo=<f>]`` per line.
+
+    SLO files follow the scenario grammar: ``#`` starts a comment, blank
+    lines are ignored and each key is given once.  Malformed lines and
+    out-of-range values raise ``ScenarioParseError`` naming the line, and
+    the column when one token is at fault.
+    """
     targets = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] != "target" or len(tokens) < 3:
-            raise ValidationError(f"line {line_no}: expected 'target <name> umax=<f> ...'")
-        name = tokens[1]
-        kv = {}
-        for token in tokens[2:]:
-            key, sep, value = token.partition("=")
-            if not sep:
-                raise ValidationError(f"line {line_no}: expected key=value, got {token!r}")
-            try:
-                kv[key] = float(value)
-            except ValueError:
-                raise ValidationError(f"line {line_no}: bad value for {key}: {value!r}") from None
-        if "umax" not in kv:
-            raise ValidationError(f"line {line_no}: missing umax=")
-        target = SLOTarget(
-            name=name,
-            u_max=kv.pop("umax"),
-            demand=kv.pop("demand", None),
-            r_slo=kv.pop("rslo", None),
+    for line_no, line, tokens in _lines(text):
+        if tokens[0] != "target" or len(tokens) < 2 or "=" in tokens[1]:
+            raise ScenarioParseError(
+                "expected: target <name> umax=<float> [demand=<float>] [rslo=<float>]", line_no
+            )
+        kv = _parse_kv(tokens[2:], line_no, line)
+        u_max = _take(kv, "umax", float, line_no)
+        demand = _take(kv, "demand", float, line_no) if "demand" in kv else None
+        r_slo = _take(kv, "rslo", float, line_no) if "rslo" in kv else None
+        _reject_unknown_keys(kv, "target", line_no)
+        targets.append(
+            _build(SLOTarget, line_no, name=tokens[1], u_max=u_max, demand=demand, r_slo=r_slo)
         )
-        if kv:
-            raise ValidationError(f"line {line_no}: unknown key {next(iter(kv))!r}")
-        targets.append(target)
     if not targets:
-        raise ValidationError("no targets defined")
+        raise ScenarioParseError("no targets defined")
     return targets
 
 

@@ -33,6 +33,23 @@ class Scenario:
     solver: str
 
 
+def _lines(text: str):
+    """Yield ``(line_no, line, tokens)`` for each line with content, comments stripped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        tokens = line.split()
+        if tokens:
+            yield line_no, line, tokens
+
+
+def _build(model, line_no, **fields):
+    """Construct a model value; its ValidationError becomes a parse error at ``line_no``."""
+    try:
+        return model(**fields)
+    except ValidationError as exc:
+        raise ScenarioParseError(str(exc), line_no) from exc
+
+
 def _column_of(line: str, token: str) -> int:
     pos = line.find(token)
     return pos + 1 if pos >= 0 else 1
@@ -86,11 +103,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
     events: list[TimelineEvent] = []
     solver = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        tokens = line.split()
+    for line_no, line, tokens in _lines(text):
         keyword = tokens[0]
 
         if keyword == "total_shares":
@@ -134,10 +147,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             _reject_unknown_keys(kv, "user", line_no)
             if group not in users_by_group:
                 raise ScenarioParseError(f"unknown group {group!r}", line_no, _column_of(line, group))
-            try:
-                loads.append(ClassLoad(user=name, procs=procs, think=think, demand=demand))
-            except ValidationError as exc:
-                raise ScenarioParseError(str(exc), line_no) from exc
+            loads.append(_build(ClassLoad, line_no, user=name, procs=procs, think=think, demand=demand))
             user_names.add(name)
             users_by_group[group].append(UserAlloc(name=name, shares=shares, active=active))
 
@@ -155,10 +165,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             if action is None:
                 raise ScenarioParseError("event needs activate=<user> or deactivate=<user>", line_no)
             _reject_unknown_keys(kv, "event", line_no)
-            try:
-                events.append(TimelineEvent(time=when, action=action, user=user))
-            except ValidationError as exc:
-                raise ScenarioParseError(str(exc), line_no) from exc
+            events.append(_build(TimelineEvent, line_no, time=when, action=action, user=user))
 
         elif keyword == "solver":
             if len(tokens) != 2 or tokens[1] not in SOLVERS:

@@ -107,7 +107,8 @@ class SimTrace:
     ``fractions`` holds per-window busy fractions for every user (windows
     tile the whole run, warmup included, so convergence can be located);
     ``busy``/``elapsed`` are post-warmup aggregates; ``cycles`` records
-    (process, ready, completed) per user for every finished demand cycle.
+    (process, ready, completed) per user for every finished demand cycle,
+    in completion order.
     """
 
     config: SimConfig
@@ -287,8 +288,9 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
     n_ticks = int(round(config.duration / q))
     warmup_ticks = int(round(config.warmup / q))
     window_ticks = max(1, int(round(config.window / q)))
-    decay = 2.0 ** (-q / config.usage_half_life)
     round_robin = config.mode == TS_ROUNDROBIN
+    # Round robin never reads usage, so it skips the decay.
+    decay = 1.0 if round_robin else 2.0 ** (-q / config.usage_half_life)
 
     def to_tick(t: float) -> int:
         return max(0, math.ceil(t / q - _TIME_EPS))
@@ -315,9 +317,8 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
         if not candidates:
             return None
         if fair_hier:
-            groups = sorted({group_of[u] for u in candidates})
             best_group = min(
-                groups,
+                {group_of[u] for u in candidates},
                 key=lambda g: (
                     sum(usage[m] for m in group_members[g]) / group_shares[g],
                     group_last_run[g],
@@ -454,7 +455,6 @@ def trace_perf(tr: SimTrace) -> PerfTable:
         utilization = 0.0
         residences: list[float] = []
         for recs in by_proc.values():
-            recs.sort(key=lambda rec: rec[2])
             span = (recs[-1][2] - recs[0][1]) + c.think
             count = len(recs)
             throughput += count / span

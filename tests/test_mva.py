@@ -257,7 +257,7 @@ class TestSolveSrmConserving:
         w = _report_workload()
         conserving = solve_srm_conserving(w, e)
         partition = solve_srm_partition(w, e)
-        for user in w.users():
+        for user in tuple(c.user for c in w.classes):
             assert conserving.rows[user] == partition.rows[user]
 
     def test_rows_do_not_depend_on_the_string_hash_seed(self, scenario_dir):
@@ -323,7 +323,7 @@ class TestSolveSrmConserving:
         conserving = solve_srm_conserving(w, e)
         partition = solve_srm_partition(w, e)
         total = 0.0
-        for user in w.users():
+        for user in tuple(c.user for c in w.classes):
             floor = min(partition.rows[user].utilization, e.entitlements[user])
             assert conserving.rows[user].utilization >= floor - 1e-9
             total += conserving.rows[user].utilization
@@ -371,7 +371,7 @@ def test_adding_a_user_never_raises_existing_throughput():
     bigger = WorkloadSpec(base.classes + (ClassLoad("c", 1, 0.5, 1.3),))
     before = solve_ts(base)
     after = solve_ts(bigger)
-    for user in base.users():
+    for user in tuple(c.user for c in base.classes):
         assert after.rows[user].throughput <= before.rows[user].throughput + 1e-12
 
 
@@ -393,7 +393,7 @@ workload_strategy = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(workload_strategy)
 def test_solver_outputs_satisfy_the_consistency_laws(w):
-    e = equal_pool(*w.users())
+    e = equal_pool(*tuple(c.user for c in w.classes))
     for table in (solve_ts(w), solve_srm_partition(w, e), solve_srm_conserving(w, e)):
         total = 0.0
         for c in w.classes:

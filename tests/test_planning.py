@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairshare.errors import InfeasiblePlanError, PsLogError, ValidationError
+from fairshare.errors import InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError
 from fairshare.planning import (
     MAX_WINDOWS,
     SLOTarget,
@@ -129,6 +129,20 @@ class TestSloFile:
     def test_empty(self):
         with pytest.raises(ValidationError, match="no targets"):
             parse_slo_file("# nothing\n")
+
+    def test_duplicate_key_names_line_and_column(self):
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_slo_file("target A umax=0.9 umax=0.2\n")
+        assert str(exc.value) == "line 1, col 19: duplicate key 'umax'"
+        assert (exc.value.line, exc.value.column) == (1, 19)
+
+    def test_key_in_name_position(self):
+        with pytest.raises(ValidationError, match="^line 1: expected: target <name>"):
+            parse_slo_file("target umax=0.5 umax=0.3\n")
+
+    def test_out_of_range_value_names_its_line(self):
+        with pytest.raises(ValidationError, match=r"^line 2: target B: u_max"):
+            parse_slo_file("target A umax=0.2\ntarget B umax=nan\n")
 
 
 PS_LOG = """\
