@@ -1,15 +1,20 @@
-"""Time ``mva.solve_ts`` in one or more checkouts and write BENCH records.
+"""Time library layers in one or more checkouts and write BENCH records.
 
     python3 scripts/bench_mva.py --tree before=PARENT_CHECKOUT --tree after=. \\
-        --e2e mva-population --e2e admin-session --out BENCH_5.json
+        --e2e monitor-day --out BENCH_9.json
 
-Each ``--tree LABEL=PATH`` names a checkout.  ``solve_ts`` is timed from
-that checkout's ``src`` in a fresh interpreter, on the shipped scenarios
-``report1..5`` and on synthetic workloads of about 1e4, 1e6 and 4.8e6
-population vectors.  Each case is called once untimed (counted as a sample
-when it takes over a second) and then enough times to fill about 1 s, up
-to 2000 calls.  The trees take turns for ROUNDS rounds, so that a drift in
-the host's speed falls on every tree alike.
+Each ``--tree LABEL=PATH`` names a checkout.  Each layer is timed from that
+checkout's ``src`` in a fresh interpreter:
+
+- ``mva.solve_ts`` on the shipped scenarios ``report1..5`` and on synthetic
+  workloads of about 1e4, 1e6 and 4.8e6 population vectors;
+- ``planning.parse_ps_log`` on a seeded day-long ps log (DAY_LOG below);
+- ``planning.goal_deviation`` on that log at 300, 60 and 10 s windows.
+
+Each case is called once untimed (counted as a sample when it takes over a
+second) and then enough times to fill about 1 s, up to 2000 calls.  The
+trees take turns for ROUNDS rounds, so that a drift in the host's speed
+falls on every tree alike.
 
 Each ``--e2e WORKLOAD`` adds end-to-end records from the results that
 ``python3 bench/run.py --workload WORKLOAD --seed N --trace 0`` left in the
@@ -18,7 +23,8 @@ quartiles over the seeds found there.
 
 Every record has the fields ``case, layer, size, repeats, median_s, min_s,
 per_unit, work_counters, python, numpy, commit``; ``per_unit`` is µs per
-population vector for solver cases.
+population vector for ``solve_ts``, per log line (samples and skipped lines)
+for ``parse_ps_log`` and per window for ``goal_deviation``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -35,16 +42,60 @@ from pathlib import Path
 # (0, 1.5, 4)[i % 3] s and demands 0.2 + 0.15 i s.
 SYNTHETIC = (("3x21", (21,) * 3), ("3x99", (99,) * 3), ("6x12", (12,) * 6))
 SCENARIOS = ("report1", "report2", "report3", "report4", "report5")
+WINDOWS = (300, 60, 10)
 E2E_METRICS = ("setup_s", "op_p50_s", "op_p90_s", "cpu_per_op_s")
 ROUNDS = 3
 
-# Runs in the checkout's interpreter; prints one JSON object per case.
+
+
+def day_log(seed: int = 1, pids: int = 20, users: int = 8) -> str:
+    """A day of once-a-minute ``ps aux`` blocks, each under a column header.
+
+    Every process is replaced every two hours, at staggered minutes, by a
+    new one on the same pid whose TIME restarts at 0, so the monitor sees
+    pid reuse all day.
+    """
+    rng = random.Random(seed)
+    procs = [[f"u{rng.randrange(users)}", 1000 + 7 * n, rng.randrange(100_000)]
+             for n in range(pids)]  # user, pid, cumulative CPU in centiseconds
+    lines = []
+    for minute in range(1440):
+        lines.append(f"T {1_700_000_000 + 60 * minute}")
+        lines.append("USER PID %CPU %MEM SZ RSS TT S START TIME COMMAND")
+        for n, proc in enumerate(procs):
+            if minute and minute % 120 == 6 * n:
+                proc[2] = 0
+            else:
+                proc[2] += rng.randrange(2 * 6000 // pids)
+            user, pid, cs = proc
+            lines.append(f"{user} {pid} 1.0 0.4 81234 5120 ?? S 10:00AM "
+                         f"{cs // 6000}:{cs % 6000 / 100:05.2f} /usr/bin/job-{n}")
+    return "\n".join(lines) + "\n"
+
+
+# Runs in the checkout's interpreter, with DAY_LOG's text on stdin; prints
+# one JSON object per case.
 TIMER = r"""
 import json, math, sys, time
 from importlib import metadata
 from pathlib import Path
 from fairshare.mva import ClassLoad, WorkloadSpec, solve_ts
+from fairshare.planning import goal_deviation, parse_ps_log
 from fairshare.scenario import parse_scenario
+from fairshare.shares import GroupAlloc, ShareHierarchy, UserAlloc, compute_entitlements
+
+def timed(call):
+    t = time.perf_counter(); result = call(); first = time.perf_counter() - t
+    samples = [first] if first > 1.0 else []
+    for _ in range(min(2000, round(1.0 / first)) - len(samples)):
+        t = time.perf_counter(); call(); samples.append(time.perf_counter() - t)
+    return result, samples
+
+def emit(case, layer, samples, size, **work):
+    print(json.dumps({
+        "case": case, "layer": layer, "samples": samples, "size": size, "work": work,
+        "python": sys.version.split()[0], "numpy": metadata.version("numpy"),
+    }))
 
 root = Path(sys.argv[1])
 cases = [(name, parse_scenario((root / "scenarios" / f"{name}.fsp").read_text()).workload)
@@ -54,16 +105,28 @@ for name, procs in json.loads(sys.argv[3]):
         ClassLoad(f"u{i}", n, (0.0, 1.5, 4.0)[i % 3], 0.2 + 0.15 * i)
         for i, n in enumerate(procs)))))
 for name, w in cases:
-    t = time.perf_counter(); solve_ts(w); first = time.perf_counter() - t
-    samples = [first] if first > 1.0 else []
-    for _ in range(min(2000, round(1.0 / first)) - len(samples)):
-        t = time.perf_counter(); solve_ts(w); samples.append(time.perf_counter() - t)
-    print(json.dumps({
-        "case": name, "samples": samples,
-        "states": math.prod(c.procs + 1 for c in w.classes),
-        "classes": len(w.classes), "levels": sum(c.procs for c in w.classes),
-        "python": sys.version.split()[0], "numpy": metadata.version("numpy"),
-    }))
+    _, samples = timed(lambda: solve_ts(w))
+    states = math.prod(c.procs + 1 for c in w.classes)
+    emit(f"solve_ts {name}", "mva.solve_ts", samples, states, states=states,
+         classes=len(w.classes), levels=sum(c.procs for c in w.classes))
+
+text = sys.stdin.read()
+log, samples = timed(lambda: parse_ps_log(text))
+lines = len(log.samples) + log.skipped
+emit("parse_ps_log day", "planning.parse_ps_log", samples, lines, lines=lines,
+     skipped=log.skipped)
+# Entitlements by user number; the last user is in no group, so its
+# processes pool under "unallocated".
+users = sorted({s.user for s in log.samples})
+table = compute_entitlements(ShareHierarchy(sum(range(1, len(users))), tuple(
+    GroupAlloc(f"G{i}", i, (UserAlloc(user, i, True),))
+    for i, user in enumerate(users[:-1], start=1))))
+pids = len({(s.user, s.pid) for s in log.samples})
+for window in json.loads(sys.argv[4]):
+    report, samples = timed(lambda: goal_deviation(log.samples, table, float(window)))
+    emit(f"goal_deviation day w{window}", "planning.goal_deviation", samples,
+         len(report.windows), windows=len(report.windows), pids=pids,
+         samples=len(log.samples))
 """
 
 
@@ -73,17 +136,18 @@ def describe(tree: Path) -> str:
     return out.stdout.strip() or "unknown"
 
 
-def time_solver(tree: Path) -> list[dict]:
-    """One round of the solver cases in a fresh interpreter on ``tree``'s src."""
+def time_layers(tree: Path, log_text: str) -> list[dict]:
+    """One round of every case in a fresh interpreter on ``tree``'s src."""
     proc = subprocess.run(
-        [sys.executable, "-c", TIMER, str(tree), json.dumps(SCENARIOS), json.dumps(SYNTHETIC)],
+        [sys.executable, "-c", TIMER, str(tree), json.dumps(SCENARIOS), json.dumps(SYNTHETIC),
+         json.dumps(WINDOWS)],
         env=dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0"),
-        capture_output=True, text=True, check=True,
+        input=log_text, capture_output=True, text=True, check=True,
     )
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
-def solver_records(label: str, tree: Path, rounds: list[list[dict]]) -> list[dict]:
+def layer_records(label: str, tree: Path, rounds: list[list[dict]]) -> list[dict]:
     commit = describe(tree)
     records = []
     for cases in zip(*rounds):
@@ -91,14 +155,14 @@ def solver_records(label: str, tree: Path, rounds: list[list[dict]]) -> list[dic
         samples = [t for c in cases for t in c["samples"]]
         median = statistics.median(samples)
         records.append({
-            "case": f"solve_ts {case['case']} {label}",
-            "layer": "mva.solve_ts",
-            "size": case["states"],
+            "case": f"{case['case']} {label}",
+            "layer": case["layer"],
+            "size": case["size"],
             "repeats": len(samples),
             "median_s": median,
             "min_s": min(samples),
-            "per_unit": median / case["states"] * 1e6,
-            "work_counters": {k: case[k] for k in ("states", "classes", "levels")},
+            "per_unit": median / case["size"] * 1e6,
+            "work_counters": case["work"],
             "python": case["python"],
             "numpy": case["numpy"],
             "commit": commit,
@@ -146,18 +210,21 @@ def main(argv=None) -> int:
 
     trees = [(label, Path(path).resolve()) for label, _, path in
              (spec.partition("=") for spec in args.tree)]
+    log_text = day_log()
     rounds = {label: [] for label, _ in trees}
     for _ in range(ROUNDS):
         for label, tree in trees:
-            rounds[label].append(time_solver(tree))
+            rounds[label].append(time_layers(tree, log_text))
     records = []
     for label, tree in trees:
-        records += solver_records(label, tree, rounds[label])
+        records += layer_records(label, tree, rounds[label])
         for workload in args.e2e:
             records += e2e_records(label, tree, workload)
     Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
+    units = {"mva.solve_ts": "state", "planning.parse_ps_log": "line",
+             "planning.goal_deviation": "window"}
     for r in records:
-        unit = "" if r["per_unit"] is None else f"  {r['per_unit']:.3f} us/state"
+        unit = "" if r["per_unit"] is None else f"  {r['per_unit']:.3f} us/{units[r['layer']]}"
         print(f"{r['case']:40s} {r['median_s']:.6g} s (min {r['min_s']:.6g}, n={r['repeats']}){unit}")
     return 0
 

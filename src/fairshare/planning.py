@@ -15,7 +15,9 @@ against entitlements.  TIME deltas are used rather than the instantaneous
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError
@@ -30,9 +32,11 @@ _QUOTA_EPS = 1e-9
 
 UNALLOCATED = "unallocated"
 
-# Most windows one monitor run may ask for.  With 20 sparse pids a window
-# costs about 17 us to compute and 2 us to render (2-CPU x86-64 host), so
-# the budget is about 2 s; a week of 10 s windows is 60,480.
+# Most windows one monitor run may ask for.  Computing a window costs about
+# 20 us with 20 processes in the log and 60 us with 92 (every process the
+# log holds counts, exited ones too); rendering it costs about 2 us (2-CPU
+# x86-64 host).  So the budget is about 2 s with 20 processes and 6 s with
+# 92; a week of 10 s windows is 60,480.
 MAX_WINDOWS = 100_000
 
 
@@ -146,12 +150,16 @@ def parse_slo_file(text: str) -> list[SLOTarget]:
     the column when one token is at fault.
     """
     targets = []
-    for line_no, line, tokens in _lines(text):
+    names = set()
+    for line_no, tokens, columns in _lines(text):
         if tokens[0] != "target" or len(tokens) < 2 or "=" in tokens[1]:
             raise ScenarioParseError(
                 "expected: target <name> umax=<float> [demand=<float>] [rslo=<float>]", line_no
             )
-        kv = _parse_kv(tokens[2:], line_no, line)
+        if tokens[1] in names:
+            raise ScenarioParseError(f"duplicate target {tokens[1]!r}", line_no)
+        names.add(tokens[1])
+        kv = _parse_kv(tokens[2:], columns[2:], line_no)
         u_max = _take(kv, "umax", float, line_no)
         demand = _take(kv, "demand", float, line_no) if "demand" in kv else None
         r_slo = _take(kv, "rslo", float, line_no) if "rslo" in kv else None
@@ -278,7 +286,7 @@ def goal_deviation(
         raise ValidationError(f"window must be finite and > 0, got {window!r}")
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold!r}")
-    samples = sorted(samples, key=lambda s: (s.timestamp, s.user, s.pid))
+    samples = sorted(samples, key=itemgetter(0, 1, 2))
     if not samples:
         raise PsLogError("no samples")
     t_min = samples[0].timestamp
@@ -294,37 +302,50 @@ def goal_deviation(
             f"windows, over the budget of {MAX_WINDOWS}; use a larger --window"
         )
 
-    by_pid: dict[tuple[str, int], list[list[tuple[float, float]]]] = {}
-    for s in samples:
-        runs = by_pid.setdefault((s.user, s.pid), [[]])
-        if runs[-1] and s.cputime < runs[-1][-1][1] - 1e-9:
-            runs.append([])  # cumulative TIME went down: the pid was reused
-        runs[-1].append((s.timestamp, s.cputime))
+    # One series of (timestamps, cumulative TIMEs) per process, in the order
+    # of the sorted samples, so each series' timestamps are non-decreasing.
+    by_pid: dict[tuple[str, int], list[tuple[list[float], list[float]]]] = {}
+    for timestamp, user, pid, cputime in samples:
+        runs = by_pid.setdefault((user, pid), [([], [])])
+        times, values = runs[-1]
+        if values and cputime < values[-1] - 1e-9:
+            times, values = [], []  # cumulative TIME went down: the pid was reused
+            runs.append((times, values))
+        times.append(timestamp)
+        values.append(cputime)
+    labels: list[str] = []
+    series: list[tuple[list[float], list[float]]] = []
+    for (user, _pid), runs in by_pid.items():
+        for run in runs:
+            labels.append(user if user in e.entitlements else UNALLOCATED)
+            series.append(run)
+    cursors = [0] * len(series)
 
-    def value_at(series, when: float) -> float:
-        # Last sample at or before `when`; before the first sample, its value.
-        best = series[0][1]
-        for ts, value in series:
-            if ts <= when + 1e-9:
-                best = value
-            else:
-                break
-        return best
+    def values_at(when: float) -> list[float]:
+        # Each series' last sample at or before `when`, or its first sample
+        # if `when` comes before it.  Edges only move forward, so each
+        # cursor resumes where the previous edge left it.
+        limit = when + 1e-9
+        out = []
+        for k, (times, values) in enumerate(series):
+            cursors[k] = i = bisect_right(times, limit, cursors[k])
+            out.append(values[max(i, 1) - 1])
+        return out
 
     known_active = set(e.active_users)
     windows: list[DeviationWindow] = []
     max_abs = 0.0
     start = t_min
+    low = values_at(start)
     while start + window <= t_max + 1e-9:
         end = start + window
+        high = values_at(end)
         busy: dict[str, float] = {}
-        for (user, _pid), runs in by_pid.items():
-            for series in runs:
-                delta = value_at(series, end) - value_at(series, start)
-                if delta <= 0:
-                    continue
-                label = user if user in e.entitlements else UNALLOCATED
-                busy[label] = busy.get(label, 0.0) + delta
+        for label, high_value, low_value in zip(labels, high, low):
+            delta = high_value - low_value
+            if delta <= 0:
+                continue
+            busy[label] = busy.get(label, 0.0) + delta
         total = sum(busy.values())
         rows: dict[str, DeviationRow] = {}
         if total > 0:
@@ -341,7 +362,7 @@ def goal_deviation(
                 max_abs = max(max_abs, abs(deviation))
                 rows[label] = DeviationRow(achieved, entitled, deviation, flagged)
         windows.append(DeviationWindow(start=start, end=end, rows=rows))
-        start = end
+        start, low = end, high
 
     return DeviationReport(
         windows=windows,

@@ -34,12 +34,18 @@ class Scenario:
 
 
 def _lines(text: str):
-    """Yield ``(line_no, line, tokens)`` for each line with content, comments stripped."""
+    """Yield ``(line_no, tokens, columns)`` for each line with content, comments
+    stripped; ``columns[i]`` is the 1-based column where ``tokens[i]`` starts."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = raw.split("#", 1)[0]
         tokens = line.split()
         if tokens:
-            yield line_no, line, tokens
+            columns, end = [], 0
+            for token in tokens:
+                end = line.index(token, end)  # the next token starts at the next non-space
+                columns.append(end + 1)
+                end += len(token)
+            yield line_no, tokens, columns
 
 
 def _build(model, line_no, **fields):
@@ -50,22 +56,16 @@ def _build(model, line_no, **fields):
         raise ScenarioParseError(str(exc), line_no) from exc
 
 
-def _column_of(line: str, token: str) -> int:
-    pos = line.find(token)
-    return pos + 1 if pos >= 0 else 1
-
-
-def _parse_kv(pairs, line_no, line):
+def _parse_kv(pairs, columns, line_no):
+    """``{key: (value, column)}`` from ``key=value`` tokens starting at ``columns``."""
     out = {}
-    for token in pairs:
+    for token, column in zip(pairs, columns):
         key, sep, value = token.partition("=")
         if not sep or not key or not value:
-            raise ScenarioParseError(
-                f"expected key=value, got {token!r}", line_no, _column_of(line, token)
-            )
+            raise ScenarioParseError(f"expected key=value, got {token!r}", line_no, column)
         if key in out:
-            raise ScenarioParseError(f"duplicate key {key!r}", line_no, _column_of(line, token))
-        out[key] = (value, _column_of(line, token))
+            raise ScenarioParseError(f"duplicate key {key!r}", line_no, column)
+        out[key] = (value, column)
     return out
 
 def _take(kv, key, cast, line_no):
@@ -103,7 +103,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
     events: list[TimelineEvent] = []
     solver = None
 
-    for line_no, line, tokens in _lines(text):
+    for line_no, tokens, columns in _lines(text):
         keyword = tokens[0]
 
         if keyword == "total_shares":
@@ -115,7 +115,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
                 total_shares = int(tokens[1])
             except ValueError:
                 raise ScenarioParseError(
-                    f"bad share count {tokens[1]!r}", line_no, _column_of(line, tokens[1])
+                    f"bad share count {tokens[1]!r}", line_no, columns[1]
                 ) from None
 
         elif keyword == "group":
@@ -124,7 +124,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             name = tokens[1]
             if name in group_lines:
                 raise ScenarioParseError(f"duplicate group {name!r}", line_no)
-            kv = _parse_kv(tokens[2:], line_no, line)
+            kv = _parse_kv(tokens[2:], columns[2:], line_no)
             shares = _take(kv, "shares", int, line_no)
             _reject_unknown_keys(kv, "group", line_no)
             group_rows.append((name, shares, line_no))
@@ -137,7 +137,8 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             name = tokens[1]
             if name in user_names:
                 raise ScenarioParseError(f"duplicate user {name!r}", line_no)
-            kv = _parse_kv(tokens[2:], line_no, line)
+            kv = _parse_kv(tokens[2:], columns[2:], line_no)
+            group_column = kv["group"][1] + len("group=") if "group" in kv else None
             group = _take(kv, "group", str, line_no)
             shares = _take(kv, "shares", int, line_no)
             procs = _take(kv, "procs", int, line_no)
@@ -146,13 +147,13 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             active = _take(kv, "active", _yes_no, line_no)
             _reject_unknown_keys(kv, "user", line_no)
             if group not in users_by_group:
-                raise ScenarioParseError(f"unknown group {group!r}", line_no, _column_of(line, group))
+                raise ScenarioParseError(f"unknown group {group!r}", line_no, group_column)
             loads.append(_build(ClassLoad, line_no, user=name, procs=procs, think=think, demand=demand))
             user_names.add(name)
             users_by_group[group].append(UserAlloc(name=name, shares=shares, active=active))
 
         elif keyword == "event":
-            kv = _parse_kv(tokens[1:], line_no, line)
+            kv = _parse_kv(tokens[1:], columns[1:], line_no)
             when = _take(kv, "t", float, line_no)
             action = None
             user = None

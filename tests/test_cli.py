@@ -60,9 +60,13 @@ def two_user_files(tmp_path):
         path = tmp_path / role
         path.write_bytes(data)
         paths[role] = str(path)
-    path = tmp_path / "slo_duplicate_key"
-    path.write_text("target alice umax=0.9 umax=0.2\n")
-    paths["slo_duplicate_key"] = str(path)
+    for role, text in {
+        "slo_duplicate_key": "target alice umax=0.9 umax=0.2\n",
+        "slo_duplicate_target": "target alice umax=0.2\ntarget alice umax=0.3\n",
+    }.items():
+        path = tmp_path / role
+        path.write_text(text)
+        paths[role] = str(path)
     return paths
 
 
@@ -236,6 +240,13 @@ class TestAdvise:
         assert code == 1
         assert err == f"error: {slo}: line 2: target B: u_max must be in (0, 1], got 1.5\n"
 
+    def test_duplicate_target_names_file_and_line(self, capsys, tmp_path):
+        slo = tmp_path / "slo.txt"
+        slo.write_text("target A umax=0.2\ntarget A umax=0.3\n")
+        code, _, err = run_cli(capsys, "advise", str(slo), "--total-shares", "100")
+        assert code == 1
+        assert err == f"error: {slo}: line 2: duplicate target 'A'\n"
+
     def test_infeasible_exits_two(self, capsys, tmp_path):
         slo = tmp_path / "slo.txt"
         slo.write_text("target A umax=0.8\ntarget B umax=0.5\n")
@@ -308,6 +319,7 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("entitle", "fsp_not_utf8"),
         ("advise", "slo_not_utf8", "--total-shares", "100"),
         ("advise", "slo_duplicate_key", "--total-shares", "100"),
+        ("advise", "slo_duplicate_target", "--total-shares", "100"),
         ("compare", "good"),
         ("monitor", "log_not_utf8", "good"),
         ("monitor", "log_far_header", "good", "--window", "60"),

@@ -4,13 +4,18 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairshare.errors import InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError
 from fairshare.planning import (
     MAX_WINDOWS,
+    UNALLOCATED,
+    DeviationReport,
+    DeviationRow,
+    DeviationWindow,
     SLOTarget,
+    UsageSample,
     allocate_topdown,
     goal_deviation,
     parse_ps_log,
@@ -135,6 +140,21 @@ class TestSloFile:
             parse_slo_file("target A umax=0.9 umax=0.2\n")
         assert str(exc.value) == "line 1, col 19: duplicate key 'umax'"
         assert (exc.value.line, exc.value.column) == (1, 19)
+
+    def test_repeated_token_names_its_own_column(self):
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_slo_file("target A umax=0.5 umax=0.5\n")
+        assert str(exc.value) == "line 1, col 19: duplicate key 'umax'"
+
+    def test_key_inside_an_earlier_token_names_its_own_column(self):
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_slo_file("target A aumax=x umax=x\n")
+        assert str(exc.value) == "line 1, col 18: bad value for umax: 'x'"
+
+    def test_duplicate_target_names_its_line(self):
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_slo_file("target A umax=0.2\ntarget A umax=0.3\n")
+        assert str(exc.value) == "line 2: duplicate target 'A'"
 
     def test_key_in_name_position(self):
         with pytest.raises(ValidationError, match="^line 1: expected: target <name>"):
@@ -315,6 +335,120 @@ class TestGoalDeviation:
         report = goal_deviation(parse_ps_log(synth_log(rows)).samples, equal_table("a", "b"),
                                 window=100.0)
         assert [w.rows["a"].achieved for w in report.windows] == [0.5, 0.5]
+
+
+def quadratic_deviation(samples, e, window, threshold):
+    """The monitor's windowing before the forward sweep, kept as an oracle:
+    the value at every window edge is found by scanning the series from its
+    first sample.  Validation is left out; the caller gives a valid log."""
+    samples = sorted(samples, key=lambda s: (s.timestamp, s.user, s.pid))
+    t_min = samples[0].timestamp
+    t_max = samples[-1].timestamp
+    by_pid = {}
+    for s in samples:
+        runs = by_pid.setdefault((s.user, s.pid), [[]])
+        if runs[-1] and s.cputime < runs[-1][-1][1] - 1e-9:
+            runs.append([])
+        runs[-1].append((s.timestamp, s.cputime))
+
+    def value_at(series, when):
+        best = series[0][1]
+        for ts, value in series:
+            if ts <= when + 1e-9:
+                best = value
+            else:
+                break
+        return best
+
+    known_active = set(e.active_users)
+    windows = []
+    max_abs = 0.0
+    start = t_min
+    while start + window <= t_max + 1e-9:
+        end = start + window
+        busy = {}
+        for (user, _pid), runs in by_pid.items():
+            for series in runs:
+                delta = value_at(series, end) - value_at(series, start)
+                if delta <= 0:
+                    continue
+                label = user if user in e.entitlements else UNALLOCATED
+                busy[label] = busy.get(label, 0.0) + delta
+        total = sum(busy.values())
+        rows = {}
+        if total > 0:
+            observed_known = [u for u in busy if u != UNALLOCATED and u in known_active]
+            entitled_sum = sum(e.entitlements[u] for u in observed_known)
+            for label in sorted(busy):
+                achieved = busy[label] / total
+                if label in known_active and entitled_sum > 0:
+                    entitled = e.entitlements[label] / entitled_sum
+                else:
+                    entitled = 0.0
+                deviation = achieved - entitled
+                flagged = abs(deviation) > threshold
+                max_abs = max(max_abs, abs(deviation))
+                rows[label] = DeviationRow(achieved, entitled, deviation, flagged)
+        windows.append(DeviationWindow(start=start, end=end, rows=rows))
+        start = end
+    return DeviationReport(windows, window, threshold, max_abs, max_abs > threshold)
+
+
+# Users a and b are active, c is inactive and zz is in no table.
+ORACLE_TABLE = compute_entitlements(ShareHierarchy(9, (
+    GroupAlloc("G", 5, (UserAlloc("a", 3, True), UserAlloc("c", 2, False))),
+    GroupAlloc("H", 4, (UserAlloc("b", 4, True),)),
+)), "hierarchical")
+EDGE_OFFSETS = (0.0, 0.0, 1e-9, -1e-9, 5e-10, -5e-10, 1.5e-9, -1.5e-9)
+
+
+@st.composite
+def windowed_logs(draw):
+    """(samples, window): a log whose timestamps sit on, near or between the
+    monitor's window edges, with duplicate timestamps for one pid, reused
+    pids whose TIME falls, gaps longer than a window and a user in no table."""
+    window = draw(st.sampled_from((1.0, 0.1, 0.7, 2.5, 10 / 3, 60.0)))
+    t0 = draw(st.sampled_from((0.0, 0.3, 1000.0, 1.7e9)))
+    n_windows = draw(st.integers(1, 10))
+    edges = [t0]
+    for _ in range(n_windows + 1):
+        edges.append(edges[-1] + window)  # the monitor's own accumulation
+    entries = draw(st.lists(st.tuples(
+        st.sampled_from(("a", "b", "c", "zz")),
+        st.integers(1, 3),
+        st.one_of(
+            st.tuples(st.integers(0, n_windows), st.sampled_from(EDGE_OFFSETS)),
+            st.floats(0.0, 1.0),
+        ),
+        st.one_of(st.integers(0, 40), st.just(-1)),  # -1: a new process took the pid
+    ), min_size=1, max_size=40))
+    timed = []
+    for user, pid, when, step in entries:
+        if isinstance(when, tuple):
+            ts = max(t0, edges[when[0]] + when[1])
+        else:
+            ts = t0 + when * (edges[n_windows] - t0)
+        timed.append((ts, user, pid, step))
+    timed.sort(key=lambda row: row[0])
+    cumulative = {}
+    samples = [UsageSample(t0, "a", 1, 0.0), UsageSample(edges[n_windows], "b", 2, 0.0)]
+    for ts, user, pid, step in timed:
+        now = cumulative.get((user, pid), 0.0)
+        cumulative[user, pid] = now * 0.25 if step < 0 else now + step * 0.37
+        samples.append(UsageSample(ts, user, pid, cumulative[user, pid]))
+    return draw(st.permutations(samples)), window
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_logs(), st.sampled_from((0.0, 0.05, 0.3)))
+def test_sweep_matches_the_quadratic_windowing(log, threshold):
+    samples, window = log
+    span = max(s.timestamp for s in samples) - min(s.timestamp for s in samples)
+    assume(span >= window)
+    report = goal_deviation(samples, ORACLE_TABLE, window, threshold)
+    expected = quadratic_deviation(samples, ORACLE_TABLE, window, threshold)
+    assert report == expected
+    assert render_deviation(report) == render_deviation(expected)
 
 
 def _ps_time(centis: int) -> str:

@@ -148,6 +148,21 @@ class TestParse:
         assert str(exc.value) == f"line {line_no}, col {column}: unknown key 'color' on {directive} line"
         assert (exc.value.line, exc.value.column) == (line_no, column)
 
+    def test_repeated_token_names_its_own_column(self):
+        line = "user wAgg group=WEB shares=10 procs=1 think=0 demand=1 active=yes"
+        bad = GOOD.replace(line, f"{line} shares=10")
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(bad)
+        assert str(exc.value) == f"line 7, col {len(line) + 2}: duplicate key 'shares'"
+
+    def test_unknown_group_column_is_its_value(self):
+        # The group name also occurs earlier in the line, inside the user name.
+        line = "user wAgg group=WEB shares=10 procs=1 think=0 demand=1 active=yes"
+        bad = GOOD.replace(line, line.replace("group=WEB", "group=Agg"))
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(bad)
+        assert str(exc.value) == "line 7, col 17: unknown group 'Agg'"
+
     def test_defaults_to_partition_solver(self):
         no_solver = "\n".join(l for l in GOOD.splitlines() if not l.startswith("solver"))
         assert parse_scenario(no_solver).solver == "partition"
