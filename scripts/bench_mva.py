@@ -8,7 +8,7 @@ checkout's ``src`` in a fresh interpreter:
 
 - ``mva.solve_ts`` on the shipped scenarios ``report1..5`` and on synthetic
   workloads of about 1e4, 1e6 and 4.8e6 population vectors;
-- ``planning.parse_ps_log`` on a seeded day-long ps log (DAY_LOG below);
+- ``planning.parse_ps_log`` on a seeded day-long ps log (``day_log`` below);
 - ``planning.goal_deviation`` on that log at 300, 60 and 10 s windows.
 
 Each case is called once untimed (counted as a sample when it takes over a
@@ -47,17 +47,17 @@ E2E_METRICS = ("setup_s", "op_p50_s", "op_p90_s", "cpu_per_op_s")
 ROUNDS = 3
 
 
-
-def day_log(seed: int = 1, pids: int = 20, users: int = 8) -> str:
-    """A day of once-a-minute ``ps aux`` blocks, each under a column header.
+def day_log() -> str:
+    """A day of once-a-minute ``ps aux`` blocks of 20 pids of 8 users, each
+    block under a column header.
 
     Every process is replaced every two hours, at staggered minutes, by a
     new one on the same pid whose TIME restarts at 0, so the monitor sees
-    pid reuse all day.
+    pid reuse all day: 240 processes in all.
     """
-    rng = random.Random(seed)
-    procs = [[f"u{rng.randrange(users)}", 1000 + 7 * n, rng.randrange(100_000)]
-             for n in range(pids)]  # user, pid, cumulative CPU in centiseconds
+    rng = random.Random(1)
+    procs = [[f"u{rng.randrange(8)}", 1000 + 7 * n, rng.randrange(100_000)]
+             for n in range(20)]  # user, pid, cumulative CPU in centiseconds
     lines = []
     for minute in range(1440):
         lines.append(f"T {1_700_000_000 + 60 * minute}")
@@ -66,14 +66,14 @@ def day_log(seed: int = 1, pids: int = 20, users: int = 8) -> str:
             if minute and minute % 120 == 6 * n:
                 proc[2] = 0
             else:
-                proc[2] += rng.randrange(2 * 6000 // pids)
+                proc[2] += rng.randrange(600)
             user, pid, cs = proc
             lines.append(f"{user} {pid} 1.0 0.4 81234 5120 ?? S 10:00AM "
                          f"{cs // 6000}:{cs % 6000 / 100:05.2f} /usr/bin/job-{n}")
     return "\n".join(lines) + "\n"
 
 
-# Runs in the checkout's interpreter, with DAY_LOG's text on stdin; prints
+# Runs in the checkout's interpreter, with ``day_log()`` on stdin; prints
 # one JSON object per case.
 TIMER = r"""
 import json, math, sys, time
@@ -91,9 +91,9 @@ def timed(call):
         t = time.perf_counter(); call(); samples.append(time.perf_counter() - t)
     return result, samples
 
-def emit(case, layer, samples, size, **work):
+def emit(case, layer, timings, size, **work):
     print(json.dumps({
-        "case": case, "layer": layer, "samples": samples, "size": size, "work": work,
+        "case": case, "layer": layer, "samples": timings, "size": size, "work": work,
         "python": sys.version.split()[0], "numpy": metadata.version("numpy"),
     }))
 
@@ -142,7 +142,7 @@ def time_layers(tree: Path, log_text: str) -> list[dict]:
         [sys.executable, "-c", TIMER, str(tree), json.dumps(SCENARIOS), json.dumps(SYNTHETIC),
          json.dumps(WINDOWS)],
         env=dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0"),
-        input=log_text, capture_output=True, text=True, check=True,
+        input=log_text, stdout=subprocess.PIPE, text=True, check=True,
     )
     return [json.loads(line) for line in proc.stdout.splitlines()]
 

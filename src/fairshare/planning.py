@@ -313,12 +313,9 @@ def goal_deviation(
             runs.append((times, values))
         times.append(timestamp)
         values.append(cputime)
-    labels: list[str] = []
-    series: list[tuple[list[float], list[float]]] = []
-    for (user, _pid), runs in by_pid.items():
-        for run in runs:
-            labels.append(user if user in e.entitlements else UNALLOCATED)
-            series.append(run)
+    series = [run for runs in by_pid.values() for run in runs]
+    labels = [user if user in e.entitlements else UNALLOCATED
+              for (user, _pid), runs in by_pid.items() for _run in runs]
     cursors = [0] * len(series)
 
     def values_at(when: float) -> list[float]:
