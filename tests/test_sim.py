@@ -3,14 +3,19 @@
 import hashlib
 import io
 import math
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fairshare.errors import ValidationError
 from fairshare.mva import ClassLoad, WorkloadSpec, solve_ts
 from fairshare.scenario import parse_scenario
 from fairshare.shares import GroupAlloc, ShareHierarchy, UserAlloc, compute_entitlements
 from fairshare.sim import (
+    FAIRSHARE_FLAT,
+    FAIRSHARE_HIERARCHICAL,
     SIM_MODES,
     SimConfig,
     TimelineEvent,
@@ -383,13 +388,13 @@ def test_trace_perf_is_consistent_with_run_sim_perf():
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        SimConfig(duration=10.0, quantum=0.0).validate()
+        SimConfig(duration=10.0, quantum=0.0)
     with pytest.raises(ValidationError):
-        SimConfig(duration=10.0, window=0.001).validate()
+        SimConfig(duration=10.0, window=0.001)
     with pytest.raises(ValidationError):
-        SimConfig(duration=10.0, warmup=20.0).validate()
+        SimConfig(duration=10.0, warmup=20.0)
     with pytest.raises(ValidationError):
-        SimConfig(duration=10.0, mode="fifo").validate()
+        SimConfig(duration=10.0, mode="fifo")
 
 
 # Two groups, thinking and multi-process users, a user offline at the start,
@@ -411,14 +416,35 @@ solver simulate
 """
 
 
-def sim_digest_lines(scenario_dir):
-    """One ``case mode jitter seed sha256`` line per pinned simulator run.
-
-    The digest covers everything a trace records, as plain values with
-    each float written by ``repr``, so any change to dispatch order,
-    rounding or random draws shows up as a changed line, while renaming a
-    trace class or field does not.
+def trace_digest(tr) -> str:
+    """sha256 of everything a trace records, as plain values with each
+    float written by ``repr``, so any change to dispatch order, rounding or
+    random draws changes it, while renaming a trace class or field does not.
     """
+    perf = tr.perf
+    observed = (
+        tr.users,
+        tr.window_seconds,
+        tr.fractions,
+        tr.busy,
+        tr.elapsed,
+        tr.cycles,
+        tuple((ev.time, ev.action, ev.user) for ev in tr.events_applied),
+        tr.warnings,
+        (
+            perf.solver,
+            tuple(
+                (user, row.throughput, row.response, row.utilization)
+                for user, row in perf.rows.items()
+            ),
+            perf.notes,
+        ),
+    )
+    return hashlib.sha256(repr(observed).encode()).hexdigest()
+
+
+def sim_digest_lines(scenario_dir):
+    """One ``case mode jitter seed sha256`` line per pinned simulator run."""
     cases = [(path.stem, path.read_text()) for path in sorted(scenario_dir.glob("*.fsp"))]
     cases.append(("mixed", MIXED_SCENARIO))
     lines = []
@@ -431,27 +457,7 @@ def sim_digest_lines(scenario_dir):
                         duration=80.0, warmup=5.0, mode=mode, seed=seed, think_jitter=jitter
                     )
                     tr = run_sim(s.hierarchy, s.workload, s.timeline, config)
-                    perf = tr.perf
-                    observed = (
-                        tr.users,
-                        tr.window_seconds,
-                        tr.fractions,
-                        tr.busy,
-                        tr.elapsed,
-                        tr.cycles,
-                        tuple((ev.time, ev.action, ev.user) for ev in tr.events_applied),
-                        tr.warnings,
-                        (
-                            perf.solver,
-                            tuple(
-                                (user, row.throughput, row.response, row.utilization)
-                                for user, row in perf.rows.items()
-                            ),
-                            perf.notes,
-                        ),
-                    )
-                    digest = hashlib.sha256(repr(observed).encode()).hexdigest()
-                    lines.append(f"{name} {mode} {int(jitter)} {seed} {digest}")
+                    lines.append(f"{name} {mode} {int(jitter)} {seed} {trace_digest(tr)}")
     return lines
 
 
@@ -460,6 +466,120 @@ def test_traces_match_pinned_digests(scenario_dir, golden_dir):
     assert sim_digest_lines(scenario_dir) == expected
 
 
+def crowd_scenario(seed: int = 40) -> str:
+    """A seeded 40-user, 4-group scenario: half the users CPU bound, half
+    thinking, some sub-quantum demands, six users offline at the start and
+    churn events on and off the quantum grid."""
+    rng = random.Random(seed)
+    groups = []
+    for g in range(4):
+        users = []
+        for j in range(10):
+            think = 0.0 if j % 2 == 0 else rng.choice((0.2, 0.7, 1.5, 3.0))
+            users.append((f"g{g}u{j}", rng.randint(1, 9), rng.randint(1, 3), think,
+                          rng.choice((0.004, 0.013, 0.1, 0.35, 1.0))))
+        groups.append((f"G{g}", users))
+    names = [user[0] for _, users in groups for user in users]
+    offline = set(rng.sample(names, 6))
+    online = [n for n in names if n not in offline]
+    events = [(round(rng.uniform(0.0, 40.0), 3), "activate", n) for n in sorted(offline)]
+    for name in rng.sample(online, 8):
+        leave = round(rng.uniform(5.0, 50.0), 3)
+        events.append((leave, "deactivate", name))
+        events.append((round(leave + rng.uniform(0.5, 20.0), 3), "activate", name))
+    lines = [f"total_shares {sum(u[1] for _, users in groups for u in users)}"]
+    for group, users in groups:
+        lines.append(f"group {group} shares={sum(u[1] for u in users)}")
+    for group, users in groups:
+        for name, shares, procs, think, demand in users:
+            active = "no" if name in offline else "yes"
+            lines.append(f"user {name} group={group} shares={shares} procs={procs} "
+                         f"think={think} demand={demand} active={active}")
+    lines += [f"event t={t} {action}={name}" for t, action, name in sorted(events)]
+    return "\n".join(lines) + "\n"
+
+
+def crowd_digest_lines():
+    """One ``crowd40 mode jitter half_life sha256`` line per pinned run.
+
+    Every mode at the default 5 s half-life, and the fair-share modes at a
+    0.05 s half-life, where usage halves every five quanta: 1,600 halvings
+    in one run, so decayed usage spans far more than a float's exponent.
+    """
+    s = parse_scenario(crowd_scenario(), label="crowd40")
+    cases = [(mode, 5.0) for mode in SIM_MODES]
+    cases += [(mode, 0.05) for mode in (FAIRSHARE_FLAT, FAIRSHARE_HIERARCHICAL)]
+    lines = []
+    for mode, half_life in cases:
+        for jitter in (False, True):
+            config = SimConfig(duration=80.0, warmup=5.0, mode=mode, usage_half_life=half_life,
+                               think_jitter=jitter)
+            tr = run_sim(s.hierarchy, s.workload, s.timeline, config)
+            lines.append(f"crowd40 {mode} {int(jitter)} {half_life:g} {trace_digest(tr)}")
+    return lines
+
+
+def test_many_user_traces_match_pinned_digests(golden_dir):
+    expected = (golden_dir / "sim_crowd_digests.txt").read_text().splitlines()
+    assert crowd_digest_lines() == expected
+
+
+# Oracles that hold whatever order exact usage ties are broken in: small
+# random hierarchies (some users inactive) in both fair-share modes, with
+# demands below, at and above a quantum.
+DEMANDS = (0.013, 0.1, 0.5, 1.0)
+FAIR_MODES = {FAIRSHARE_FLAT: "flat-pool", FAIRSHARE_HIERARCHICAL: "hierarchical"}
+
+
+@st.composite
+def fair_share_runs(draw, thinks):
+    """(hierarchy, workload, mode): 1-3 groups of 1-3 users, every user with
+    1-3 processes thinking a time drawn from ``thinks``."""
+    groups = []
+    for g in range(draw(st.integers(1, 3))):
+        users = tuple(
+            UserAlloc(f"g{g}u{j}", draw(st.integers(1, 6)), draw(st.booleans()))
+            for j in range(draw(st.integers(1, 3)))
+        )
+        groups.append(GroupAlloc(f"G{g}", sum(u.shares for u in users), users))
+    h = ShareHierarchy(sum(g.shares for g in groups), tuple(groups))
+    w = WorkloadSpec(tuple(
+        ClassLoad(u.name, draw(st.integers(1, 3)), draw(st.sampled_from(thinks)),
+                  draw(st.sampled_from(DEMANDS)))
+        for u in h.users()
+    ))
+    return h, w, draw(st.sampled_from(sorted(FAIR_MODES)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=fair_share_runs(thinks=(0.0,)))
+def test_cpu_bound_users_reach_their_entitlements(run):
+    # The decay-usage steady state (Epema, SIGMETRICS 1995): with every
+    # active user CPU bound, long-run utilization equals entitlement.
+    h, w, mode = run
+    assume(any(u.active for u in h.users()))
+    trace = run_sim(h, w, (), SimConfig(duration=60.0, warmup=15.0, mode=mode))
+    table = compute_entitlements(h, FAIR_MODES[mode])
+    for user in h.user_names():
+        assert trace.utilization(user) == pytest.approx(table.entitlements[user], abs=0.01)
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=fair_share_runs(thinks=(0.0, 0.5, 2.0)))
+def test_no_idle_cpu_and_no_user_above_its_demand(run):
+    h, w, mode = run
+    trace = run_sim(h, w, (), SimConfig(duration=40.0, warmup=5.0, mode=mode))
+    active = [c for c in w.classes if h.find_user(c.user).active]
+    if any(c.think == 0.0 for c in active):
+        # A CPU-bound process is always runnable, so no quantum idles.
+        for fractions in trace.fractions:
+            assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
+    for c in active:
+        # A process spends at least `think` between demands, so over the
+        # measured span L its busy time B obeys B + (k-1) think <= L with
+        # B <= k demand: B <= demand (L + think) / (demand + think).
+        rate = c.procs * c.demand / (c.demand + c.think)
+        assert trace.utilization(c.user) <= rate * (1.0 + c.think / trace.elapsed) + 1e-9
 class TestModelValues:
     @pytest.mark.parametrize("field", ["quantum", "window", "warmup", "duration"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
