@@ -20,11 +20,26 @@ CPU demand followed by a think delay.  Four dispatch disciplines:
 One core keeps what every mode shares: process setup, demand cycles and
 think-time parking, the timeline, busy-time windows and the trace.  Time
 advances in one of two ways.  The first three modes step one quantum at a
-time (10 ms default), dispatching and then decaying usage; fair-share
-priorities are decayed-usage/shares with least-recently-run, then
-lexicographic tie-breaking, so runs are reproducible bit for bit.  The
-processor-sharing mode jumps from event to event.  Randomness enters only
-through optional exponentially jittered think times.
+time (10 ms default).  The processor-sharing mode jumps from event to
+event.  Randomness enters only through optional exponentially jittered
+think times.
+
+Fair-share dispatch is the decay-usage policy of Kay & Lauder (CACM 1988),
+kept incrementally so that a dispatch costs O(log users):
+
+* Lazy decay.  Instead of multiplying every user's usage by the decay
+  factor each quantum, one global scale grows by its inverse and each
+  charge is multiplied by the scale.  Stored usages are then the true ones
+  times a common factor, so a user who does not run keeps its key.
+* Exact renormalization.  When the scale passes 2**64 it is divided,
+  together with every stored usage, by a power of two (``frexp``/``ldexp``),
+  which rounds nothing, so no key changes order.
+* Heaps.  Priorities are (usage/shares, last quantum run, name), so ties
+  go to the least recently run user, then by name, and runs are
+  reproducible bit for bit.  Runnable users sit in a heap keyed so, with
+  stale entries dropped when popped; hierarchical mode keeps a heap of
+  groups keyed (group usage/group shares, last run, name) and one user
+  heap per group.
 """
 
 from __future__ import annotations
@@ -46,6 +61,9 @@ TS_PS_REFERENCE = "ts-ps-reference"
 SIM_MODES = (FAIRSHARE_FLAT, FAIRSHARE_HIERARCHICAL, TS_ROUNDROBIN, TS_PS_REFERENCE)
 
 _TIME_EPS = 1e-9
+# The quantized engine folds its usage scale back into the stored usages
+# once it passes this bound, far below where a charge could overflow.
+_SCALE_LIMIT = 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -182,13 +200,15 @@ class _Core:
     engine derives from a time with ``to_key``: the quantum index in the
     quantized engine, the time itself in the fluid one.  Runnable
     processes join ``queues[user]``, one FIFO per user, or one FIFO that
-    every user shares when ``shared_queue`` is set.
+    every user shares when ``shared_queue`` is set.  ``on_ready(user)`` is
+    called when a user's queue goes from empty to non-empty.
     """
 
-    def __init__(self, h, w, timeline, config, n_windows, to_key, shared_queue):
+    def __init__(self, h, w, timeline, config, n_windows, to_key, shared_queue, on_ready=None):
         self.config = config
         self.workload = w
         self.to_key = to_key
+        self.on_ready = on_ready
         self.sample_think = _think_sampler(config)
         self.loads = {c.user: c for c in w.classes}
         self.user_names = list(self.loads)
@@ -212,7 +232,10 @@ class _Core:
     def start_cycle(self, proc: _Proc, when: float) -> None:
         proc.remaining = self.loads[proc.user].demand
         proc.ready_since = when
-        self.queues[proc.user].append(proc)
+        queue = self.queues[proc.user]
+        queue.append(proc)
+        if self.on_ready is not None and len(queue) == 1:
+            self.on_ready(proc.user)
 
     def finish_cycle(self, proc: _Proc, when: float, earliest):
         """Record a completed cycle, then restart the process or park it.
@@ -283,50 +306,113 @@ class _Core:
 
 
 def _run_quantized(h, w, timeline, config) -> SimTrace:
-    """Advance one quantum at a time, dispatching and then decaying usage."""
+    """Advance one quantum at a time, dispatching by decayed usage or round robin."""
     q = config.quantum
     n_ticks = int(round(config.duration / q))
     warmup_ticks = int(round(config.warmup / q))
     window_ticks = max(1, int(round(config.window / q)))
+    n_windows = n_ticks // window_ticks
     round_robin = config.mode == TS_ROUNDROBIN
-    # Round robin never reads usage, so it skips the decay.
+    fair_hier = config.mode == FAIRSHARE_HIERARCHICAL
+    # Usage decays by `decay` every quantum.  Rather than multiply every
+    # user's usage, each charge is multiplied by `scale`, which grows by
+    # 1/decay every quantum: usage[u] is u's decayed usage times scale, the
+    # same factor for every user, so a user who does not run keeps its key.
+    # Round robin never reads usage, so its scale stays 1.
     decay = 1.0 if round_robin else 2.0 ** (-q / config.usage_half_life)
+    growth = 1.0 / decay if decay else math.inf
+    scale = 1.0
+
+    shares = {u.name: u.shares for u in h.users()}
+    group_of = {u.name: g.name for g in h.groups for u in g.users}
+    group_shares = {g.name: g.shares for g in h.groups}
+    loaded = {c.user for c in w.classes}
+    group_members = {g.name: [u.name for u in g.users if u.name in loaded] for g in h.groups}
+    usage = dict.fromkeys(shares, 0.0)
+    # Dispatch keys: (usage/shares, last run, name) per user, and
+    # (group usage/group shares, last run, name) per group.
+    key = {name: (0.0, -1, name) for name in shares}
+    group_key = {name: (0.0, -1, name) for name in group_shares}
+    # Every runnable user's current key sits in its heap: one heap for all
+    # users in flat mode, one per group in hierarchical mode, where
+    # group_heap holds the current key of every group with a runnable user.
+    # An entry that is no longer its owner's key, or whose user has nothing
+    # queued, is dropped when it is popped.
+    if fair_hier:
+        heap_members = group_members
+    else:
+        heap_members = {"": [u for members in group_members.values() for u in members]}
+    heaps = {name: [] for name in heap_members}
+    heap_of = {u: heaps[name] for name, members in heap_members.items() for u in members}
+    group_heap: list[tuple[float, int, str]] = []
+
+    def on_ready(user: str) -> None:
+        heapq.heappush(heap_of[user], key[user])
+        if fair_hier:
+            heapq.heappush(group_heap, group_key[group_of[user]])
 
     def to_tick(t: float) -> int:
         return max(0, math.ceil(t / q - _TIME_EPS))
 
-    n_windows = n_ticks // window_ticks
-    core = _Core(h, w, timeline, config, n_windows, to_tick, shared_queue=round_robin)
-    user_names = core.user_names
+    core = _Core(h, w, timeline, config, n_windows, to_tick, shared_queue=round_robin,
+                 on_ready=None if round_robin else on_ready)
     queues = core.queues
     run_queue = core.run_queue  # FIFO over processes (ts-roundrobin)
     window_busy = core.window_busy
     post_busy = core.post_busy
 
-    shares = {u.name: u.shares for u in h.users()}
-    group_of = {u.name: g.name for g in h.groups for u in g.users}
-    group_shares = {g.name: g.shares for g in h.groups}
-    group_members = {g.name: [u.name for u in g.users if u.name in core.loads] for g in h.groups}
-    usage = {name: 0.0 for name in shares}  # decayed CPU seconds charged per user
-    last_run = {name: -1 for name in shares}
-    group_last_run = {g.name: -1 for g in h.groups}
-    fair_hier = config.mode == FAIRSHARE_HIERARCHICAL
+    def pop_runnable(heap) -> str | None:
+        while heap:
+            entry = heapq.heappop(heap)
+            user = entry[2]
+            if entry is key[user] and queues[user]:
+                return user
+        return None
 
     def pick_user() -> str | None:
-        candidates = [u for u in user_names if queues[u]]
-        if not candidates:
-            return None
+        if not fair_hier:
+            return pop_runnable(heaps[""])
+        while group_heap:
+            entry = heapq.heappop(group_heap)
+            if entry is group_key[entry[2]]:
+                user = pop_runnable(heaps[entry[2]])
+                if user is not None:
+                    return user
+        return None
+
+    def charge(user: str, run: float, tick: int) -> None:
+        # The picked user's entry was popped; push its new key if it still
+        # has a process queued.  Only its own group's key changes.
+        usage[user] += run * scale
+        key[user] = (usage[user] / shares[user], tick, user)
+        if queues[user]:
+            heapq.heappush(heap_of[user], key[user])
         if fair_hier:
-            best_group = min(
-                {group_of[u] for u in candidates},
-                key=lambda g: (
-                    sum(usage[m] for m in group_members[g]) / group_shares[g],
-                    group_last_run[g],
-                    g,
-                ),
-            )
-            candidates = [u for u in candidates if group_of[u] == best_group]
-        return min(candidates, key=lambda u: (usage[u] / shares[u], last_run[u], u))
+            g = group_of[user]
+            group_key[g] = (sum(usage[m] for m in group_members[g]) / group_shares[g], tick, g)
+            if heaps[g]:
+                heapq.heappush(group_heap, group_key[g])
+
+    def renormalize() -> None:
+        # Divide the scale and every usage by one power of two, which is
+        # exact, so no two keys change order; then rebuild every key and heap.
+        nonlocal scale
+        if scale < math.inf:
+            scale, shift = math.frexp(scale)
+        else:  # decay underflowed: usage from earlier quanta is forgotten
+            scale, shift = 1.0, 1 << 11
+        for user in usage:
+            usage[user] = math.ldexp(usage[user], -shift)
+            key[user] = (usage[user] / shares[user], key[user][1], user)
+        for name, members in heap_members.items():
+            heaps[name][:] = [key[u] for u in members if queues[u]]
+            heapq.heapify(heaps[name])
+        if fair_hier:
+            for g, members in group_members.items():
+                group_key[g] = (sum(usage[m] for m in members) / group_shares[g],
+                                group_key[g][1], g)
+            group_heap[:] = [group_key[g] for g in group_members if heaps[g]]
+            heapq.heapify(group_heap)
 
     total_busy = 0.0
     next_due = 0
@@ -353,25 +439,25 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
             sub += run
             time_left -= run
             u = proc.user
-            usage[u] += run
-            last_run[u] = tick
-            group_last_run[group_of[u]] = tick
             total_busy += run
             if in_window:
                 window_busy[widx][u] += run
             if post:
                 post_busy[u] += run
-            if proc.remaining <= _TIME_EPS:
+            finished = proc.remaining <= _TIME_EPS
+            if not finished:
+                queues[u].append(proc)
+            if not round_robin:
+                charge(u, run, tick)
+            if finished:
                 # Wakeups are released at the start of a quantum, so a
                 # process parked now wakes in the next one at the earliest.
                 wake = core.finish_cycle(proc, sub, tick + 1)
                 if wake < next_due:
                     next_due = wake
-            else:
-                queues[u].append(proc)
-        if decay != 1.0:
-            for u in usage:
-                usage[u] *= decay
+        scale *= growth
+        if scale > _SCALE_LIMIT:
+            renormalize()
 
     return core.trace(window_ticks * q, n_ticks * q - warmup_ticks * q, total_busy)
 

@@ -1,5 +1,6 @@
 """Scheduler simulator behavior: fairness limits, dynamics, and estimates."""
 
+import gc
 import hashlib
 import io
 import math
@@ -355,6 +356,19 @@ class TestTimelineHandling:
         b_done = next(rec[2] for rec in trace.cycles["b"] if 0.02 <= rec[2] < 0.03)
         assert a_done < b_done
 
+    @pytest.mark.parametrize("mode", [FAIRSHARE_FLAT, FAIRSHARE_HIERARCHICAL])
+    def test_leaving_and_rejoining_in_one_quantum_changes_no_dispatch(self, mode):
+        # A CPU-bound user's restarted cycle is as runnable as the dropped
+        # one, so the dispatcher must see no difference (beyond the rounding
+        # of where cycles end).
+        h = pool(("a", 20, True), ("b", 30, True), ("c", 50, True))
+        events = (TimelineEvent(10.0, "deactivate", "c"), TimelineEvent(10.0, "activate", "c"))
+        config = SimConfig(duration=20.0, mode=mode)
+        churned = run_sim(h, cpu_bound("a", "b", "c"), events, config)
+        steady = run_sim(h, cpu_bound("a", "b", "c"), (), config)
+        for got, want in zip(churned.fractions, steady.fractions, strict=True):
+            assert got == pytest.approx(want, abs=1e-9)
+
     def test_unknown_event_user_rejected(self):
         h = pool(("a", 50, True), ("b", 50, True))
         with pytest.raises(ValidationError):
@@ -522,6 +536,20 @@ def crowd_digest_lines():
 def test_many_user_traces_match_pinned_digests(golden_dir):
     expected = (golden_dir / "sim_crowd_digests.txt").read_text().splitlines()
     assert crowd_digest_lines() == expected
+
+
+@pytest.mark.parametrize("mode", SIM_MODES)
+def test_a_run_leaves_no_reference_cycles(mode):
+    # The engines' state is freed by reference counting when run_sim
+    # returns, not left for the cycle collector.
+    s = parse_scenario(MIXED_SCENARIO, label="mixed")
+    gc.collect()
+    gc.disable()
+    try:
+        run_sim(s.hierarchy, s.workload, s.timeline, SimConfig(duration=20.0, mode=mode))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # Oracles that hold whatever order exact usage ties are broken in: small
