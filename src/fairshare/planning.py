@@ -286,9 +286,13 @@ def goal_deviation(
         raise ValidationError(f"window must be finite and > 0, got {window!r}")
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold!r}")
-    samples = sorted(samples, key=itemgetter(0, 1, 2))
+    samples = list(samples)
     if not samples:
         raise PsLogError("no samples")
+    for sample in samples:
+        if not math.isfinite(sample.timestamp):
+            raise ValidationError(f"sample timestamps must be finite, got {sample.timestamp!r}")
+    samples.sort(key=itemgetter(0, 1, 2))
     t_min = samples[0].timestamp
     t_max = samples[-1].timestamp
     if t_max - t_min < window:
@@ -300,6 +304,14 @@ def goal_deviation(
         raise ValidationError(
             f"window {window:g}s cuts the log span {t_max - t_min:g}s into {count} "
             f"windows, over the budget of {MAX_WINDOWS}; use a larger --window"
+        )
+    # Window edges are found by adding `window` to the previous edge, so it
+    # must be at least the spacing of floats at the log's timestamps.
+    spacing = math.ulp(max(abs(t_min), abs(t_max)))
+    if window < spacing:
+        raise ValidationError(
+            f"window {window:g}s is below the float spacing {spacing:g}s of timestamps "
+            f"near {max(abs(t_min), abs(t_max)):g}; use a larger --window"
         )
 
     # One series of (timestamps, cumulative TIMEs) per process, in the order

@@ -56,6 +56,9 @@ def two_user_files(tmp_path):
         # Two samples 1e12 s apart: about 1.7e10 windows of 60 s.
         "log_far_header": b"T 0\nalice 1 1.0 0 0 0 ? S 10:00 0:01 x\n"
                           b"T 1000000000000\nalice 1 1.0 0 0 0 ? S 10:00 0:02 x\n",
+        # Timestamps 64 s apart near 1e17, where floats are 16 s apart.
+        "log_coarse_clock": b"T 100000000000000000\nalice 1 1.0 0 0 0 ? S 10:00 0:01 x\n"
+                            b"T 100000000000000064\nalice 1 1.0 0 0 0 ? S 10:00 0:02 x\n",
     }.items():
         path = tmp_path / role
         path.write_bytes(data)
@@ -323,6 +326,7 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("compare", "good"),
         ("monitor", "log_not_utf8", "good"),
         ("monitor", "log_far_header", "good", "--window", "60"),
+        ("monitor", "log_coarse_clock", "good", "--window", "1"),
     ],
     ids=lambda argv: "-".join(argv[:4]),
 )

@@ -289,6 +289,19 @@ class TestGoalDeviation:
         with pytest.raises(ValidationError, match=rf"budget of {MAX_WINDOWS}; use a larger --window"):
             goal_deviation(log.samples, equal_table("a"), window=60.0)
 
+    def test_window_below_float_spacing_rejected(self):
+        # 1e17 + 1.0 == 1e17: window edges would never advance.
+        log = parse_ps_log(synth_log([(10**17, "a", 1, 0), (10**17 + 64, "a", 1, 60)]))
+        with pytest.raises(ValidationError, match="float spacing 16s"):
+            goal_deviation(log.samples, equal_table("a"), window=1.0)
+        assert len(goal_deviation(log.samples, equal_table("a"), window=16.0).windows) == 4
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected(self, bad):
+        samples = [UsageSample(0.0, "a", 1, 0.0), UsageSample(bad, "a", 1, 60.0)]
+        with pytest.raises(ValidationError, match="timestamps must be finite"):
+            goal_deviation(samples, equal_table("a"), window=10.0)
+
     def test_scale_invariance(self):
         table = equal_table("a", "b")
         rows = [(0, "a", 1, 0), (0, "b", 2, 0), (100, "a", 1, 30), (100, "b", 2, 20)]
