@@ -399,8 +399,8 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
         nonlocal scale
         if scale < math.inf:
             scale, shift = math.frexp(scale)
-        else:  # decay underflowed: usage from earlier quanta is forgotten
-            scale, shift = 1.0, 1 << 11
+        else:  # 1/decay overflowed: shifting by 4096 zeroes every usage
+            scale, shift = 1.0, 4096
         for user in usage:
             usage[user] = math.ldexp(usage[user], -shift)
             key[user] = (usage[user] / shares[user], key[user][1], user)
