@@ -1,7 +1,7 @@
 """Time library layers in one or more checkouts and write BENCH records.
 
     python3 scripts/bench_mva.py --tree before=PARENT_CHECKOUT --tree after=. \\
-        --e2e monitor-day --out BENCH_9.json
+        --e2e sim-crowd --out BENCH_10.json
 
 Each ``--tree LABEL=PATH`` names a checkout.  Each layer is timed from that
 checkout's ``src`` in a fresh interpreter:
@@ -9,7 +9,10 @@ checkout's ``src`` in a fresh interpreter:
 - ``mva.solve_ts`` on the shipped scenarios ``report1..5`` and on synthetic
   workloads of about 1e4, 1e6 and 4.8e6 population vectors;
 - ``planning.parse_ps_log`` on a seeded day-long ps log (``day_log`` below);
-- ``planning.goal_deviation`` on that log at 300, 60 and 10 s windows.
+- ``planning.goal_deviation`` on that log at 300, 60 and 10 s windows;
+- ``sim.run_sim`` in every mode on ``report4`` for 300 s and on a
+  synthetic crowd of 200 users with 2 processes each in 20 groups for 60 s
+  (``crowd`` in ``TIMER``: even users CPU bound, odd users thinking).
 
 Each case is called once untimed (counted as a sample when it takes over a
 second) and then enough times to fill about 1 s, up to 2000 calls.  The
@@ -24,7 +27,9 @@ quartiles over the seeds found there.
 Every record has the fields ``case, layer, size, repeats, median_s, min_s,
 per_unit, work_counters, python, numpy, commit``; ``per_unit`` is µs per
 population vector for ``solve_ts``, per log line (samples and skipped lines)
-for ``parse_ps_log`` and per window for ``goal_deviation``.
+for ``parse_ps_log``, per window for ``goal_deviation``, and for ``run_sim``
+per quantum in the quantized modes and per simulated second in
+``ts-ps-reference``.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ from fairshare.mva import ClassLoad, WorkloadSpec, solve_ts
 from fairshare.planning import goal_deviation, parse_ps_log
 from fairshare.scenario import parse_scenario
 from fairshare.shares import GroupAlloc, ShareHierarchy, UserAlloc, compute_entitlements
+from fairshare.sim import SIM_MODES, SimConfig, run_sim
 
 def timed(call):
     t = time.perf_counter(); result = call(); first = time.perf_counter() - t
@@ -109,6 +115,28 @@ for name, w in cases:
     states = math.prod(c.procs + 1 for c in w.classes)
     emit(f"solve_ts {name}", "mva.solve_ts", samples, states, states=states,
          classes=len(w.classes), levels=sum(c.procs for c in w.classes))
+
+# 200 users in 20 groups of 10, 2 processes each; even users are CPU bound,
+# odd ones think 1-5 s; demands run from 0.05 to 1 s.
+users = [UserAlloc(f"u{i:03d}", 1 + i % 7, True) for i in range(200)]
+crowd = (ShareHierarchy(sum(u.shares for u in users), tuple(
+    GroupAlloc(f"G{g:02d}", sum(u.shares for u in users[10 * g:10 * g + 10]),
+               tuple(users[10 * g:10 * g + 10]))
+    for g in range(20))), WorkloadSpec(tuple(
+    ClassLoad(u.name, 2, 0.0 if i % 2 == 0 else 1.0 + i % 5, 0.05 + 0.05 * (i % 20))
+    for i, u in enumerate(users))))
+report4 = parse_scenario((root / "scenarios" / "report4.fsp").read_text())
+for name, (h, w), duration in (("crowd", crowd, 60.0),
+                               ("report4", (report4.hierarchy, report4.workload), 300.0)):
+    for mode in SIM_MODES:
+        config = SimConfig(duration=duration, mode=mode)
+        trace, samples = timed(lambda: run_sim(h, w, (), config))
+        quanta = round(duration / config.quantum)
+        emit(f"run_sim {name} {mode}", "sim.run_sim", samples,
+             duration if mode == "ts-ps-reference" else quanta,
+             users=len(w.classes), procs=sum(c.procs for c in w.classes),
+             cycles=sum(map(len, trace.cycles.values())), quanta=quanta,
+             sim_seconds=duration)
 
 text = sys.stdin.read()
 log, samples = timed(lambda: parse_ps_log(text))
@@ -224,7 +252,8 @@ def main(argv=None) -> int:
     units = {"mva.solve_ts": "state", "planning.parse_ps_log": "line",
              "planning.goal_deviation": "window"}
     for r in records:
-        unit = "" if r["per_unit"] is None else f"  {r['per_unit']:.3f} us/{units[r['layer']]}"
+        per = units.get(r["layer"]) or ("sim s" if "ts-ps-reference" in r["case"] else "quantum")
+        unit = "" if r["per_unit"] is None else f"  {r['per_unit']:.3f} us/{per}"
         print(f"{r['case']:40s} {r['median_s']:.6g} s (min {r['min_s']:.6g}, n={r['repeats']}){unit}")
     return 0
 
