@@ -307,11 +307,11 @@ def goal_deviation(
         )
     # Window edges are found by adding `window` to the previous edge, so it
     # must be at least the spacing of floats at the log's timestamps.
-    spacing = math.ulp(max(abs(t_min), abs(t_max)))
-    if window < spacing:
+    farthest = max(abs(t_min), abs(t_max))
+    if window < math.ulp(farthest):
         raise ValidationError(
-            f"window {window:g}s is below the float spacing {spacing:g}s of timestamps "
-            f"near {max(abs(t_min), abs(t_max)):g}; use a larger --window"
+            f"window {window:g}s is below the float spacing {math.ulp(farthest):g}s of "
+            f"timestamps near {farthest:g}; use a larger --window"
         )
 
     # One series of (timestamps, cumulative TIMEs) per process, in the order
