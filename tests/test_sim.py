@@ -128,18 +128,17 @@ class TestDecayBehavior:
         total_b = sum(f["b"] for f in trace.fractions)
         assert total_b == pytest.approx(total_a, abs=1.0)
 
-    # Per 10 ms quantum usage decays by 2**-10000 (0.0), 2**-1050 (below
-    # the smallest normal float) and 2**-1000.
-    @pytest.mark.parametrize("half_life", [1e-6, 0.01 / 1050, 1e-5])
-    def test_tiny_half_life_degenerates_to_user_round_robin(self, half_life):
+    def test_tiny_half_life_degenerates_to_user_round_robin(self):
         # With usage forgotten every quantum, shares stop mattering and the
-        # dispatcher just alternates users.
+        # dispatcher just alternates users.  Per 10 ms quantum usage decays
+        # by 2**-10000 (0.0), 2**-1050 (below the smallest normal float)
+        # and 2**-1000.
         h = pool(("a", 25, True), ("b", 75, True))
-        trace = run_sim(
-            h, TWO_EQUAL_W, (), SimConfig(duration=120.0, warmup=20.0, usage_half_life=half_life)
-        )
-        assert trace.utilization("a") == pytest.approx(0.5, abs=0.02)
-        assert trace.utilization("b") == pytest.approx(0.5, abs=0.02)
+        for half_life in (1e-6, 0.01 / 1050, 1e-5):
+            config = SimConfig(duration=120.0, warmup=20.0, usage_half_life=half_life)
+            trace = run_sim(h, TWO_EQUAL_W, (), config)
+            assert trace.utilization("a") == pytest.approx(0.5, abs=0.02)
+            assert trace.utilization("b") == pytest.approx(0.5, abs=0.02)
 
 
 class TestHierarchicalMode:
