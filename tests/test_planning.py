@@ -1,5 +1,6 @@
 """Share advisor and ps-log goal monitoring."""
 
+import io
 import math
 import random
 
@@ -14,6 +15,7 @@ from fairshare.planning import (
     DeviationReport,
     DeviationRow,
     DeviationWindow,
+    PsLog,
     SLOTarget,
     UsageSample,
     allocate_topdown,
@@ -225,6 +227,109 @@ class TestParsePsLog:
         assert [s.timestamp for s in log.samples] == [1000.0, 1000.0]
 
 
+def reference_parse_ps_log(stream) -> PsLog:
+    """The monitor's ps-log parser before the per-line work was made lean,
+    kept as an oracle for its accept and skip rules."""
+
+    def parse_cputime(text):
+        parts = text.split(":")
+        if len(parts) == 2:
+            minutes, seconds = parts
+            hours = "0"
+        elif len(parts) == 3:
+            hours, minutes, seconds = parts
+        else:
+            raise ValueError(text)
+        total = int(hours) * 3600.0 + int(minutes) * 60.0 + float(seconds)
+        if not math.isfinite(total):
+            raise ValueError(text)
+        return total
+
+    if isinstance(stream, str):
+        stream = stream.splitlines()
+    samples = []
+    skipped = 0
+    timestamp = None
+    for raw in stream:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split(None, 10)
+        if tokens[0] == "T" and len(tokens) == 2:
+            try:
+                timestamp = float(tokens[1])
+                if not math.isfinite(timestamp):
+                    raise ValueError(tokens[1])
+            except ValueError:
+                timestamp = None
+                skipped += 1
+            continue
+        if timestamp is None or len(tokens) < 10:
+            skipped += 1
+            continue
+        try:
+            samples.append(UsageSample(timestamp=timestamp, user=tokens[0], pid=int(tokens[1]),
+                                       cputime=parse_cputime(tokens[9])))
+        except ValueError:
+            skipped += 1
+    if not samples:
+        raise PsLogError("zero parseable samples in log")
+    return PsLog(samples=samples, skipped=skipped)
+
+
+PS_PADDING = ("", " ", "\t", "  \t ")
+# Odd values that parse come first; each pool is drawn from with the
+# well-formed values weighted up, so that most soups hold some samples.
+PS_HEADERS = ("0", "1000", "-5.5", "1e3") * 3 + (
+    "nan", "inf", "-inf", "10:00", "0x10", "1 2", "7 x")
+PS_PIDS = ("7", "4242", "+7", "-3", "1_000", "007", "٣") * 3 + ("x", "1.5")
+PS_TIMES = ("0:00", "2:05", "1:02:03", "12:34.50", "1:-5", "1_0:00", "٣:00", "1:2e1") * 2 + (
+    "1:02:03:04", ":5", "1:nan", "1:inf", "5", "xx", "n/a", "1::2")
+
+
+@st.composite
+def ps_log_texts(draw):
+    """Line soups for the ps-log parser: comments, blank and padded lines,
+    good and bad ``T`` headers, column headers, short lines and ps lines
+    with odd pids and TIME values."""
+    lines = ["T 0"] if draw(st.booleans()) else []
+    for kind in draw(st.lists(st.sampled_from(
+            ("blank", "comment", "header", "columns", "short", "ps", "ps", "ps")), max_size=25)):
+        if kind == "blank":
+            line = ""
+        elif kind == "comment":
+            line = draw(st.sampled_from(("# note", "#", "#T 5", "# a 1 0 0 1 1 ?? R 0:00 1:00")))
+        elif kind == "header":
+            line = "T " + draw(st.sampled_from(PS_HEADERS))
+        elif kind == "columns":
+            line = "USER PID %CPU %MEM SZ RSS TT S START TIME COMMAND"
+        elif kind == "short":
+            line = draw(st.sampled_from(("T", "a 1 2", "a 1 0 0 1 1 ?? R 0:00", "truncated line")))
+        else:
+            user = draw(st.sampled_from(("a", "b", "root", "ü")))
+            pid = draw(st.sampled_from(PS_PIDS))
+            cputime = draw(st.sampled_from(PS_TIMES))
+            command = draw(st.sampled_from(("", " cmd", " job -x 1", " a b c d")))
+            line = f"{user} {pid} 1.0 0.4 900 300 ?? R 9:00 {cputime}{command}"
+        lines.append(draw(st.sampled_from(PS_PADDING)) + line + draw(st.sampled_from(PS_PADDING)))
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+def parse_outcome(parse, stream):
+    try:
+        return parse(stream)
+    except PsLogError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ps_log_texts())
+def test_parse_matches_the_reference_parser(text):
+    expected = parse_outcome(reference_parse_ps_log, text)
+    assert parse_outcome(parse_ps_log, text) == expected
+    assert parse_outcome(parse_ps_log, io.StringIO(text)) == expected
+
+
 def equal_table(*names):
     total = len(names)
     h = ShareHierarchy(
@@ -419,13 +524,18 @@ EDGE_OFFSETS = (0.0, 0.0, 1e-9, -1e-9, 5e-10, -5e-10, 1.5e-9, -1.5e-9)
 def windowed_logs(draw):
     """(samples, window): a log whose timestamps sit on, near or between the
     monitor's window edges, with duplicate timestamps for one pid, reused
-    pids whose TIME falls, gaps longer than a window and a user in no table."""
+    pids whose TIME falls, gaps longer than a window and a user in no table.
+
+    Some logs end part way into a window, so their last samples fall past
+    the last edge, and some processes live inside one window, the first
+    window included."""
     window = draw(st.sampled_from((1.0, 0.1, 0.7, 2.5, 10 / 3, 60.0)))
     t0 = draw(st.sampled_from((0.0, 0.3, 1000.0, 1.7e9)))
     n_windows = draw(st.integers(1, 10))
     edges = [t0]
     for _ in range(n_windows + 1):
         edges.append(edges[-1] + window)  # the monitor's own accumulation
+    t_end = edges[n_windows] + draw(st.sampled_from((0.0, 0.0, 0.3, 0.99))) * window
     entries = draw(st.lists(st.tuples(
         st.sampled_from(("a", "b", "c", "zz")),
         st.integers(1, 3),
@@ -440,11 +550,19 @@ def windowed_logs(draw):
         if isinstance(when, tuple):
             ts = max(t0, edges[when[0]] + when[1])
         else:
-            ts = t0 + when * (edges[n_windows] - t0)
+            ts = t0 + when * (t_end - t0)
         timed.append((ts, user, pid, step))
+    short_lived = draw(st.lists(st.tuples(
+        st.sampled_from(("a", "b", "zz")),
+        st.one_of(st.just(0), st.integers(0, n_windows - 1)),
+        st.lists(st.tuples(st.floats(0.05, 0.95), st.integers(0, 40)), min_size=1, max_size=4),
+    ), max_size=3))
+    for n, (user, k, steps) in enumerate(short_lived):
+        for fraction, step in steps:
+            timed.append((edges[k] + fraction * window, user, 10 + n, step))
     timed.sort(key=lambda row: row[0])
     cumulative = {}
-    samples = [UsageSample(t0, "a", 1, 0.0), UsageSample(edges[n_windows], "b", 2, 0.0)]
+    samples = [UsageSample(t0, "a", 1, 0.0), UsageSample(t_end, "b", 2, 0.0)]
     for ts, user, pid, step in timed:
         now = cumulative.get((user, pid), 0.0)
         cumulative[user, pid] = now * 0.25 if step < 0 else now + step * 0.37
