@@ -109,7 +109,7 @@ def solve_ts(w: WorkloadSpec) -> PerfTable:
         raise PopulationGuardError(
             f"population space {size} exceeds {POPULATION_GUARD} vectors, the exact "
             "solver's budget of an 80 MB queue table and a few seconds; "
-            "use the simulator for this workload"
+            "use the simulator (`fairshare simulate`) for this workload"
         )
 
     # Per-class constants as (k, 1) columns.  Every per-level array is

@@ -15,10 +15,12 @@ against entitlements.  TIME deltas are used rather than the instantaneous
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError
 from .scenario import _build, _lines, _parse_kv, _reject_unknown_keys, _take
@@ -184,21 +186,6 @@ class PsLog(NamedTuple):
     skipped: int
 
 
-def _parse_cputime(text: str) -> float:
-    parts = text.split(":")
-    if len(parts) == 2:
-        minutes, seconds = parts
-        hours = "0"
-    elif len(parts) == 3:
-        hours, minutes, seconds = parts
-    else:
-        raise ValueError(text)
-    total = int(hours) * 3600.0 + int(minutes) * 60.0 + float(seconds)
-    if not math.isfinite(total):
-        raise ValueError(text)
-    return total
-
-
 def parse_ps_log(stream) -> PsLog:
     """Parse a timestamped BSD ps-aux log.
 
@@ -210,17 +197,22 @@ def parse_ps_log(stream) -> PsLog:
     if isinstance(stream, str):
         stream = stream.splitlines()
     samples: list[UsageSample] = []
+    append = samples.append
+    new_sample = tuple.__new__
+    isfinite = math.isfinite
+    # One string per user name and one int per pid token, shared by their samples.
+    names: dict[str, str] = {}
+    pid_of: dict[str, int] = {}
     skipped = 0
     timestamp = None
-    for raw in stream:
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line in stream:
+        tokens = line.split(None, 10)  # drops the whitespace strip() would
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split(None, 10)
         if tokens[0] == "T" and len(tokens) == 2:
             try:
                 timestamp = float(tokens[1])
-                if not math.isfinite(timestamp):
+                if not isfinite(timestamp):
                     raise ValueError(tokens[1])
             except ValueError:
                 timestamp = None  # the block's lines have no time: skip them too
@@ -230,16 +222,23 @@ def parse_ps_log(stream) -> PsLog:
             skipped += 1
             continue
         try:
-            samples.append(
-                UsageSample(
-                    timestamp=timestamp,
-                    user=tokens[0],
-                    pid=int(tokens[1]),
-                    cputime=_parse_cputime(tokens[9]),
-                )
-            )
-        except ValueError:
+            pid = pid_of.get(tokens[1])
+            if pid is None:
+                pid = pid_of[tokens[1]] = int(tokens[1])
+            parts = tokens[9].split(":")
+            if len(parts) == 2:  # mm:ss; a zero hours term would add 0.0, a no-op
+                cputime = int(parts[0]) * 60.0 + float(parts[1])
+            elif len(parts) == 3:
+                cputime = int(parts[0]) * 3600.0 + int(parts[1]) * 60.0 + float(parts[2])
+            else:
+                raise ValueError(tokens[9])
+            if not isfinite(cputime):
+                raise ValueError(tokens[9])
+        except (ValueError, OverflowError):  # OverflowError: TIME too large for a float
             skipped += 1
+            continue
+        user = names.setdefault(tokens[0], tokens[0])
+        append(new_sample(UsageSample, (timestamp, user, pid, cputime)))
     if not samples:
         raise PsLogError("zero parseable samples in log")
     return PsLog(samples=samples, skipped=skipped)
@@ -281,6 +280,14 @@ def goal_deviation(
     its pids.  Entitlements are renormalized over the users observed
     consuming CPU in the window; users missing from the entitlement table
     are pooled under ``unallocated`` with entitlement zero.
+
+    The samples are sorted once, as columns, into one run per process; a
+    pid whose cumulative TIME falls starts a new run.  A run's value at a
+    window edge is its last sample at or before the edge, or its first
+    sample if the edge comes before it, so a run changes only in the
+    windows that hold its samples, and only those windows read it.  The
+    cost is O(samples log samples + windows), whatever the number of
+    processes the log has held.
     """
     if not (math.isfinite(window) and window > 0):
         raise ValidationError(f"window must be finite and > 0, got {window!r}")
@@ -289,12 +296,18 @@ def goal_deviation(
     samples = list(samples)
     if not samples:
         raise PsLogError("no samples")
-    for sample in samples:
-        if not math.isfinite(sample.timestamp):
-            raise ValidationError(f"sample timestamps must be finite, got {sample.timestamp!r}")
-    samples.sort(key=itemgetter(0, 1, 2))
-    t_min = samples[0].timestamp
-    t_max = samples[-1].timestamp
+    times = np.fromiter(map(itemgetter(0), samples), dtype=float, count=len(samples))
+    finite = np.isfinite(times)
+    if not finite.all():
+        bad = samples[int(np.argmin(finite))].timestamp
+        raise ValidationError(f"sample timestamps must be finite, got {bad!r}")
+    # The first and last samples in (timestamp, user, pid) order, whose
+    # timestamps (zero's sign included) bound the windows.
+    first = min(np.flatnonzero(times == times.min()).tolist(), key=lambda i: samples[i][1:3])
+    last = max(reversed(np.flatnonzero(times == times.max()).tolist()),
+               key=lambda i: samples[i][1:3])
+    t_min = samples[first].timestamp
+    t_max = samples[last].timestamp
     if t_max - t_min < window:
         raise ValidationError(
             f"window {window}s exceeds the log span {t_max - t_min}s"
@@ -313,47 +326,68 @@ def goal_deviation(
             f"window {window:g}s is below the float spacing {math.ulp(farthest):g}s of "
             f"timestamps near {farthest:g}; use a larger --window"
         )
+    edges = [t_min]
+    while edges[-1] + window <= t_max + 1e-9:
+        edges.append(edges[-1] + window)
 
-    # One series of (timestamps, cumulative TIMEs) per process, in the order
-    # of the sorted samples, so each series' timestamps are non-decreasing.
-    by_pid: dict[tuple[str, int], list[tuple[list[float], list[float]]]] = {}
-    for timestamp, user, pid, cputime in samples:
-        runs = by_pid.setdefault((user, pid), [([], [])])
-        times, values = runs[-1]
-        if values and cputime < values[-1] - 1e-9:
-            times, values = [], []  # cumulative TIME went down: the pid was reused
-            runs.append((times, values))
-        times.append(timestamp)
-        values.append(cputime)
-    series = [run for runs in by_pid.values() for run in runs]
+    # Processes in the order of their first sample, then user, then pid;
+    # each process's samples in time order, ties in the order given.
+    index = defaultdict()
+    index.default_factory = index.__len__  # a new (user, pid) gets the next number
+    key_of = np.fromiter(map(index.__getitem__, map(itemgetter(1, 2), samples)),
+                         dtype=np.intp, count=len(samples))
+    keys = list(index)
+    del index
+    first_seen = np.full(len(keys), np.inf)
+    np.minimum.at(first_seen, key_of, times)
+    first_seen = first_seen.tolist()
+    ranked = sorted(range(len(keys)), key=lambda k: (first_seen[k], *keys[k]))
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[ranked] = np.arange(len(keys))
     labels = [user if user in e.entitlements else UNALLOCATED
-              for (user, _pid), runs in by_pid.items() for _run in runs]
-    cursors = [0] * len(series)
+              for user, _pid in (keys[k] for k in ranked)]
+    process = rank[key_of]
+    order = np.lexsort((times, process))
+    process = process[order]
+    times = times[order]
+    values = np.fromiter(map(itemgetter(3), samples), dtype=float, count=len(samples))[order]
+    del samples, key_of, order
 
-    def values_at(when: float) -> list[float]:
-        # Each series' last sample at or before `when`, or its first sample
-        # if `when` comes before it.  Edges only move forward, so each
-        # cursor resumes where the previous edge left it.
-        limit = when + 1e-9
-        out = []
-        for k, (times, values) in enumerate(series):
-            cursors[k] = i = bisect_right(times, limit, cursors[k])
-            out.append(values[max(i, 1) - 1])
-        return out
+    # A run starts at each process's first sample and wherever its
+    # cumulative TIME goes down (the pid was reused).  A sample is counted
+    # from the first edge at or after it (within 1e-9 s), so the samples of
+    # a run that share a first edge change the run's value in the window
+    # ending there: from the sample before them, or the run's first sample,
+    # to the last of them.
+    run_start = np.ones(len(times), dtype=bool)
+    run_start[1:] = (process[1:] != process[:-1]) | (values[1:] < values[:-1] - 1e-9)
+    first_edge = np.searchsorted(np.array(edges) + 1e-9, times, "left")
+    del times
+    group_start = run_start.copy()
+    group_start[1:] |= first_edge[1:] != first_edge[:-1]
+    lows = np.flatnonzero(group_start)
+    highs = np.append(lows[1:] - 1, len(values) - 1)
+    deltas = values[highs] - values[np.where(run_start[lows], lows, lows - 1)]
+    in_window = first_edge[lows] - 1
+    del values, run_start, group_start, first_edge
+    # Only the changes inside a window and above zero are added up; each
+    # window's changes in process order.
+    keep = (in_window >= 0) & (in_window < len(edges) - 1) & ~(deltas <= 0)
+    in_window = in_window[keep]
+    by_window = np.argsort(in_window, kind="stable")
+    event_process = process[lows[keep][by_window]]
+    event_delta = deltas[keep][by_window]
+    bounds = np.searchsorted(in_window[by_window], np.arange(len(edges))).tolist()
+    del process, lows, highs, deltas, in_window, keep, by_window
 
     known_active = set(e.active_users)
     windows: list[DeviationWindow] = []
     max_abs = 0.0
-    start = t_min
-    low = values_at(start)
-    while start + window <= t_max + 1e-9:
-        end = start + window
-        high = values_at(end)
+    for w in range(len(edges) - 1):
+        lo, hi = bounds[w], bounds[w + 1]
         busy: dict[str, float] = {}
-        for label, high_value, low_value in zip(labels, high, low):
-            delta = high_value - low_value
-            if delta <= 0:
-                continue
+        for k, delta in zip(event_process[lo:hi].tolist(), event_delta[lo:hi].tolist()):
+            label = labels[k]
             busy[label] = busy.get(label, 0.0) + delta
         total = sum(busy.values())
         rows: dict[str, DeviationRow] = {}
@@ -370,8 +404,7 @@ def goal_deviation(
                 flagged = abs(deviation) > threshold
                 max_abs = max(max_abs, abs(deviation))
                 rows[label] = DeviationRow(achieved, entitled, deviation, flagged)
-        windows.append(DeviationWindow(start=start, end=end, rows=rows))
-        start, low = end, high
+        windows.append(DeviationWindow(start=edges[w], end=edges[w + 1], rows=rows))
 
     return DeviationReport(
         windows=windows,

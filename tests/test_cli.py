@@ -338,6 +338,20 @@ def test_bad_input_exits_one(capsys, two_user_files, argv):
     assert "OK" not in out
 
 
+@pytest.mark.parametrize("argv", [("report", "big", "--solver", "simulate"),
+                                  ("compare", "big", "big")],
+                         ids=["report-simulate", "compare"])
+def test_population_guard_names_a_command_that_works(capsys, tmp_path, argv):
+    # Two classes of 4000 processes: about 1.6e7 population vectors.
+    path = tmp_path / "big.fsp"
+    path.write_text(TWO_USERS.format(think="1", demand="0.5", event="")
+                    .replace("procs=2", "procs=4000").replace("procs=1", "procs=4000"))
+    code, out, err = run_cli(capsys, *(str(path) if a == "big" else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert "use the simulator (`fairshare simulate`)" in err
+
+
 # A small valid grid per flag, and the values a numeric flag must reject.
 # The grid stays at or below 500 quanta per run: longer runs are valid, only
 # slow.

@@ -215,6 +215,13 @@ class TestParsePsLog:
         assert log.skipped == 1
         assert [s.timestamp for s in log.samples] == [1000.0, 1000.0, 1060.0, 1060.0]
 
+    @pytest.mark.parametrize("cputime", [f"{'9' * 400}:00", f"{'9' * 400}:00:00"],
+                             ids=["minutes", "hours"])
+    def test_time_too_large_for_a_float_is_malformed(self, cputime):
+        log = parse_ps_log(PS_LOG.replace("T 1060", f"alice 1 0.0 0.0 1 1 ?? R 0:00 {cputime} x\nT 1060"))
+        assert log.skipped == 1
+        assert len(log.samples) == 4
+
     def test_cpu_column_is_not_read(self):
         log = parse_ps_log(PS_LOG.replace("4242 55.0", "4242 n/a"))
         assert log.skipped == 0
