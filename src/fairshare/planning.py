@@ -337,13 +337,11 @@ def goal_deviation(
     key_of = np.fromiter(map(index.__getitem__, map(itemgetter(1, 2), samples)),
                          dtype=np.intp, count=len(samples))
     keys = list(index)
-    del index
     first_seen = np.full(len(keys), np.inf)
     np.minimum.at(first_seen, key_of, times)
     first_seen = first_seen.tolist()
     ranked = sorted(range(len(keys)), key=lambda k: (first_seen[k], *keys[k]))
-    rank = np.empty(len(keys), dtype=np.intp)
-    rank[ranked] = np.arange(len(keys))
+    rank = np.argsort(ranked)
     labels = [user if user in e.entitlements else UNALLOCATED
               for user, _pid in (keys[k] for k in ranked)]
     process = rank[key_of]
@@ -351,7 +349,7 @@ def goal_deviation(
     process = process[order]
     times = times[order]
     values = np.fromiter(map(itemgetter(3), samples), dtype=float, count=len(samples))[order]
-    del samples, key_of, order
+    del samples, index, key_of, order
 
     # A run starts at each process's first sample and wherever its
     # cumulative TIME goes down (the pid was reused).  A sample is counted
@@ -370,9 +368,11 @@ def goal_deviation(
     deltas = values[highs] - values[np.where(run_start[lows], lows, lows - 1)]
     in_window = first_edge[lows] - 1
     del values, run_start, group_start, first_edge
-    # Only the changes inside a window and above zero are added up; each
-    # window's changes in process order.
-    keep = (in_window >= 0) & (in_window < len(edges) - 1) & ~(deltas <= 0)
+    # Changes of zero or less add nothing and are dropped (a NaN is kept).
+    # The rest are added up window by window, in process order; changes
+    # before the first edge (window -1) or past the last fall outside
+    # `bounds`.
+    keep = ~(deltas <= 0)
     in_window = in_window[keep]
     by_window = np.argsort(in_window, kind="stable")
     event_process = process[lows[keep][by_window]]

@@ -535,7 +535,7 @@ def windowed_logs(draw):
 
     Some logs end part way into a window, so their last samples fall past
     the last edge, and some processes live inside one window, the first
-    window included."""
+    window included, and some TIMEs fall by less than the reuse tolerance."""
     window = draw(st.sampled_from((1.0, 0.1, 0.7, 2.5, 10 / 3, 60.0)))
     t0 = draw(st.sampled_from((0.0, 0.3, 1000.0, 1.7e9)))
     n_windows = draw(st.integers(1, 10))
@@ -550,7 +550,8 @@ def windowed_logs(draw):
             st.tuples(st.integers(0, n_windows), st.sampled_from(EDGE_OFFSETS)),
             st.floats(0.0, 1.0),
         ),
-        st.one_of(st.integers(0, 40), st.just(-1)),  # -1: a new process took the pid
+        # -1: a new process took the pid; -2: TIME fell by less than 1e-9 s
+        st.one_of(st.integers(0, 40), st.just(-1), st.just(-2)),
     ), min_size=1, max_size=40))
     timed = []
     for user, pid, when, step in entries:
@@ -572,7 +573,12 @@ def windowed_logs(draw):
     samples = [UsageSample(t0, "a", 1, 0.0), UsageSample(t_end, "b", 2, 0.0)]
     for ts, user, pid, step in timed:
         now = cumulative.get((user, pid), 0.0)
-        cumulative[user, pid] = now * 0.25 if step < 0 else now + step * 0.37
+        if step == -1:
+            cumulative[user, pid] = now * 0.25
+        elif step == -2:
+            cumulative[user, pid] = now - 5e-10
+        else:
+            cumulative[user, pid] = now + step * 0.37
         samples.append(UsageSample(ts, user, pid, cumulative[user, pid]))
     return draw(st.permutations(samples)), window
 
@@ -587,6 +593,19 @@ def test_sweep_matches_the_quadratic_windowing(log, threshold):
     expected = quadratic_deviation(samples, ORACLE_TABLE, window, threshold)
     assert report == expected
     assert render_deviation(report) == render_deviation(expected)
+
+
+@pytest.mark.parametrize("listed", [(3, 1, 2, 9), (9, 2, 1, 3)])
+def test_busy_time_adds_processes_in_order_of_first_sample(listed):
+    # Process 3's 1e16 s swallows a 1 s delta added after it but not the
+    # 2 s of processes 1 and 2 added first, so only the (first sample, user,
+    # pid) order of the sums gives a's busy time 1e16 + 2.
+    deltas = {1: 1.0, 2: 1.0, 3: 1e16, 9: 1e16}
+    samples = [UsageSample(t, "b" if pid == 9 else "a", pid, deltas[pid] * (t > 0))
+               for t in (0.0, 10.0) for pid in listed]
+    report = goal_deviation(samples, equal_table("a", "b"), window=10.0)
+    assert report == quadratic_deviation(samples, equal_table("a", "b"), 10.0, 0.05)
+    assert report.windows[0].rows["a"].achieved == (1e16 + 2) / (2e16 + 2)
 
 
 def _ps_time(centis: int) -> str:
