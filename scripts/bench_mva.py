@@ -12,7 +12,8 @@ checkout's ``src`` in a fresh interpreter:
 - ``planning.goal_deviation`` on that log at 300, 60 and 10 s windows;
 - ``sim.run_sim`` in every mode on ``report4`` for 300 s and on a
   synthetic crowd of 200 users with 2 processes each in 20 groups for 60 s
-  (``crowd`` in ``TIMER``: even users CPU bound, odd users thinking).
+  (``crowd`` in ``TIMER``: even users CPU bound, odd users thinking);
+- ``report.render_report`` on the reports of ``report1..5``.
 
 Each case is called once untimed (counted as a sample when it takes over a
 second) and then enough times to fill about 1 s, up to 2000 calls.  The
@@ -29,7 +30,7 @@ per_unit, work_counters, python, numpy, commit``; ``per_unit`` is µs per
 population vector for ``solve_ts``, per log line (samples and skipped lines)
 for ``parse_ps_log``, per window for ``goal_deviation``, and for ``run_sim``
 per quantum in the quantized modes and per simulated second in
-``ts-ps-reference``.
+``ts-ps-reference``, and per output line for ``render_report``.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ from importlib import metadata
 from pathlib import Path
 from fairshare.mva import ClassLoad, WorkloadSpec, solve_ts
 from fairshare.planning import goal_deviation, parse_ps_log
+from fairshare.report import render_report, run_scenario
 from fairshare.scenario import parse_scenario
 from fairshare.shares import GroupAlloc, ShareHierarchy, UserAlloc, compute_entitlements
 from fairshare.sim import SIM_MODES, SimConfig, run_sim
@@ -137,6 +139,13 @@ for name, (h, w), duration in (("crowd", crowd, 60.0),
              users=len(w.classes), procs=sum(c.procs for c in w.classes),
              cycles=sum(map(len, trace.cycles.values())), quanta=quanta,
              sim_seconds=duration)
+
+for name in json.loads(sys.argv[2]):
+    report = run_scenario(parse_scenario((root / "scenarios" / f"{name}.fsp").read_text(), name))
+    out, samples = timed(lambda: render_report(report))
+    lines = out.count("\n")
+    emit(f"render_report {name}", "report.render_report", samples, lines, lines=lines,
+         users=len(report.hierarchy.users()), groups=len(report.hierarchy.groups))
 
 text = sys.stdin.read()
 log, samples = timed(lambda: parse_ps_log(text))
@@ -250,7 +259,7 @@ def main(argv=None) -> int:
             records += e2e_records(label, tree, workload)
     Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
     units = {"mva.solve_ts": "state", "planning.parse_ps_log": "line",
-             "planning.goal_deviation": "window"}
+             "planning.goal_deviation": "window", "report.render_report": "line"}
     for r in records:
         per = units.get(r["layer"]) or ("sim s" if "ts-ps-reference" in r["case"] else "quantum")
         unit = "" if r["per_unit"] is None else f"  {r['per_unit']:.3f} us/{per}"

@@ -34,11 +34,12 @@ _QUOTA_EPS = 1e-9
 
 UNALLOCATED = "unallocated"
 
-# Most windows one monitor run may ask for.  Computing a window costs about
-# 20 us with 20 processes in the log and 60 us with 92 (every process the
-# log holds counts, exited ones too); rendering it costs about 2 us (2-CPU
-# x86-64 host).  So the budget is about 2 s with 20 processes and 6 s with
-# 92; a week of 10 s windows is 60,480.
+# Most windows one monitor run may ask for.  A window that holds no samples
+# costs about 3 us to compute and 1 us to render; one that does costs about
+# 2 us more to compute and 1.5 us more to render per user row.  Sorting the
+# samples costs about 0.5 us each, once, however many processes they hold
+# (2-CPU x86-64 host).  So the budget is about 0.4 s of idle windows; a
+# week of 10 s windows is 60,480.
 MAX_WINDOWS = 100_000
 
 
