@@ -145,7 +145,7 @@ for name in json.loads(sys.argv[2]):
     out, samples = timed(lambda: render_report(report))
     lines = out.count("\n")
     emit(f"render_report {name}", "report.render_report", samples, lines, lines=lines,
-         users=len(report.hierarchy.users()), groups=len(report.hierarchy.groups))
+         users=len(report.hierarchy.user_names()), groups=len(report.hierarchy.groups))
 
 text = sys.stdin.read()
 log, samples = timed(lambda: parse_ps_log(text))
