@@ -298,10 +298,12 @@ def goal_deviation(
     if not samples:
         raise PsLogError("no samples")
     times = np.fromiter(map(itemgetter(0), samples), dtype=float, count=len(samples))
-    finite = np.isfinite(times)
-    if not finite.all():
-        bad = samples[int(np.argmin(finite))].timestamp
-        raise ValidationError(f"sample timestamps must be finite, got {bad!r}")
+    values = np.fromiter(map(itemgetter(3), samples), dtype=float, count=len(samples))
+    for column, field in ((times, "timestamp"), (values, "cputime")):
+        finite = np.isfinite(column)
+        if not finite.all():
+            bad = getattr(samples[int(np.argmin(finite))], field)
+            raise ValidationError(f"sample {field}s must be finite, got {bad!r}")
     # The first and last samples in (timestamp, user, pid) order, whose
     # timestamps (zero's sign included) bound the windows.
     first = min(np.flatnonzero(times == times.min()).tolist(), key=lambda i: samples[i][1:3])
@@ -349,7 +351,7 @@ def goal_deviation(
     order = np.lexsort((times, process))
     process = process[order]
     times = times[order]
-    values = np.fromiter(map(itemgetter(3), samples), dtype=float, count=len(samples))[order]
+    values = values[order]
     del samples, index, key_of, order
 
     # A run starts at each process's first sample and wherever its
@@ -366,7 +368,8 @@ def goal_deviation(
     group_start[1:] |= first_edge[1:] != first_edge[:-1]
     lows = np.flatnonzero(group_start)
     highs = np.append(lows[1:] - 1, len(values) - 1)
-    deltas = values[highs] - values[np.where(run_start[lows], lows, lows - 1)]
+    with np.errstate(over="ignore"):  # a change past the float range is inf, as in Python
+        deltas = values[highs] - values[np.where(run_start[lows], lows, lows - 1)]
     in_window = first_edge[lows] - 1
     del values, run_start, group_start, first_edge
     # Changes of zero or less add nothing and are dropped (a NaN is kept).

@@ -414,6 +414,22 @@ class TestGoalDeviation:
         with pytest.raises(ValidationError, match="timestamps must be finite"):
             goal_deviation(samples, equal_table("a"), window=10.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cputime_rejected(self, bad):
+        # The parser never gives one; from the library it would make every
+        # later window's change NaN.
+        samples = [UsageSample(0.0, "a", 1, bad), UsageSample(60.0, "a", 1, 60.0)]
+        with pytest.raises(ValidationError, match="cputimes must be finite"):
+            goal_deviation(samples, equal_table("a"), window=10.0)
+
+    def test_change_past_the_float_range_warns_nothing(self, recwarn):
+        # -1e308 to 1e308 overflows to inf; numpy must not print a warning
+        # that the float arithmetic of the same sum would not.
+        samples = [UsageSample(0.0, "a", 1, -1e308), UsageSample(60.0, "a", 1, 1e308),
+                   UsageSample(0.0, "b", 2, 0.0), UsageSample(60.0, "b", 2, 30.0)]
+        goal_deviation(samples, equal_table("a", "b"), window=60.0)
+        assert not recwarn.list
+
     def test_scale_invariance(self):
         table = equal_table("a", "b")
         rows = [(0, "a", 1, 0), (0, "b", 2, 0), (100, "a", 1, 30), (100, "b", 2, 20)]
@@ -606,6 +622,18 @@ def test_busy_time_adds_processes_in_order_of_first_sample(listed):
     report = goal_deviation(samples, equal_table("a", "b"), window=10.0)
     assert report == quadratic_deviation(samples, equal_table("a", "b"), 10.0, 0.05)
     assert report.windows[0].rows["a"].achieved == (1e16 + 2) / (2e16 + 2)
+
+
+@pytest.mark.parametrize("listed", [("b", "a"), ("a", "b")])
+def test_first_edge_is_the_timestamp_first_in_sort_order(listed):
+    # -0.0 == 0.0, so the (timestamp, user, pid) order puts a's 0.0 first
+    # whichever sample is given first, and the first window starts at 0.0.
+    at_zero = {"a": UsageSample(0.0, "a", 1, 0.0), "b": UsageSample(-0.0, "b", 2, 0.0)}
+    samples = [at_zero[user] for user in listed] + [UsageSample(10.0, "a", 1, 5.0)]
+    report = goal_deviation(samples, equal_table("a", "b"), window=10.0)
+    assert report == quadratic_deviation(samples, equal_table("a", "b"), 10.0, 0.05)
+    assert math.copysign(1.0, report.windows[0].start) == 1.0
+    assert render_deviation(report).splitlines()[3].split()[0] == "0.0-10.0"
 
 
 def _ps_time(centis: int) -> str:
