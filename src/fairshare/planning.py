@@ -199,7 +199,7 @@ def parse_ps_log(stream) -> PsLog:
         stream = stream.splitlines()
     samples: list[UsageSample] = []
     append = samples.append
-    new_sample = tuple.__new__
+    new_sample = tuple.__new__  # positional, skipping the NamedTuple's keyword __new__
     isfinite = math.isfinite
     # One string per user name and one int per pid token, shared by their samples.
     names: dict[str, str] = {}
@@ -207,7 +207,7 @@ def parse_ps_log(stream) -> PsLog:
     skipped = 0
     timestamp = None
     for line in stream:
-        tokens = line.split(None, 10)  # drops the whitespace strip() would
+        tokens = line.split(None, 10)  # split() drops the same whitespace strip() does
         if not tokens or tokens[0][0] == "#":
             continue
         if tokens[0] == "T" and len(tokens) == 2:
@@ -372,11 +372,10 @@ def goal_deviation(
         deltas = values[highs] - values[np.where(run_start[lows], lows, lows - 1)]
     in_window = first_edge[lows] - 1
     del values, run_start, group_start, first_edge
-    # Changes of zero or less add nothing and are dropped (a NaN is kept).
-    # The rest are added up window by window, in process order; changes
-    # before the first edge (window -1) or past the last fall outside
-    # `bounds`.
-    keep = ~(deltas <= 0)
+    # Changes of zero or less add nothing and are dropped.  The rest are
+    # added up window by window, in process order; changes before the first
+    # edge (window -1) or past the last fall outside `bounds`.
+    keep = deltas > 0
     in_window = in_window[keep]
     by_window = np.argsort(in_window, kind="stable")
     event_process = process[lows[keep][by_window]]

@@ -284,7 +284,7 @@ def reference_parse_ps_log(stream) -> PsLog:
     return PsLog(samples=samples, skipped=skipped)
 
 
-PS_PADDING = ("", " ", "\t", "  \t ")
+PS_PADDING = ("", " ", "\t", "  \t ", "\xa0", "\u3000")  # the last two are non-ASCII spaces
 # Odd values that parse come first; each pool is drawn from with the
 # well-formed values weighted up, so that most soups hold some samples.
 PS_HEADERS = ("0", "1000", "-5.5", "1e3") * 3 + (
@@ -550,8 +550,8 @@ def windowed_logs(draw):
     pids whose TIME falls, gaps longer than a window and a user in no table.
 
     Some logs end part way into a window, so their last samples fall past
-    the last edge, and some processes live inside one window, the first
-    window included, and some TIMEs fall by less than the reuse tolerance."""
+    the last edge; some processes live inside one window, the first window
+    included; and some TIMEs fall by less than the reuse tolerance."""
     window = draw(st.sampled_from((1.0, 0.1, 0.7, 2.5, 10 / 3, 60.0)))
     t0 = draw(st.sampled_from((0.0, 0.3, 1000.0, 1.7e9)))
     n_windows = draw(st.integers(1, 10))
