@@ -9,10 +9,12 @@ from fairshare.shares import (
     GroupAlloc,
     ShareHierarchy,
     UserAlloc,
+    apply_events,
     compute_entitlements,
     least_upper_bounds,
     set_active,
 )
+from fairshare.sim import TimelineEvent
 
 
 def standard_hierarchy(fin=True, web=True, ops_a=True, ops_b=True, ops_c=True):
@@ -270,3 +272,42 @@ def test_guaranteed_minimum_never_exceeds_actual(h):
     actual = compute_entitlements(h)
     for user in actual.active_users:
         assert bounds.entitlements[user] <= actual.entitlements[user] + 1e-12
+
+
+def reference_apply_events(h, events):
+    """Fold the events one at a time, rebuilding the hierarchy for each."""
+    for event in events:
+        if event.user not in h.user_names():
+            raise UnknownUserError(f"unknown user {event.user!r}")
+        h = ShareHierarchy(h.total_allocated_shares, tuple(
+            GroupAlloc(g.name, g.shares, tuple(
+                UserAlloc(u.name, u.shares, event.action == "activate") if u.name == event.user
+                else u
+                for u in g.users))
+            for g in h.groups))
+    return h
+
+
+@st.composite
+def hierarchies_and_events(draw):
+    """A hierarchy and events naming its users, repeats included, and unknown names."""
+    h = draw(hierarchies())
+    names = st.sampled_from(h.user_names() + ("nobody", "g0"))
+    events = draw(st.lists(
+        st.builds(TimelineEvent, st.just(0.0), st.sampled_from(["activate", "deactivate"]), names),
+        max_size=12))
+    return h, events
+
+
+@settings(max_examples=200, deadline=None)
+@given(hierarchies_and_events())
+def test_apply_events_matches_the_sequential_fold(case):
+    h, events = case
+    try:
+        want = reference_apply_events(h, events)
+    except UnknownUserError as err:
+        with pytest.raises(UnknownUserError) as got:
+            apply_events(h, events)
+        assert str(got.value) == str(err)
+    else:
+        assert apply_events(h, events) == want

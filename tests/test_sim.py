@@ -24,6 +24,7 @@ from fairshare.sim import (
     export_trace,
     run_sim,
     trace_perf,
+    validate_timeline,
 )
 
 
@@ -370,6 +371,18 @@ class TestTimelineHandling:
         steady = run_sim(h, cpu_bound("a", "b", "c"), (), config)
         for got, want in zip(churned.fractions, steady.fractions, strict=True):
             assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("events, error", [
+        (((50.0, "nobody"), (10.0, "b")), "unknown user 'nobody'"),
+        (((50.0, "b"), (10.0, "nobody")), "non-decreasing"),
+        (((50.0, "nobody"), (10.0, "ghost")), "unknown user 'nobody'"),
+    ], ids=["unknown-first", "out-of-order-unknown", "both-unknown"])
+    def test_timeline_errors_come_in_event_order(self, events, error):
+        # Within one event the time order is checked before the user.
+        h = pool(("a", 50, True), ("b", 50, True))
+        timeline = [TimelineEvent(t, "activate", user) for t, user in events]
+        with pytest.raises(ValidationError, match=error):
+            validate_timeline(timeline, h)
 
     def test_unknown_event_user_rejected(self):
         h = pool(("a", 50, True), ("b", 50, True))
