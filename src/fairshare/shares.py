@@ -163,34 +163,42 @@ def least_upper_bounds(h: ShareHierarchy) -> EntitlementTable:
     Equals each user's shares over the total allocation; actual entitlements
     can only meet or exceed these bounds as other users go offline.
     """
-    everyone = replace(
-        h,
-        groups=tuple(
-            replace(g, users=tuple(replace(u, active=True) for u in g.users)) for g in h.groups
-        ),
-    )
-    return compute_entitlements(everyone, FLAT_POOL)
+    return compute_entitlements(_with_active(h, dict.fromkeys(h.user_names(), True)), FLAT_POOL)
 
 
 def set_active(h: ShareHierarchy, user: str, active: bool) -> ShareHierarchy:
-    """Return a copy of the hierarchy with one user's active flag changed."""
-    h.find_user(user)
-    return replace(
-        h,
-        groups=tuple(
-            replace(
-                g,
-                users=tuple(
-                    replace(u, active=active) if u.name == user else u for u in g.users
-                ),
-            )
-            for g in h.groups
-        ),
-    )
+    """Return a copy of the hierarchy with one user's active flag changed.
+
+    Costs O(users), as ``apply_events`` with one event: one rebuild and one
+    validation of the hierarchy.
+    """
+    return _with_active(h, {user: active})
 
 
 def apply_events(h: ShareHierarchy, events) -> ShareHierarchy:
-    """Fold a sequence of (de)activation events into a new hierarchy."""
-    for event in events:
-        h = set_active(h, event.user, event.action == "activate")
-    return h
+    """Fold a sequence of (de)activation events into a new hierarchy.
+
+    The last event for a user sets its flag.  Costs O(users + events): one
+    pass over the events, then one rebuild and one validation of the
+    hierarchy, whatever the number of events.
+    """
+    flags = {event.user: event.action == "activate" for event in events}
+    return _with_active(h, flags) if flags else h
+
+
+def _with_active(h: ShareHierarchy, flags: dict[str, bool]) -> ShareHierarchy:
+    """The hierarchy with each user in ``flags`` given its flag.
+
+    Raises UnknownUserError for the first name, in ``flags`` order, that is
+    not a user.  Only the groups holding a named user are rebuilt.
+    """
+    names = set(h.user_names())
+    for user in flags:
+        if user not in names:
+            raise UnknownUserError(f"unknown user {user!r}")
+    return replace(h, groups=tuple(
+        replace(g, users=tuple(
+            replace(u, active=flags[u.name]) if u.name in flags else u for u in g.users))
+        if any(u.name in flags for u in g.users) else g
+        for g in h.groups
+    ))

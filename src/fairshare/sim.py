@@ -50,7 +50,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import UnknownUserError, ValidationError
 from .mva import PerfRow, PerfTable, WorkloadSpec
 from .shares import EntitlementTable, ShareHierarchy
 
@@ -109,13 +109,19 @@ class TimelineEvent:
 
 
 def validate_timeline(events, h: ShareHierarchy) -> None:
-    """Check what no single event can: times in order, users in the hierarchy."""
+    """Check what no single event can: times in order, users in the hierarchy.
+
+    Errors come in event order, and within an event the time first.  Costs
+    O(users + events).
+    """
+    names = set(h.user_names())
     last = 0.0
     for ev in events:
         if ev.time < last:
             raise ValidationError("timeline event times must be non-decreasing")
         last = ev.time
-        h.find_user(ev.user)
+        if ev.user not in names:
+            raise UnknownUserError(f"unknown user {ev.user!r}")
 
 
 @dataclass

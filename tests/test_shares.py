@@ -311,3 +311,18 @@ def test_apply_events_matches_the_sequential_fold(case):
         assert str(got.value) == str(err)
     else:
         assert apply_events(h, events) == want
+
+
+def test_apply_events_validates_the_hierarchy_once(monkeypatch):
+    h = ShareHierarchy(200, tuple(
+        GroupAlloc(f"G{g}", 20, tuple(UserAlloc(f"u{g}{i}", 2) for i in range(10)))
+        for g in range(10)))
+    events = [TimelineEvent(float(k), ("activate", "deactivate")[k % 2], f"u{k % 7}{k % 9}")
+              for k in range(30)]
+    want = reference_apply_events(h, events)
+    validations = []
+    post_init = ShareHierarchy.__post_init__
+    monkeypatch.setattr(ShareHierarchy, "__post_init__",
+                        lambda self: validations.append(post_init(self)))
+    assert apply_events(h, events) == want
+    assert len(validations) <= 1
