@@ -220,8 +220,8 @@ class _Core:
         self.user_names = list(self.loads)
         self.active = {u.name: u.active for u in h.users()}
         self.procs = {u: [_Proc(u, i) for i in range(c.procs)] for u, c in self.loads.items()}
-        self.run_queue: list[_Proc] = []
-        self.queues = {u: self.run_queue if shared_queue else [] for u in self.user_names}
+        self.run_queue: deque[_Proc] = deque()
+        self.queues = {u: self.run_queue if shared_queue else deque() for u in self.user_names}
         self.parked: list[tuple[float, int, _Proc]] = []  # heap on (wake key, seq)
         self.seq = 0
         # validate_timeline guarantees non-decreasing times, hence keys.
@@ -283,7 +283,9 @@ class _Core:
             self.active[user] = False
             queue = self.queues.get(user)
             if queue:
-                queue[:] = [p for p in queue if p.user != user]
+                kept = [p for p in queue if p.user != user]
+                queue.clear()
+                queue.extend(kept)
             self.parked[:] = [e for e in self.parked if e[2].user != user]
             heapq.heapify(self.parked)
         self.applied.append(ev)
@@ -434,10 +436,10 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
         sub = tick_time
         while time_left > _TIME_EPS:
             if round_robin:
-                proc = run_queue.pop(0) if run_queue else None
+                proc = run_queue.popleft() if run_queue else None
             else:
                 user = pick_user()
-                proc = queues[user].pop(0) if user else None
+                proc = queues[user].popleft() if user else None
             if proc is None:
                 break
             run = proc.remaining if proc.remaining < time_left else time_left
@@ -516,7 +518,9 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
 
         finished = [p for p in ready if p.remaining <= 1e-9]
         if finished:
-            ready[:] = [p for p in ready if p.remaining > 1e-9]
+            kept = [p for p in ready if p.remaining > 1e-9]
+            ready.clear()
+            ready.extend(kept)
             for p in finished:
                 core.finish_cycle(p, now, now)
 
