@@ -393,6 +393,11 @@ def goal_deviation(
             label = labels[k]
             busy[label] = busy.get(label, 0.0) + delta
         total = sum(busy.values())
+        if not math.isfinite(total):  # every change is above zero, so only overflow
+            raise ValidationError(
+                f"window {edges[w]:.1f}-{edges[w + 1]:.1f}s: busy time {total} is past the "
+                f"float range; check the log's TIME column"
+            )
         rows: dict[str, DeviationRow] = {}
         if total > 0:
             observed_known = [u for u in busy if u != UNALLOCATED and u in known_active]

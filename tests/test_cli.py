@@ -59,6 +59,11 @@ def two_user_files(tmp_path):
         # Timestamps 64 s apart near 1e17, where floats are 16 s apart.
         "log_coarse_clock": b"T 100000000000000000\nalice 1 1.0 0 0 0 ? S 10:00 0:01 x\n"
                             b"T 100000000000000064\nalice 1 1.0 0 0 0 ? S 10:00 0:02 x\n",
+        # TIME from -1e308 to 1e308 s: a change past the float range.
+        "log_float_range": b"T 0\nalice 1 1.0 0 0 0 ? S 10:00 0:-1e308 x\n"
+                           b"bob 2 1.0 0 0 0 ? S 10:00 0:00 x\n"
+                           b"T 60\nalice 1 1.0 0 0 0 ? S 10:00 0:1e308 x\n"
+                           b"bob 2 1.0 0 0 0 ? S 10:00 0:30 x\n",
     }.items():
         path = tmp_path / role
         path.write_bytes(data)
@@ -327,6 +332,7 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("monitor", "log_not_utf8", "good"),
         ("monitor", "log_far_header", "good", "--window", "60"),
         ("monitor", "log_coarse_clock", "good", "--window", "1"),
+        ("monitor", "log_float_range", "good", "--window", "60"),
     ],
     ids=lambda argv: "-".join(argv[:4]),
 )

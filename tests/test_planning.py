@@ -423,11 +423,12 @@ class TestGoalDeviation:
             goal_deviation(samples, equal_table("a"), window=10.0)
 
     def test_change_past_the_float_range_warns_nothing(self, recwarn):
-        # -1e308 to 1e308 overflows to inf; numpy must not print a warning
-        # that the float arithmetic of the same sum would not.
+        # -1e308 to 1e308 overflows to inf, which would make the window's
+        # fractions NaN; numpy must not print a warning on the way.
         samples = [UsageSample(0.0, "a", 1, -1e308), UsageSample(60.0, "a", 1, 1e308),
                    UsageSample(0.0, "b", 2, 0.0), UsageSample(60.0, "b", 2, 30.0)]
-        goal_deviation(samples, equal_table("a", "b"), window=60.0)
+        with pytest.raises(ValidationError, match="window 0.0-60.0s: busy time inf"):
+            goal_deviation(samples, equal_table("a", "b"), window=60.0)
         assert not recwarn.list
 
     def test_scale_invariance(self):
