@@ -13,6 +13,8 @@ checkout's ``src`` in a fresh interpreter:
 - ``sim.run_sim`` in every mode on ``report4`` for 300 s and on a
   synthetic crowd of 200 users with 2 processes each in 20 groups for 60 s
   (``crowd`` in ``TIMER``: even users CPU bound, odd users thinking);
+- ``shares.apply_events`` and ``sim.validate_timeline`` on that crowd with
+  30 activity events and on 2000 users in 200 groups with 1000 events;
 - ``report.render_report`` on the reports of ``report1..5``.
 
 Each case is called once untimed (counted as a sample when it takes over a
@@ -30,7 +32,8 @@ per_unit, work_counters, python, numpy, commit``; ``per_unit`` is µs per
 population vector for ``solve_ts``, per log line (samples and skipped lines)
 for ``parse_ps_log``, per window for ``goal_deviation``, and for ``run_sim``
 per quantum in the quantized modes and per simulated second in
-``ts-ps-reference``, and per output line for ``render_report``.
+``ts-ps-reference``, per output line for ``render_report``, and per user
+plus event for ``apply_events`` and ``validate_timeline``.
 """
 
 from __future__ import annotations
@@ -82,15 +85,16 @@ def day_log() -> str:
 # Runs in the checkout's interpreter, with ``day_log()`` on stdin; prints
 # one JSON object per case.
 TIMER = r"""
-import json, math, sys, time
+import json, math, random, sys, time
 from importlib import metadata
 from pathlib import Path
 from fairshare.mva import ClassLoad, WorkloadSpec, solve_ts
 from fairshare.planning import goal_deviation, parse_ps_log
 from fairshare.report import render_report, run_scenario
 from fairshare.scenario import parse_scenario
-from fairshare.shares import GroupAlloc, ShareHierarchy, UserAlloc, compute_entitlements
-from fairshare.sim import SIM_MODES, SimConfig, run_sim
+from fairshare.shares import (GroupAlloc, ShareHierarchy, UserAlloc, apply_events,
+                              compute_entitlements)
+from fairshare.sim import SIM_MODES, SimConfig, TimelineEvent, run_sim, validate_timeline
 
 def timed(call):
     t = time.perf_counter(); result = call(); first = time.perf_counter() - t
@@ -139,6 +143,23 @@ for name, (h, w), duration in (("crowd", crowd, 60.0),
              users=len(w.classes), procs=sum(c.procs for c in w.classes),
              cycles=sum(map(len, trace.cycles.values())), quanta=quanta,
              sim_seconds=duration)
+
+# Activity events at sorted times, each naming a random user and action.
+many = [UserAlloc(f"v{i:04d}", 1 + i % 7, True) for i in range(2000)]
+many = ShareHierarchy(sum(u.shares for u in many), tuple(
+    GroupAlloc(f"H{g:03d}", sum(u.shares for u in many[10 * g:10 * g + 10]),
+               tuple(many[10 * g:10 * g + 10]))
+    for g in range(200)))
+for name, h, n_events in (("crowd", crowd[0], 30), ("2000x1000", many, 1000)):
+    rng = random.Random(12)
+    names = h.user_names()
+    events = [TimelineEvent(t, rng.choice(("activate", "deactivate")), rng.choice(names))
+              for t in sorted(rng.uniform(0.0, 60.0) for _ in range(n_events))]
+    for layer, call in (("shares.apply_events", lambda: apply_events(h, events)),
+                        ("sim.validate_timeline", lambda: validate_timeline(events, h))):
+        _, samples = timed(call)
+        emit(f"{layer.partition('.')[2]} {name}", layer, samples, len(names) + n_events,
+             users=len(names), events=n_events)
 
 for name in json.loads(sys.argv[2]):
     report = run_scenario(parse_scenario((root / "scenarios" / f"{name}.fsp").read_text(), name))
@@ -259,7 +280,8 @@ def main(argv=None) -> int:
             records += e2e_records(label, tree, workload)
     Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
     units = {"mva.solve_ts": "state", "planning.parse_ps_log": "line",
-             "planning.goal_deviation": "window", "report.render_report": "line"}
+             "planning.goal_deviation": "window", "report.render_report": "line",
+             "shares.apply_events": "user+event", "sim.validate_timeline": "user+event"}
     for r in records:
         per = units.get(r["layer"]) or ("sim s" if "ts-ps-reference" in r["case"] else "quantum")
         unit = "" if r["per_unit"] is None else f"  {r['per_unit']:.3f} us/{per}"
