@@ -1,6 +1,7 @@
 """Scenario grammar: parsing, diagnostics, and round-tripping."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fairshare.errors import ScenarioParseError, ValidationError
 from fairshare.mva import ClassLoad, WorkloadSpec
+from fairshare.planning import parse_slo_file
 from fairshare.scenario import parse_scenario, render_scenario
 from fairshare.sim import TimelineEvent
 
@@ -204,3 +206,154 @@ class TestRoundTrip:
         scenario = dataclasses.replace(base, workload=WorkloadSpec(base.workload.classes[:4]))
         with pytest.raises(ValidationError, match="user 'opsC' not in workload"):
             render_scenario(scenario)
+
+
+# Seeded one-line mutations of the shipped scenario and SLO files.  The
+# diagnostic each one raises, message, line and column, is pinned in
+# golden/parse_errors.txt, one ``file:line kind mutated-line -> error`` line
+# per case; write parse_error_lines() to that file to pin new cases.
+MUTATED_FILES = ("report1.fsp", "report2.fsp", "report3.fsp", "report4.fsp", "report5.fsp",
+                 "example-2-2.fsp", "slo-example.txt")
+BAD_VALUES = {
+    **dict.fromkeys(("shares", "procs"), ("x", "1.5", "6e1", "0x10", "")),
+    **dict.fromkeys(("think", "demand", "t", "umax", "rslo"), ("fast", "1,5", "0.5s", "--1")),
+    "active": ("maybe", "Yes", "1", "true"),
+}
+
+
+def _kv_slots(tokens):
+    """Indices of the ``key=value`` tokens of a line, or () for lines without them."""
+    first = {"event": 1, "group": 2, "user": 2, "target": 2}.get(tokens[0])
+    return range(first, len(tokens)) if first else ()
+
+
+def _insert_after(rng, tokens, i, token):
+    j = rng.randint(i + 1, len(tokens))
+    return tokens[:j] + [token] + tokens[j:]
+
+
+def _bad_value(rng, tokens):
+    if tokens[0] == "total_shares":
+        return [tokens[0], rng.choice(("x", "1.5", "100.0", "ten"))]
+    slots = [i for i in _kv_slots(tokens) if tokens[i].partition("=")[0] in BAD_VALUES]
+    if slots:
+        i = rng.choice(slots)
+        key = tokens[i].partition("=")[0]
+        return tokens[:i] + [f"{key}={rng.choice(BAD_VALUES[key])}"] + tokens[i + 1:]
+
+
+def _duplicate_key(rng, tokens):
+    slots = list(_kv_slots(tokens))
+    if slots:
+        i = rng.choice(slots)
+        return _insert_after(rng, tokens, i, tokens[i].partition("=")[0] + "=7")
+
+
+def _unknown_key(rng, tokens):
+    slots = list(_kv_slots(tokens))
+    if slots:
+        return _insert_after(rng, tokens, slots[0] - 1,
+                             rng.choice(("color=red", "prio=3", "Shares=1", "umax2=0.1")))
+
+
+def _no_equals(rng, tokens):
+    slots = list(_kv_slots(tokens))
+    if slots:
+        return _insert_after(rng, tokens, slots[0] - 1,
+                             rng.choice(("oops", "shares", "=1", "procs=", "=")))
+
+
+def _key_as_name(rng, tokens):
+    if tokens[0] in ("group", "user", "target"):
+        return [tokens[0], rng.choice(("shares=5", "name=x", "umax=0.2"))] + tokens[2:]
+
+
+def _unknown_group(rng, tokens):
+    if tokens[0] == "user":
+        # Names that also occur earlier in the line, inside the user name.
+        name = rng.choice((tokens[1][1:], tokens[1][:2], tokens[1][-2:], "NOPE"))
+        return [f"group={name}" if t.startswith("group=") else t for t in tokens]
+
+
+def _repeated_token(rng, tokens):
+    slots = list(_kv_slots(tokens))
+    if slots:
+        i = rng.choice(slots)
+        return _insert_after(rng, tokens, i, tokens[i])
+
+
+def _key_in_earlier_token(rng, tokens):
+    slots = list(_kv_slots(tokens))
+    if slots:
+        i = rng.randint(1, len(tokens) - 1)
+        token = tokens[i]
+        k = rng.randint(1, len(token) - 1)
+        return _insert_after(rng, tokens, i, rng.choice((token[k:], token[:k])))
+
+
+def _inner_token_then_repeat(rng, tokens):
+    # A key=value token that also occurs inside an earlier one, then a repeat
+    # of a later token: the repeat's column is found only by searching on
+    # from where the inner token really is.
+    slots = list(_kv_slots(tokens))
+    if len(slots) > 1:
+        i = rng.choice(slots[:-1])
+        inner = tokens[i][rng.randint(0, tokens[i].index("=") - 1):]
+        return tokens + [inner, tokens[rng.choice(slots[slots.index(i) + 1:])]]
+
+
+MUTATIONS = {
+    "bad-value": _bad_value,
+    "duplicate-key": _duplicate_key,
+    "unknown-key": _unknown_key,
+    "no-equals": _no_equals,
+    "key-as-name": _key_as_name,
+    "unknown-group": _unknown_group,
+    "repeated-token": _repeated_token,
+    "key-in-earlier-token": _key_in_earlier_token,
+    "inner-token-then-repeat": _inner_token_then_repeat,
+}
+PADDING = {
+    "spaces": (" ",),
+    "tabs": ("\t", " \t", "\t\t"),
+    "nbsp": ("\xa0", " \xa0", "\xa0\xa0"),
+    "mixed": (" ", "  ", "\t", "\xa0", " \t\xa0"),
+}
+COMMENTS = ("", "", " # note", "\t# shares=1 oops", "# x", " #")
+
+
+def parse_error_lines(scenario_dir, cases=270, seed=13):
+    sources = {name: (scenario_dir / name).read_text().splitlines() for name in MUTATED_FILES}
+    rng = random.Random(seed)
+    out = []
+    for n in range(cases):
+        kind = list(MUTATIONS)[n % len(MUTATIONS)]
+        tokens = None
+        while tokens is None:
+            name = rng.choice(MUTATED_FILES)
+            lines = sources[name]
+            index = rng.choice([i for i, line in enumerate(lines)
+                                if line.strip() and not line.startswith("#")])
+            tokens = MUTATIONS[kind](rng, lines[index].split())
+        padding = rng.choice(list(PADDING))
+        seps = PADDING[padding]
+        line = rng.choice(("", *seps)) + tokens[0]
+        for token in tokens[1:]:
+            line += rng.choice(seps) + token
+        line += rng.choice(COMMENTS)
+        text = "\n".join(lines[:index] + [line] + lines[index + 1:]) + "\n"
+        try:
+            if name.endswith(".fsp"):
+                parse_scenario(text, label=name)
+            else:
+                parse_slo_file(text)
+            result = "parsed"
+        except ScenarioParseError as exc:
+            result = str(exc)
+        out.append(f"{name}:{index + 1} {kind}/{padding} {line!r} -> {result!r}")
+    return out
+
+
+def test_parse_errors_match_pinned_text(scenario_dir, golden_dir):
+    expected = (golden_dir / "parse_errors.txt").read_text().splitlines()
+    assert parse_error_lines(scenario_dir) == expected
