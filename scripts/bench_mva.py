@@ -6,6 +6,11 @@
 Each ``--tree LABEL=PATH`` names a checkout.  Each layer is timed from that
 checkout's ``src`` in a fresh interpreter:
 
+- ``cli.main`` on ``entitle report5.fsp``: its first call in the
+  interpreter, and later calls, reported apart;
+- ``cli.build_parser``, the uncached build where the checkout caches it;
+- ``scenario.parse_scenario`` on ``report1..5`` and on the ``sim-crowd``
+  workload's 251-line scenario at seed 1 (``bench_crowd`` below);
 - ``mva.solve_ts`` on the shipped scenarios ``report1..5`` and on synthetic
   workloads of about 1e4, 1e6 and 4.8e6 population vectors;
 - ``planning.parse_ps_log`` on a seeded day-long ps log (``day_log`` below);
@@ -32,8 +37,10 @@ per_unit, work_counters, python, numpy, commit``; ``per_unit`` is µs per
 population vector for ``solve_ts``, per log line (samples and skipped lines)
 for ``parse_ps_log``, per window for ``goal_deviation``, and for ``run_sim``
 per quantum in the quantized modes and per simulated second in
-``ts-ps-reference``, per output line for ``render_report``, and per user
-plus event for ``apply_events`` and ``validate_timeline``.
+``ts-ps-reference``, per output line for ``render_report``, per user
+plus event for ``apply_events`` and ``validate_timeline``, per call for
+``cli.main``, per build for ``cli.build_parser`` and per input line for
+``parse_scenario``.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 # (label, procs per class) of the synthetic cases; class i thinks
@@ -82,12 +90,24 @@ def day_log() -> str:
     return "\n".join(lines) + "\n"
 
 
+def bench_crowd() -> str:
+    """The ``sim-crowd`` workload's scenario at seed 1: 200 users, 20 groups, 30 events."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    import gen
+
+    with tempfile.TemporaryDirectory() as work:
+        gen.sim_crowd(1, Path(work), bench.parent)
+        return (Path(work) / "crowd.fsp").read_text()
+
+
 # Runs in the checkout's interpreter, with ``day_log()`` on stdin; prints
 # one JSON object per case.
 TIMER = r"""
-import json, math, random, sys, time
+import contextlib, json, math, os, random, sys, time
 from importlib import metadata
 from pathlib import Path
+from fairshare import cli
 from fairshare.mva import ClassLoad, WorkloadSpec, solve_ts
 from fairshare.planning import goal_deviation, parse_ps_log
 from fairshare.report import render_report, run_scenario
@@ -110,6 +130,26 @@ def emit(case, layer, timings, size, **work):
     }))
 
 root = Path(sys.argv[1])
+# The first cli.main call in this interpreter pays for anything built on
+# first use; later calls show the fixed cost of each small command.
+argv = ["entitle", str(root / "scenarios" / "report5.fsp")]
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    t = time.perf_counter(); cli.main(argv); first = time.perf_counter() - t
+    _, samples = timed(lambda: cli.main(argv))
+emit("main entitle report5 first", "cli.main", [first], 1)
+emit("main entitle report5 later", "cli.main", samples, 1)
+build = getattr(cli.build_parser, "__wrapped__", cli.build_parser)  # bypass a cache
+_, samples = timed(build)
+emit("build_parser", "cli.build_parser", samples, 1)
+
+texts = {name: (root / "scenarios" / f"{name}.fsp").read_text()
+         for name in json.loads(sys.argv[2])}
+texts["crowd"] = sys.argv[5]
+for name, text in texts.items():
+    _, samples = timed(lambda: parse_scenario(text))
+    lines = text.count("\n")
+    emit(f"parse_scenario {name}", "scenario.parse_scenario", samples, lines, lines=lines)
+
 cases = [(name, parse_scenario((root / "scenarios" / f"{name}.fsp").read_text()).workload)
          for name in json.loads(sys.argv[2])]
 for name, procs in json.loads(sys.argv[3]):
@@ -194,11 +234,11 @@ def describe(tree: Path) -> str:
     return out.stdout.strip() or "unknown"
 
 
-def time_layers(tree: Path, log_text: str) -> list[dict]:
+def time_layers(tree: Path, log_text: str, crowd_text: str) -> list[dict]:
     """One round of every case in a fresh interpreter on ``tree``'s src."""
     proc = subprocess.run(
         [sys.executable, "-c", TIMER, str(tree), json.dumps(SCENARIOS), json.dumps(SYNTHETIC),
-         json.dumps(WINDOWS)],
+         json.dumps(WINDOWS), crowd_text],
         env=dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0"),
         input=log_text, stdout=subprocess.PIPE, text=True, check=True,
     )
@@ -269,10 +309,11 @@ def main(argv=None) -> int:
     trees = [(label, Path(path).resolve()) for label, _, path in
              (spec.partition("=") for spec in args.tree)]
     log_text = day_log()
+    crowd_text = bench_crowd()
     rounds = {label: [] for label, _ in trees}
     for _ in range(ROUNDS):
         for label, tree in trees:
-            rounds[label].append(time_layers(tree, log_text))
+            rounds[label].append(time_layers(tree, log_text, crowd_text))
     records = []
     for label, tree in trees:
         records += layer_records(label, tree, rounds[label])
@@ -281,7 +322,8 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
     units = {"mva.solve_ts": "state", "planning.parse_ps_log": "line",
              "planning.goal_deviation": "window", "report.render_report": "line",
-             "shares.apply_events": "user+event", "sim.validate_timeline": "user+event"}
+             "shares.apply_events": "user+event", "sim.validate_timeline": "user+event",
+             "cli.main": "call", "cli.build_parser": "build", "scenario.parse_scenario": "line"}
     for r in records:
         per = units.get(r["layer"]) or ("sim s" if "ts-ps-reference" in r["case"] else "quantum")
         unit = "" if r["per_unit"] is None else f"  {r['per_unit']:.3f} us/{per}"

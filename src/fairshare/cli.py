@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -82,7 +83,15 @@ def _add_sim_options(parser):
                         help="draw think times from an exponential instead of fixed values")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    Building it costs more than a small command's work, and ``main`` may run
+    many times in one process.  Callers must not mutate it.  Parsing does
+    not, and argparse reads the output streams and terminal width only when
+    it prints, so a shared parser behaves as a fresh one would.
+    """
     parser = argparse.ArgumentParser(
         prog="fairshare",
         description="Capacity planning for fair-share CPU scheduling.",
@@ -198,7 +207,11 @@ def _cmd_simulate(args) -> int:
         print(f"Convergence (epsilon {args.epsilon:g}): t={t_star:g}s")
 
     if args.trace:
-        with open(args.trace, "w") as fh:
+        try:
+            fh = open(args.trace, "w")
+        except OSError as exc:
+            raise FairshareError(f"{args.trace}: {exc.strerror or exc}") from exc
+        with fh:
             export_trace(trace, fh)
         print(f"Trace written to {args.trace}", file=sys.stderr)
     return 0

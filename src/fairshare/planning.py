@@ -154,7 +154,8 @@ def parse_slo_file(text: str) -> list[SLOTarget]:
     """
     targets = []
     names = set()
-    for line_no, tokens, columns in _lines(text):
+    for line in _lines(text):
+        line_no, tokens = line.no, line.tokens
         if tokens[0] != "target" or len(tokens) < 2 or "=" in tokens[1]:
             raise ScenarioParseError(
                 "expected: target <name> umax=<float> [demand=<float>] [rslo=<float>]", line_no
@@ -162,11 +163,11 @@ def parse_slo_file(text: str) -> list[SLOTarget]:
         if tokens[1] in names:
             raise ScenarioParseError(f"duplicate target {tokens[1]!r}", line_no)
         names.add(tokens[1])
-        kv = _parse_kv(tokens[2:], columns[2:], line_no)
-        u_max = _take(kv, "umax", float, line_no)
-        demand = _take(kv, "demand", float, line_no) if "demand" in kv else None
-        r_slo = _take(kv, "rslo", float, line_no) if "rslo" in kv else None
-        _reject_unknown_keys(kv, "target", line_no)
+        kv = _parse_kv(line, 2)
+        u_max = _take(kv, "umax", float, line)
+        demand = _take(kv, "demand", float, line) if "demand" in kv else None
+        r_slo = _take(kv, "rslo", float, line) if "rslo" in kv else None
+        _reject_unknown_keys(kv, "target", line)
         targets.append(
             _build(SLOTarget, line_no, name=tokens[1], u_max=u_max, demand=demand, r_slo=r_slo)
         )

@@ -15,6 +15,7 @@ and defaults to partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ScenarioParseError, ValidationError
 from .mva import ClassLoad, WorkloadSpec
@@ -33,19 +34,28 @@ class Scenario:
     solver: str
 
 
+class _Line(NamedTuple):
+    """A line with content: its number, its text without the comment, its tokens."""
+
+    no: int
+    text: str
+    tokens: list[str]
+
+    def column(self, i: int) -> int:
+        """The 1-based column where ``tokens[i]`` starts; only diagnostics need it."""
+        end = 0  # each token starts at the first non-space after the one before
+        for token in self.tokens[:i]:
+            end = self.text.index(token, end) + len(token)
+        return self.text.index(self.tokens[i], end) + 1
+
+
 def _lines(text: str):
-    """Yield ``(line_no, tokens, columns)`` for each line with content, comments
-    stripped; ``columns[i]`` is the 1-based column where ``tokens[i]`` starts."""
+    """Yield a ``_Line`` for each line with content, comments stripped."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         tokens = line.split()
         if tokens:
-            columns, end = [], 0
-            for token in tokens:
-                end = line.index(token, end)  # the next token starts at the next non-space
-                columns.append(end + 1)
-                end += len(token)
-            yield line_no, tokens, columns
+            yield _Line(line_no, line, tokens)
 
 
 def _build(model, line_no, **fields):
@@ -56,32 +66,34 @@ def _build(model, line_no, **fields):
         raise ScenarioParseError(str(exc), line_no) from exc
 
 
-def _parse_kv(pairs, columns, line_no):
-    """``{key: (value, column)}`` from ``key=value`` tokens starting at ``columns``."""
+def _parse_kv(line, start):
+    """``{key: (value, token index)}`` from ``line``'s ``key=value`` tokens from ``start`` on."""
     out = {}
-    for token, column in zip(pairs, columns):
+    for i, token in enumerate(line.tokens[start:], start):
         key, sep, value = token.partition("=")
         if not sep or not key or not value:
-            raise ScenarioParseError(f"expected key=value, got {token!r}", line_no, column)
+            raise ScenarioParseError(f"expected key=value, got {token!r}", line.no, line.column(i))
         if key in out:
-            raise ScenarioParseError(f"duplicate key {key!r}", line_no, column)
-        out[key] = (value, column)
+            raise ScenarioParseError(f"duplicate key {key!r}", line.no, line.column(i))
+        out[key] = (value, i)
     return out
 
-def _take(kv, key, cast, line_no):
+def _take(kv, key, cast, line):
     if key not in kv:
-        raise ScenarioParseError(f"missing {key}=", line_no)
-    value, column = kv.pop(key)
+        raise ScenarioParseError(f"missing {key}=", line.no)
+    value, i = kv.pop(key)
     try:
         return cast(value)
     except ValueError:
-        raise ScenarioParseError(f"bad value for {key}: {value!r}", line_no, column) from None
+        raise ScenarioParseError(f"bad value for {key}: {value!r}", line.no, line.column(i)) from None
 
 
-def _reject_unknown_keys(kv, directive, line_no):
+def _reject_unknown_keys(kv, directive, line):
     if kv:
         extra = next(iter(kv))
-        raise ScenarioParseError(f"unknown key {extra!r} on {directive} line", line_no, kv[extra][1])
+        raise ScenarioParseError(
+            f"unknown key {extra!r} on {directive} line", line.no, line.column(kv[extra][1])
+        )
 
 
 def _yes_no(value: str) -> bool:
@@ -103,7 +115,8 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
     events: list[TimelineEvent] = []
     solver = None
 
-    for line_no, tokens, columns in _lines(text):
+    for line in _lines(text):
+        line_no, tokens = line.no, line.tokens
         keyword = tokens[0]
 
         if keyword == "total_shares":
@@ -115,7 +128,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
                 total_shares = int(tokens[1])
             except ValueError:
                 raise ScenarioParseError(
-                    f"bad share count {tokens[1]!r}", line_no, columns[1]
+                    f"bad share count {tokens[1]!r}", line_no, line.column(1)
                 ) from None
 
         elif keyword == "group":
@@ -124,9 +137,9 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             name = tokens[1]
             if name in group_lines:
                 raise ScenarioParseError(f"duplicate group {name!r}", line_no)
-            kv = _parse_kv(tokens[2:], columns[2:], line_no)
-            shares = _take(kv, "shares", int, line_no)
-            _reject_unknown_keys(kv, "group", line_no)
+            kv = _parse_kv(line, 2)
+            shares = _take(kv, "shares", int, line)
+            _reject_unknown_keys(kv, "group", line)
             group_rows.append((name, shares, line_no))
             group_lines[name] = line_no
             users_by_group[name] = []
@@ -137,24 +150,26 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             name = tokens[1]
             if name in user_names:
                 raise ScenarioParseError(f"duplicate user {name!r}", line_no)
-            kv = _parse_kv(tokens[2:], columns[2:], line_no)
-            group_column = kv["group"][1] + len("group=") if "group" in kv else None
-            group = _take(kv, "group", str, line_no)
-            shares = _take(kv, "shares", int, line_no)
-            procs = _take(kv, "procs", int, line_no)
-            think = _take(kv, "think", float, line_no)
-            demand = _take(kv, "demand", float, line_no)
-            active = _take(kv, "active", _yes_no, line_no)
-            _reject_unknown_keys(kv, "user", line_no)
+            kv = _parse_kv(line, 2)
+            group_index = kv["group"][1] if "group" in kv else None
+            group = _take(kv, "group", str, line)
+            shares = _take(kv, "shares", int, line)
+            procs = _take(kv, "procs", int, line)
+            think = _take(kv, "think", float, line)
+            demand = _take(kv, "demand", float, line)
+            active = _take(kv, "active", _yes_no, line)
+            _reject_unknown_keys(kv, "user", line)
             if group not in users_by_group:
-                raise ScenarioParseError(f"unknown group {group!r}", line_no, group_column)
+                raise ScenarioParseError(
+                    f"unknown group {group!r}", line_no, line.column(group_index) + len("group=")
+                )
             loads.append(_build(ClassLoad, line_no, user=name, procs=procs, think=think, demand=demand))
             user_names.add(name)
             users_by_group[group].append(UserAlloc(name=name, shares=shares, active=active))
 
         elif keyword == "event":
-            kv = _parse_kv(tokens[1:], columns[1:], line_no)
-            when = _take(kv, "t", float, line_no)
+            kv = _parse_kv(line, 1)
+            when = _take(kv, "t", float, line)
             action = None
             user = None
             for candidate in ("activate", "deactivate"):
@@ -162,10 +177,10 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
                     if action is not None:
                         raise ScenarioParseError("event has both activate= and deactivate=", line_no)
                     action = candidate
-                    user = _take(kv, candidate, str, line_no)
+                    user = _take(kv, candidate, str, line)
             if action is None:
                 raise ScenarioParseError("event needs activate=<user> or deactivate=<user>", line_no)
-            _reject_unknown_keys(kv, "event", line_no)
+            _reject_unknown_keys(kv, "event", line)
             events.append(_build(TimelineEvent, line_no, time=when, action=action, user=user))
 
         elif keyword == "solver":

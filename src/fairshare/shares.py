@@ -84,12 +84,6 @@ class ShareHierarchy:
     def user_names(self) -> tuple[str, ...]:
         return tuple(u.name for u in self.users())
 
-    def find_user(self, name: str) -> UserAlloc:
-        for user in self.users():
-            if user.name == name:
-                return user
-        raise UnknownUserError(f"unknown user {name!r}")
-
 
 @dataclass(frozen=True)
 class EntitlementTable:

@@ -1,12 +1,17 @@
 """Command-line surface: output, exit codes, determinism."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fairshare.cli import main
+import fairshare
+from fairshare.cli import build_parser, main
 
 TWO_USERS = """\
 total_shares 100
@@ -75,6 +80,9 @@ def two_user_files(tmp_path):
         path = tmp_path / role
         path.write_text(text)
         paths[role] = str(path)
+    # Trace paths that cannot be opened for writing.
+    paths["trace_in_missing_dir"] = str(tmp_path / "no-such-dir" / "trace.csv")
+    paths["trace_is_a_dir"] = str(tmp_path)
     return paths
 
 
@@ -322,6 +330,8 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("simulate", "event_nan", *SHORT_RUN),
         ("simulate", "good", "--quantum", "nan", *SHORT_RUN),
         ("simulate", "good", "--duration", "inf"),
+        ("simulate", "good", "--trace", "trace_in_missing_dir", *SHORT_RUN),
+        ("simulate", "good", "--trace", "trace_is_a_dir", *SHORT_RUN),
         ("monitor", "log", "good", "--window", "nan"),
         ("monitor", "log", "good", "--threshold", "nan"),
         ("entitle", "fsp_not_utf8"),
@@ -425,3 +435,42 @@ class TestUsage:
         out = capsys.readouterr().out
         for default in ("0.01", "5.0", "1.0", "300.0"):
             assert default in out
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; reusing it changes no output."""
+
+    def test_parser_is_built_once(self, capsys, report5):
+        build_parser.cache_clear()
+        for argv in (("entitle", report5), ("entitle", report5, "--lub"), ("--help",),
+                     ("report",)):
+            run_cli(capsys, *argv)
+            assert build_parser.cache_info().misses == 1
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, scenario_dir):
+        def path(name):
+            return str(scenario_dir / f"{name}.fsp")
+
+        with_flags = [
+            ["report", path("report4"), "--solver", "conserving", "--quantum", "0.02"],
+            ["simulate", path("example-2-2"), "--jitter-think", "--seed", "3", *SHORT_RUN],
+            ["entitle", path("report5"), "--lub"],
+        ]
+        session = with_flags + [argv[:2] for argv in with_flags]
+        build_parser.cache_clear()
+        in_process = [run_cli(capsys, *argv) for argv in session]
+        src_dir = str(Path(fairshare.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        for argv, result in zip(session, in_process):
+            fresh = subprocess.run([sys.executable, "-m", "fairshare.cli", *argv],
+                                   env=env, capture_output=True, text=True)
+            assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+    @pytest.mark.parametrize("argv", [("--help",), ("simulate", "--help"), ("report",),
+                                      ("simulate", "report4", "--sim-mode", "bogus")])
+    def test_help_and_usage_errors_repeat_byte_for_byte(self, capsys, report4, argv):
+        argv = [report4 if a == "report4" else a for a in argv]
+        build_parser.cache_clear()
+        first = run_cli(capsys, *argv)
+        assert first == run_cli(capsys, *argv)
+        assert first[0] in (0, 1) and first[1] + first[2]

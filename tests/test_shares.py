@@ -159,7 +159,7 @@ class TestSetActive:
     def test_original_is_untouched(self):
         h = standard_hierarchy()
         set_active(h, "opsC", False)
-        assert h.find_user("opsC").active
+        assert next(u for u in h.users() if u.name == "opsC").active
 
     def test_unknown_user(self):
         with pytest.raises(UnknownUserError):

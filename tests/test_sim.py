@@ -612,7 +612,8 @@ def test_cpu_bound_users_reach_their_entitlements(run):
 def test_no_idle_cpu_and_no_user_above_its_demand(run):
     h, w, mode = run
     trace = run_sim(h, w, (), SimConfig(duration=40.0, warmup=5.0, mode=mode))
-    active = [c for c in w.classes if h.find_user(c.user).active]
+    active_names = {u.name for u in h.users() if u.active}
+    active = [c for c in w.classes if c.user in active_names]
     if any(c.think == 0.0 for c in active):
         # A CPU-bound process is always runnable, so no quantum idles.
         for fractions in trace.fractions:
