@@ -20,7 +20,10 @@ checkout's ``src`` in a fresh interpreter:
   (``crowd`` in ``TIMER``: even users CPU bound, odd users thinking);
 - ``shares.apply_events`` and ``sim.validate_timeline`` on that crowd with
   30 activity events and on 2000 users in 200 groups with 1000 events;
-- ``report.render_report`` on the reports of ``report1..5``.
+- ``report.render_report`` on the reports of ``report1..5``;
+- cold starts (``COLD_STARTS``): the wall time of a fresh interpreter that
+  imports ``fairshare.cli``, and of one-shot ``python -m fairshare.cli``
+  commands, ``COLD_REPEATS`` of each per round.
 
 Each case is called once untimed (counted as a sample when it takes over a
 second) and then enough times to fill about 1 s, up to 2000 calls.  The
@@ -39,8 +42,8 @@ for ``parse_ps_log``, per window for ``goal_deviation``, and for ``run_sim``
 per quantum in the quantized modes and per simulated second in
 ``ts-ps-reference``, per output line for ``render_report``, per user
 plus event for ``apply_events`` and ``validate_timeline``, per call for
-``cli.main``, per build for ``cli.build_parser`` and per input line for
-``parse_scenario``.
+``cli.main``, per build for ``cli.build_parser``, per input line for
+``parse_scenario`` and per process for the cold starts.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
+from importlib import metadata
 from pathlib import Path
 
 # (label, procs per class) of the synthetic cases; class i thinks
@@ -62,6 +67,17 @@ SCENARIOS = ("report1", "report2", "report3", "report4", "report5")
 WINDOWS = (300, 60, 10)
 E2E_METRICS = ("setup_s", "op_p50_s", "op_p90_s", "cpu_per_op_s")
 ROUNDS = 3
+# (case, interpreter arguments); {s} is the checkout's scenario directory.
+COLD_STARTS = (
+    ("import fairshare.cli", ("-c", "import fairshare.cli")),
+    ("entitle report5", ("-m", "fairshare.cli", "entitle", "{s}/report5.fsp")),
+    ("advise slo-example", ("-m", "fairshare.cli", "advise", "{s}/slo-example.txt",
+                            "--total-shares", "100")),
+    ("simulate report4 30s", ("-m", "fairshare.cli", "simulate", "{s}/report4.fsp",
+                              "--duration", "30", "--warmup", "5")),
+    ("report report5", ("-m", "fairshare.cli", "report", "{s}/report5.fsp")),
+)
+COLD_REPEATS = 4
 
 
 def day_log() -> str:
@@ -245,6 +261,23 @@ def time_layers(tree: Path, log_text: str, crowd_text: str) -> list[dict]:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
+def time_cold_starts(tree: Path) -> list[dict]:
+    """One round of fresh-interpreter wall times on ``tree``'s src, in TIMER's record shape."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    cases = []
+    for case, args in COLD_STARTS:
+        argv = [sys.executable, *(a.format(s=tree / "scenarios") for a in args)]
+        samples = []
+        for _ in range(COLD_REPEATS):
+            t = time.perf_counter()
+            subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, check=True)
+            samples.append(time.perf_counter() - t)
+        cases.append({"case": f"cold {case}", "layer": "process", "samples": samples, "size": 1,
+                      "work": {}, "python": sys.version.split()[0],
+                      "numpy": metadata.version("numpy")})
+    return cases
+
+
 def layer_records(label: str, tree: Path, rounds: list[list[dict]]) -> list[dict]:
     commit = describe(tree)
     records = []
@@ -313,7 +346,8 @@ def main(argv=None) -> int:
     rounds = {label: [] for label, _ in trees}
     for _ in range(ROUNDS):
         for label, tree in trees:
-            rounds[label].append(time_layers(tree, log_text, crowd_text))
+            rounds[label].append(time_layers(tree, log_text, crowd_text)
+                                 + time_cold_starts(tree))
     records = []
     for label, tree in trees:
         records += layer_records(label, tree, rounds[label])
@@ -323,7 +357,8 @@ def main(argv=None) -> int:
     units = {"mva.solve_ts": "state", "planning.parse_ps_log": "line",
              "planning.goal_deviation": "window", "report.render_report": "line",
              "shares.apply_events": "user+event", "sim.validate_timeline": "user+event",
-             "cli.main": "call", "cli.build_parser": "build", "scenario.parse_scenario": "line"}
+             "cli.main": "call", "cli.build_parser": "build", "scenario.parse_scenario": "line",
+             "process": "process"}
     for r in records:
         per = units.get(r["layer"]) or ("sim s" if "ts-ps-reference" in r["case"] else "quantum")
         unit = "" if r["per_unit"] is None else f"  {r['per_unit']:.3f} us/{per}"

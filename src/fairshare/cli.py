@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -179,15 +181,44 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _check_trace_path(path: str) -> None:
+    """Refuse a trace path that cannot be a file before the run, not after it.
+
+    The file itself is opened only once the run has succeeded, so a failed
+    run neither creates nor truncates it.
+    """
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise FairshareError(f"{path}: {os.strerror(code)}")
+
+
 def _cmd_simulate(args) -> int:
+    """Print the result table only once every step, the trace file included, has succeeded."""
     scenario = _load_scenario(args.scenario)
     config = _sim_config(args)
+    if args.trace:
+        _check_trace_path(args.trace)
     trace = run_sim(scenario.hierarchy, scenario.workload, scenario.timeline, config)
     for warning in trace.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
     final_hierarchy = apply_events(scenario.hierarchy, trace.events_applied)
     table = compute_entitlements(final_hierarchy, args.entitle_mode)
+    t_star = convergence_time(trace, table, args.epsilon)
+
+    if args.trace:
+        try:
+            fh = open(args.trace, "w")
+        except OSError as exc:
+            raise FairshareError(f"{args.trace}: {exc.strerror or exc}") from exc
+        with fh:
+            export_trace(trace, fh)
+        print(f"Trace written to {args.trace}", file=sys.stderr)
 
     print(f"Simulation: {scenario.label} ({config.mode}, {config.duration:g}s, seed {config.seed})")
     print()
@@ -199,21 +230,10 @@ def _cmd_simulate(args) -> int:
         print(f"{user} {trace.utilization(user):.4f} {table.entitlements[user]:.4f} {thru} {rtime}")
     for note in trace.perf.notes:
         print(f"note: {note}")
-
-    t_star = convergence_time(trace, table, args.epsilon)
     if t_star is None:
         print(f"Convergence (epsilon {args.epsilon:g}): not converged")
     else:
         print(f"Convergence (epsilon {args.epsilon:g}): t={t_star:g}s")
-
-    if args.trace:
-        try:
-            fh = open(args.trace, "w")
-        except OSError as exc:
-            raise FairshareError(f"{args.trace}: {exc.strerror or exc}") from exc
-        with fh:
-            export_trace(trace, fh)
-        print(f"Trace written to {args.trace}", file=sys.stderr)
     return 0
 
 

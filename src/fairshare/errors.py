@@ -22,7 +22,7 @@ class ZeroEntitlementError(ValidationError):
 
 
 class PopulationGuardError(FairshareError):
-    """The exact solver's population-vector space is too large."""
+    """The exact solver's population space or the simulator's process count is too large."""
 
 
 class ScenarioParseError(ValidationError):

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PopulationGuardError, ValidationError, ZeroEntitlementError
 from .shares import EntitlementTable
 
@@ -103,6 +101,8 @@ def solve_ts(w: WorkloadSpec) -> PerfTable:
     solves each level as one batch of array operations.  Every vector is
     visited once, so the product of (N_c + 1) is guarded.
     """
+    import numpy as np  # here, not at module top, so commands that solve nothing never load it
+
     dims = [c.procs + 1 for c in w.classes]
     size = math.prod(dims)
     if size > POPULATION_GUARD:

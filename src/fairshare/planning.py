@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError
 from .scenario import _build, _lines, _parse_kv, _reject_unknown_keys, _take
 from .shares import EntitlementTable
@@ -291,6 +289,8 @@ def goal_deviation(
     cost is O(samples log samples + windows), whatever the number of
     processes the log has held.
     """
+    import numpy as np  # here, not at module top, so commands that window nothing never load it
+
     if not (math.isfinite(window) and window > 0):
         raise ValidationError(f"window must be finite and > 0, got {window!r}")
     if not math.isfinite(threshold):

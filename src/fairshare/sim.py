@@ -50,7 +50,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import UnknownUserError, ValidationError
+from .errors import PopulationGuardError, UnknownUserError, ValidationError
 from .mva import PerfRow, PerfTable, WorkloadSpec
 from .shares import EntitlementTable, ShareHierarchy
 
@@ -59,6 +59,11 @@ FAIRSHARE_HIERARCHICAL = "fairshare-hierarchical"
 TS_ROUNDROBIN = "ts-roundrobin"
 TS_PS_REFERENCE = "ts-ps-reference"
 SIM_MODES = (FAIRSHARE_FLAT, FAIRSHARE_HIERARCHICAL, TS_ROUNDROBIN, TS_PS_REFERENCE)
+
+# Most processes one run may set up.  Each costs 1.1-2.2 us and 110-145 B
+# of peak RSS before the first quantum, so at the limit set-up alone takes
+# 1.1-2.2 s and 107-137 MB depending on the mode (2-CPU x86-64 host).
+PROCESS_GUARD = 1_000_000
 
 _TIME_EPS = 1e-9
 # The quantized engine folds its usage scale back into the stored usages
@@ -172,13 +177,21 @@ def run_sim(
 
     Deterministic for a given config and seed.  Users inactive in the
     hierarchy contribute nothing until an activate event; deactivation
-    drops a user's in-flight cycles.
+    drops a user's in-flight cycles.  A workload of more than
+    ``PROCESS_GUARD`` processes, inactive users' included, is refused
+    before any is set up.
     """
     known = set(h.user_names())
     for c in w.classes:
         if c.user not in known:
             raise ValidationError(f"workload user {c.user!r} not in hierarchy")
     validate_timeline(timeline, h)
+    procs = sum(c.procs for c in w.classes)
+    if procs > PROCESS_GUARD:
+        raise PopulationGuardError(
+            f"{procs} processes exceed {PROCESS_GUARD}, the simulator's budget of about "
+            "140 MB and 2 s of set-up; use fewer procs"
+        )
 
     if config.mode == TS_PS_REFERENCE:
         return _run_fluid_ps(h, w, timeline, config)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import fairshare
 from fairshare.cli import build_parser, main
+from fairshare.report import extract_section
 
 TWO_USERS = """\
 total_shares 100
@@ -48,6 +49,8 @@ def two_user_files(tmp_path):
         "think_nan": dict(think="nan", demand="0.5", event=""),
         "demand_inf": dict(think="1", demand="inf", event=""),
         "event_nan": dict(think="1", demand="0.5", event="event t=nan deactivate=alice"),
+        # Under SHORT_RUN no window starts after this event.
+        "event_in_last_window": dict(think="1", demand="0.5", event="event t=19.5 deactivate=bob"),
     }.items():
         path = tmp_path / f"{role}.fsp"
         path.write_text(TWO_USERS.format(**fields))
@@ -76,6 +79,9 @@ def two_user_files(tmp_path):
     for role, text in {
         "slo_duplicate_key": "target alice umax=0.9 umax=0.2\n",
         "slo_duplicate_target": "target alice umax=0.2\ntarget alice umax=0.3\n",
+        # A hundred times the simulator's process budget.
+        "procs_huge": TWO_USERS.format(think="1", demand="0.5", event="")
+                      .replace("procs=2", "procs=100000000"),
     }.items():
         path = tmp_path / role
         path.write_text(text)
@@ -227,6 +233,14 @@ class TestSimulate:
         assert lines[0] == "time,user,fraction"
         assert len(lines) == 1 + 30 * 5
 
+    def test_failed_run_leaves_no_trace_file(self, capsys, two_user_files, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, "simulate", two_user_files["event_in_last_window"],
+                                 *SHORT_RUN, "--trace", str(trace_path))
+        assert (code, out) == (1, "")
+        assert "no windows after the last timeline event" in err
+        assert not trace_path.exists()
+
     def test_deterministic_output(self, capsys, report4):
         args = ("simulate", report4, "--duration", "30", "--warmup", "5")
         _, first, _ = run_cli(capsys, *args)
@@ -332,6 +346,9 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("simulate", "good", "--duration", "inf"),
         ("simulate", "good", "--trace", "trace_in_missing_dir", *SHORT_RUN),
         ("simulate", "good", "--trace", "trace_is_a_dir", *SHORT_RUN),
+        ("simulate", "event_in_last_window", *SHORT_RUN),
+        ("simulate", "good", "--epsilon", "nan", *SHORT_RUN),
+        ("simulate", "procs_huge", *SHORT_RUN),
         ("monitor", "log", "good", "--window", "nan"),
         ("monitor", "log", "good", "--threshold", "nan"),
         ("entitle", "fsp_not_utf8"),
@@ -351,7 +368,7 @@ def test_bad_input_exits_one(capsys, two_user_files, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
-    assert "OK" not in out
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [("report", "big", "--solver", "simulate"),
@@ -475,3 +492,35 @@ class TestSharedParser:
         assert run_cli(capsys, *argv) == first
         expected = (0, True, False) if "--help" in argv else (1, False, True)
         assert (code, bool(out), bool(err)) == expected
+
+
+# Runs in a fresh interpreter: argv is the scenario directory, then SHORT_RUN.
+COLD_START = """
+import contextlib, io, sys
+from fairshare import cli
+
+scenarios, short_run = sys.argv[1], sys.argv[2:]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["entitle", f"{scenarios}/report5.fsp"],
+        ["advise", f"{scenarios}/slo-example.txt", "--total-shares", "100"],
+        ["simulate", f"{scenarios}/report4.fsp", *short_run],
+    )]
+assert codes == [0, 0, 0], codes
+assert "numpy" not in sys.modules, "numpy loaded without a solve"
+assert cli.main(["report", f"{scenarios}/report1.fsp"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_entitle_advise_and_simulate_never_load_numpy(scenario_dir, golden_dir):
+    # numpy is about half of a small command's start-up; only solve_ts and
+    # goal_deviation use it.
+    src_dir = str(Path(fairshare.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", COLD_START, str(scenario_dir), *SHORT_RUN],
+                           env=dict(os.environ, PYTHONPATH=src_dir),
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    for golden in sorted(golden_dir.glob("report1_*.txt")):
+        expected = golden.read_text()
+        assert extract_section(child.stdout, expected.split("\n", 1)[0]) == expected

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fairshare.errors import ValidationError
+from fairshare import sim
+from fairshare.errors import PopulationGuardError, ValidationError
 from fairshare.mva import ClassLoad, WorkloadSpec, solve_ts
 from fairshare.scenario import parse_scenario
 from fairshare.shares import GroupAlloc, ShareHierarchy, UserAlloc, compute_entitlements
@@ -424,6 +425,21 @@ def test_config_validation():
         SimConfig(duration=10.0, warmup=20.0)
     with pytest.raises(ValidationError):
         SimConfig(duration=10.0, mode="fifo")
+
+
+@pytest.mark.parametrize("mode", SIM_MODES)
+def test_process_budget_counts_every_process(monkeypatch, mode):
+    # An inactive user's processes are set up too, so they count.
+    monkeypatch.setattr(sim, "PROCESS_GUARD", 3)
+    h = pool(("a", 50, True), ("b", 50, False))
+    config = SimConfig(duration=1.0, mode=mode)
+
+    def workload(b_procs):
+        return WorkloadSpec((ClassLoad("a", 1, 0.0, 1.0), ClassLoad("b", b_procs, 0.0, 1.0)))
+
+    run_sim(h, workload(2), (), config)
+    with pytest.raises(PopulationGuardError, match="^4 processes exceed 3, .*; use fewer procs$"):
+        run_sim(h, workload(3), (), config)
 
 
 # Two groups, thinking and multi-process users, a user offline at the start,
