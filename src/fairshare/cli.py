@@ -213,11 +213,10 @@ def _cmd_simulate(args) -> int:
 
     if args.trace:
         try:
-            fh = open(args.trace, "w")
+            with open(args.trace, "w") as fh:
+                export_trace(trace, fh)
         except OSError as exc:
             raise FairshareError(f"{args.trace}: {exc.strerror or exc}") from exc
-        with fh:
-            export_trace(trace, fh)
         print(f"Trace written to {args.trace}", file=sys.stderr)
 
     print(f"Simulation: {scenario.label} ({config.mode}, {config.duration:g}s, seed {config.seed})")

@@ -89,6 +89,7 @@ def two_user_files(tmp_path):
     # Trace paths that cannot be opened for writing.
     paths["trace_in_missing_dir"] = str(tmp_path / "no-such-dir" / "trace.csv")
     paths["trace_is_a_dir"] = str(tmp_path)
+    paths["trace_on_full_device"] = "/dev/full"  # every write fails with ENOSPC
     return paths
 
 
@@ -346,6 +347,9 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("simulate", "good", "--duration", "inf"),
         ("simulate", "good", "--trace", "trace_in_missing_dir", *SHORT_RUN),
         ("simulate", "good", "--trace", "trace_is_a_dir", *SHORT_RUN),
+        pytest.param(("simulate", "good", "--trace", "trace_on_full_device", *SHORT_RUN),
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                              reason="no /dev/full")),
         ("simulate", "event_in_last_window", *SHORT_RUN),
         ("simulate", "good", "--epsilon", "nan", *SHORT_RUN),
         ("simulate", "procs_huge", *SHORT_RUN),
