@@ -333,6 +333,16 @@ class TestMonitor:
         assert code == 0
         assert out.endswith("max |deviation| 0.0000 -> OK\n")
 
+    def test_malformed_line_is_noted_and_skipped(self, capsys, tmp_path, two_user_files):
+        clean = run_cli(capsys, "monitor", two_user_files["log"], two_user_files["good"])
+        lines = Path(two_user_files["log"]).read_text().splitlines(keepends=True)
+        noisy = tmp_path / "noisy.log"
+        noisy.write_text("".join(lines[:4] + ["alice 4242 garbage\n"] + lines[4:]))
+        code, out, err = run_cli(capsys, "monitor", str(noisy), two_user_files["good"])
+        assert (code, out) == clean[:2]
+        assert clean[2] == ""
+        assert err == "note: skipped 1 malformed line(s)\n"
+
 
 SHORT_RUN = ("--duration", "20", "--warmup", "5")
 

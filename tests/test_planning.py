@@ -162,6 +162,23 @@ class TestSloFile:
         with pytest.raises(ValidationError, match="^line 1: expected: target <name>"):
             parse_slo_file("target umax=0.5 umax=0.3\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("target A umax=x color=red\n", "line 1, col 10: bad value for umax: 'x'"),
+            ("target A demand=1 color=red\n", "line 1: missing umax="),
+            ("target A umax=0.5 rslo=x color=red\n", "line 1, col 19: bad value for rslo: 'x'"),
+            ("target A umax=2 color=red\n", "line 1, col 17: unknown key 'color' on target line"),
+            ("target A umax=0.5\ntarget A umax=x\n", "line 2: duplicate target 'A'"),
+            ("target umax=0.5 color=red\n",
+             "line 1: expected: target <name> umax=<float> [demand=<float>] [rslo=<float>]"),
+        ],
+    )
+    def test_two_faults_give_the_pinned_diagnostic(self, text, message):
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_slo_file(text)
+        assert str(exc.value) == message
+
     def test_out_of_range_value_names_its_line(self):
         with pytest.raises(ValidationError, match=r"^line 2: target B: u_max"):
             parse_slo_file("target A umax=0.2\ntarget B umax=nan\n")

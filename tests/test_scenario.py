@@ -165,6 +165,41 @@ class TestParse:
             parse_scenario(bad)
         assert str(exc.value) == "line 7, col 17: unknown group 'Agg'"
 
+    # A line with two faults gives one diagnostic; which one is pinned here, so
+    # that a change to the order in which the reader checks a line shows.
+    @pytest.mark.parametrize(
+        "line_no, line, message",
+        [
+            (4, "group FIN shares=x", "line 4: duplicate group 'FIN'"),
+            (4, "group WEB shares=x color=red", "line 4, col 11: bad value for shares: 'x'"),
+            (7, "user fAgg group=WEB shares=10 procs=one think=0 demand=1 active=yes",
+             "line 7: duplicate user 'fAgg'"),
+            (7, "user wAgg group=WEB shares=x procs=1 think=0 demand=1 active=yes color=red",
+             "line 7, col 21: bad value for shares: 'x'"),
+            (7, "user wAgg group=WEB shares=10 procs=1 think=0 active=yes color=red",
+             "line 7: missing demand="),
+            (7, "user wAgg group=WEB shares=10 procs=1 think=0 demand=1 active=maybe demand=2",
+             "line 7, col 69: duplicate key 'demand'"),
+            (7, "user wAgg group=NOPE shares=10 procs=1 think=0 demand=1 active=yes color=red",
+             "line 7, col 68: unknown key 'color' on user line"),
+            (7, "user wAgg group=NOPE shares=10 procs=0 think=0 demand=1 active=yes",
+             "line 7, col 17: unknown group 'NOPE'"),
+            (11, "event t=x deactivate=opsC color=red", "line 11, col 7: bad value for t: 'x'"),
+            (11, "event deactivate=opsC color=red", "line 11: missing t="),
+            (11, "event t=60 deactivate=opsC oops", "line 11, col 28: expected key=value, got 'oops'"),
+            # Neither action, or both, and an unknown key.
+            (11, "event zz=1 t=5", "line 11: event needs activate=<user> or deactivate=<user>"),
+            (11, "event t=60 activate=opsC deactivate=opsC color=red",
+             "line 11: event has both activate= and deactivate="),
+        ],
+    )
+    def test_two_faults_give_the_pinned_diagnostic(self, line_no, line, message):
+        lines = GOOD.splitlines()
+        lines[line_no - 1] = line
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario("\n".join(lines) + "\n")
+        assert str(exc.value) == message
+
     def test_defaults_to_partition_solver(self):
         no_solver = "\n".join(l for l in GOOD.splitlines() if not l.startswith("solver"))
         assert parse_scenario(no_solver).solver == "partition"
