@@ -25,7 +25,7 @@ from .planning import (
     render_plan,
 )
 from .report import cross_compare, entitlement_lines, render_report, run_scenario
-from .scenario import parse_scenario
+from .scenario import SOLVERS, parse_scenario
 from .shares import (
     ENTITLEMENT_MODES,
     FLAT_POOL,
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("scenario")
     p.add_argument("--mode", choices=ENTITLEMENT_MODES, default=FLAT_POOL)
-    p.add_argument("--solver", choices=("partition", "conserving", "simulate"), default=None,
+    p.add_argument("--solver", choices=SOLVERS, default=None,
                    help="override the scenario's solver line")
     _add_sim_options(p)
 

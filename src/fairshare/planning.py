@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError
-from .scenario import _build, _lines, _parse_kv, _reject_unknown_keys, _take
+from .scenario import _build, _lines
 from .shares import EntitlementTable
 
 SPLIT_ADVICE = "use domains, or split groups across separate servers"
@@ -142,6 +142,11 @@ def render_plan(plan: SharePlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+_TARGET_USAGE = "expected: target <name> umax=<float> [demand=<float>] [rslo=<float>]"
+_TARGET_KEYS = (("umax", float), ("demand", float), ("rslo", float))
+_TARGET_OPTIONAL = ("demand", "rslo")
+
+
 def parse_slo_file(text: str) -> list[SLOTarget]:
     """Parse advisor input, one ``target <name> umax=<f> [demand=<f>] [rslo=<f>]`` per line.
 
@@ -153,21 +158,13 @@ def parse_slo_file(text: str) -> list[SLOTarget]:
     targets = []
     names = set()
     for line in _lines(text):
-        line_no, tokens = line.no, line.tokens
-        if tokens[0] != "target" or len(tokens) < 2 or "=" in tokens[1]:
-            raise ScenarioParseError(
-                "expected: target <name> umax=<float> [demand=<float>] [rslo=<float>]", line_no
-            )
-        if tokens[1] in names:
-            raise ScenarioParseError(f"duplicate target {tokens[1]!r}", line_no)
-        names.add(tokens[1])
-        kv = _parse_kv(line, 2)
-        u_max = _take(kv, "umax", float, line)
-        demand = _take(kv, "demand", float, line) if "demand" in kv else None
-        r_slo = _take(kv, "rslo", float, line) if "rslo" in kv else None
-        _reject_unknown_keys(kv, "target", line)
+        if line.tokens[0] != "target":
+            raise ScenarioParseError(_TARGET_USAGE, line.no)
+        name = line.name(_TARGET_USAGE, names, "target")
+        names.add(name)
+        u_max, demand, r_slo = line.fields(2, _TARGET_KEYS, _TARGET_OPTIONAL)
         targets.append(
-            _build(SLOTarget, line_no, name=tokens[1], u_max=u_max, demand=demand, r_slo=r_slo)
+            _build(SLOTarget, line.no, name=name, u_max=u_max, demand=demand, r_slo=r_slo)
         )
     if not targets:
         raise ScenarioParseError("no targets defined")

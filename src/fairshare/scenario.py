@@ -48,6 +48,54 @@ class _Line(NamedTuple):
             end = self.text.index(token, end) + len(token)
         return self.text.index(self.tokens[i], end) + 1
 
+    def name(self, usage: str, seen, kind: str) -> str:
+        """The name after the directive: ``usage`` is the error when there is none,
+        and a name in ``seen`` is a duplicate ``kind``."""
+        tokens = self.tokens
+        if len(tokens) < 2 or "=" in tokens[1]:
+            raise ScenarioParseError(usage, self.no)
+        if tokens[1] in seen:
+            raise ScenarioParseError(f"duplicate {kind} {tokens[1]!r}", self.no)
+        return tokens[1]
+
+    def fields(self, start: int, keys, optional=()) -> tuple:
+        """The ``key=value`` tokens from ``tokens[start]`` on, cast, in the order of ``keys``.
+
+        ``keys`` holds ``(key, cast)`` pairs; a key named in ``optional`` may
+        be left out and then gives None.  The first fault is reported: a
+        token that is not ``key=value`` or repeats a key, in token order;
+        then a missing key or a value its cast rejects, in the order of
+        ``keys``; then a key not in ``keys``.
+        """
+        found = {}
+        for i, token in enumerate(self.tokens[start:], start):
+            key, sep, value = token.partition("=")
+            if not sep or not key or not value:
+                raise ScenarioParseError(f"expected key=value, got {token!r}", self.no, self.column(i))
+            if key in found:
+                raise ScenarioParseError(f"duplicate key {key!r}", self.no, self.column(i))
+            found[key] = (value, i)
+        values = []
+        for key, cast in keys:
+            if key not in found:
+                if key not in optional:
+                    raise ScenarioParseError(f"missing {key}=", self.no)
+                values.append(None)
+                continue
+            value, i = found.pop(key)
+            try:
+                values.append(cast(value))
+            except ValueError:
+                raise ScenarioParseError(
+                    f"bad value for {key}: {value!r}", self.no, self.column(i)
+                ) from None
+        if found:
+            extra, (_, i) = next(iter(found.items()))
+            raise ScenarioParseError(
+                f"unknown key {extra!r} on {self.tokens[0]} line", self.no, self.column(i)
+            )
+        return tuple(values)
+
 
 def _lines(text: str):
     """Yield a ``_Line`` for each line with content, comments stripped."""
@@ -66,36 +114,6 @@ def _build(model, line_no, **fields):
         raise ScenarioParseError(str(exc), line_no) from exc
 
 
-def _parse_kv(line, start):
-    """``{key: (value, token index)}`` from ``line``'s ``key=value`` tokens from ``start`` on."""
-    out = {}
-    for i, token in enumerate(line.tokens[start:], start):
-        key, sep, value = token.partition("=")
-        if not sep or not key or not value:
-            raise ScenarioParseError(f"expected key=value, got {token!r}", line.no, line.column(i))
-        if key in out:
-            raise ScenarioParseError(f"duplicate key {key!r}", line.no, line.column(i))
-        out[key] = (value, i)
-    return out
-
-def _take(kv, key, cast, line):
-    if key not in kv:
-        raise ScenarioParseError(f"missing {key}=", line.no)
-    value, i = kv.pop(key)
-    try:
-        return cast(value)
-    except ValueError:
-        raise ScenarioParseError(f"bad value for {key}: {value!r}", line.no, line.column(i)) from None
-
-
-def _reject_unknown_keys(kv, directive, line):
-    if kv:
-        extra = next(iter(kv))
-        raise ScenarioParseError(
-            f"unknown key {extra!r} on {directive} line", line.no, line.column(kv[extra][1])
-        )
-
-
 def _yes_no(value: str) -> bool:
     if value == "yes":
         return True
@@ -104,13 +122,19 @@ def _yes_no(value: str) -> bool:
     raise ValueError(value)
 
 
+_GROUP_KEYS = (("shares", int),)
+_USER_KEYS = (("group", str), ("shares", int), ("procs", int), ("think", float),
+              ("demand", float), ("active", _yes_no))
+_EVENT_ACTIONS = ("activate", "deactivate")
+_EVENT_KEYS = (("t", float), ("activate", str), ("deactivate", str))
+
+
 def parse_scenario(text: str, label: str = "scenario") -> Scenario:
     """Parse and validate scenario text; diagnostics carry line numbers."""
     total_shares = None
     group_rows: list[tuple[str, int, int]] = []  # name, shares, line
-    group_lines: dict[str, int] = {}
     users_by_group: dict[str, list[UserAlloc]] = {}
-    user_names: set[str] = set()
+    user_lines: dict[str, int] = {}
     loads: list[ClassLoad] = []
     events: list[TimelineEvent] = []
     solver = None
@@ -132,56 +156,30 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
                 ) from None
 
         elif keyword == "group":
-            if len(tokens) < 2 or "=" in tokens[1]:
-                raise ScenarioParseError("expected: group <name> shares=<int>", line_no)
-            name = tokens[1]
-            if name in group_lines:
-                raise ScenarioParseError(f"duplicate group {name!r}", line_no)
-            kv = _parse_kv(line, 2)
-            shares = _take(kv, "shares", int, line)
-            _reject_unknown_keys(kv, "group", line)
+            name = line.name("expected: group <name> shares=<int>", users_by_group, "group")
+            (shares,) = line.fields(2, _GROUP_KEYS)
             group_rows.append((name, shares, line_no))
-            group_lines[name] = line_no
             users_by_group[name] = []
 
         elif keyword == "user":
-            if len(tokens) < 2 or "=" in tokens[1]:
-                raise ScenarioParseError("expected: user <name> key=value...", line_no)
-            name = tokens[1]
-            if name in user_names:
-                raise ScenarioParseError(f"duplicate user {name!r}", line_no)
-            kv = _parse_kv(line, 2)
-            group_index = kv["group"][1] if "group" in kv else None
-            group = _take(kv, "group", str, line)
-            shares = _take(kv, "shares", int, line)
-            procs = _take(kv, "procs", int, line)
-            think = _take(kv, "think", float, line)
-            demand = _take(kv, "demand", float, line)
-            active = _take(kv, "active", _yes_no, line)
-            _reject_unknown_keys(kv, "user", line)
+            name = line.name("expected: user <name> key=value...", user_lines, "user")
+            group, shares, procs, think, demand, active = line.fields(2, _USER_KEYS)
             if group not in users_by_group:
-                raise ScenarioParseError(
-                    f"unknown group {group!r}", line_no, line.column(group_index) + len("group=")
-                )
+                column = line.column(tokens.index(f"group={group}", 2)) + len("group=")
+                raise ScenarioParseError(f"unknown group {group!r}", line_no, column)
             loads.append(_build(ClassLoad, line_no, user=name, procs=procs, think=think, demand=demand))
-            user_names.add(name)
+            user_lines[name] = line_no
             users_by_group[group].append(UserAlloc(name=name, shares=shares, active=active))
 
         elif keyword == "event":
-            kv = _parse_kv(line, 1)
-            when = _take(kv, "t", float, line)
-            action = None
-            user = None
-            for candidate in ("activate", "deactivate"):
-                if candidate in kv:
-                    if action is not None:
-                        raise ScenarioParseError("event has both activate= and deactivate=", line_no)
-                    action = candidate
-                    user = _take(kv, candidate, str, line)
-            if action is None:
+            when, activate, deactivate = line.fields(1, _EVENT_KEYS, _EVENT_ACTIONS)
+            if activate is not None and deactivate is not None:
+                raise ScenarioParseError("event has both activate= and deactivate=", line_no)
+            if activate is None and deactivate is None:
                 raise ScenarioParseError("event needs activate=<user> or deactivate=<user>", line_no)
-            _reject_unknown_keys(kv, "event", line)
-            events.append(_build(TimelineEvent, line_no, time=when, action=action, user=user))
+            action = "activate" if deactivate is None else "deactivate"
+            events.append(_build(TimelineEvent, line_no, time=when, action=action,
+                                 user=activate or deactivate))
 
         elif keyword == "solver":
             if len(tokens) != 2 or tokens[1] not in SOLVERS:

@@ -187,10 +187,11 @@ class TestParse:
             (11, "event t=x deactivate=opsC color=red", "line 11, col 7: bad value for t: 'x'"),
             (11, "event deactivate=opsC color=red", "line 11: missing t="),
             (11, "event t=60 deactivate=opsC oops", "line 11, col 28: expected key=value, got 'oops'"),
-            # Neither action, or both, and an unknown key.
-            (11, "event zz=1 t=5", "line 11: event needs activate=<user> or deactivate=<user>"),
+            # Neither action, or both, and an unknown key: keys are checked
+            # before the rule that an event has exactly one action.
+            (11, "event zz=1 t=5", "line 11, col 7: unknown key 'zz' on event line"),
             (11, "event t=60 activate=opsC deactivate=opsC color=red",
-             "line 11: event has both activate= and deactivate="),
+             "line 11, col 42: unknown key 'color' on event line"),
         ],
     )
     def test_two_faults_give_the_pinned_diagnostic(self, line_no, line, message):
