@@ -131,7 +131,7 @@ _EVENT_KEYS = (("t", float), ("activate", str), ("deactivate", str))
 
 def parse_scenario(text: str, label: str = "scenario") -> Scenario:
     """Parse and validate scenario text; diagnostics carry line numbers."""
-    total_shares = None
+    total_shares = total_line = None
     group_rows: list[tuple[str, int, int]] = []  # name, shares, line
     users_by_group: dict[str, list[UserAlloc]] = {}
     user_lines: dict[str, int] = {}
@@ -154,6 +154,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
                 raise ScenarioParseError(
                     f"bad share count {tokens[1]!r}", line_no, line.column(1)
                 ) from None
+            total_line = line_no
 
         elif keyword == "group":
             name = line.name("expected: group <name> shares=<int>", users_by_group, "group")
@@ -205,11 +206,12 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             ),
         )
     except ValidationError as exc:
-        line = next(
-            (group_line for name, _, group_line in group_rows if f"group {name}:" in str(exc)),
-            None,
-        )
-        raise ScenarioParseError(str(exc), line) from exc
+        # "group NAME: ..." and "user NAME: ..." are about that line (names
+        # hold no spaces); every other hierarchy error is about the total.
+        owner = " ".join(str(exc).split(" ", 2)[:2])
+        lines = {f"group {name}:": group_line for name, _, group_line in group_rows}
+        lines.update((f"user {name}:", user_line) for name, user_line in user_lines.items())
+        raise ScenarioParseError(str(exc), lines.get(owner, total_line)) from exc
     try:
         validate_timeline(events, hierarchy)
     except ValidationError as exc:

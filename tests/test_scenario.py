@@ -115,6 +115,23 @@ class TestParse:
     @pytest.mark.parametrize(
         "old, new, message",
         [
+            ("total_shares 100", "total_shares 0",
+             "line 2: total allocated shares must be a positive integer, got 0"),
+            ("user wAgg group=WEB shares=10", "user wAgg group=WEB shares=0",
+             "line 7: user wAgg: shares must be a positive integer"),
+            ("total_shares 100", "total_shares 101",
+             "line 2: group shares sum to 100, total allocation is 101"),
+        ],
+        ids=["total", "user", "group-sum"],
+    )
+    def test_hierarchy_errors_name_their_line(self, old, new, message):
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(GOOD.replace(old, new))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
             ("think=0", "think=nan", "think time"),
             ("think=0", "think=-1", "think time"),
             ("demand=1", "demand=inf", "demand"),
