@@ -500,8 +500,9 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
         horizon = min(duration, core.release(now + _TIME_EPS, now))
 
         if not ready:
-            if horizon <= now + _TIME_EPS:
-                break  # nothing left that could ever run
+            # Skip to the next event, wakeup or the end.  It lies past now + _TIME_EPS,
+            # since release() leaves no key at or below that and the loop
+            # runs only while duration is past it, so time always moves on.
             now = horizon
             continue
 
