@@ -188,8 +188,10 @@ def parse_ps_log(stream) -> PsLog:
 
     Records are ``T <epoch-seconds>`` header lines followed by ps lines
     (USER PID %CPU %MEM SZ RSS TT S START TIME COMMAND, TIME as mm:ss or
-    hh:mm:ss).  Only USER, PID and TIME are read.  Malformed lines, and the
-    ps lines under a malformed header, are skipped and counted.
+    hh:mm:ss).  Only USER, PID and TIME are read.  A TIME is malformed when
+    it holds a minus sign, when its seconds are not below 60, or when its
+    minutes are 60 or more after hours.  Malformed lines, and the ps lines
+    under a malformed header, are skipped and counted.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
@@ -222,15 +224,18 @@ def parse_ps_log(stream) -> PsLog:
             pid = pid_of.get(tokens[1])
             if pid is None:
                 pid = pid_of[tokens[1]] = int(tokens[1])
-            parts = tokens[9].split(":")
+            time = tokens[9]
+            parts = time.split(":")
+            seconds = float(parts[-1])
             if len(parts) == 2:  # mm:ss; a zero hours term would add 0.0, a no-op
-                cputime = int(parts[0]) * 60.0 + float(parts[1])
-            elif len(parts) == 3:
-                cputime = int(parts[0]) * 3600.0 + int(parts[1]) * 60.0 + float(parts[2])
+                cputime = int(parts[0]) * 60.0 + seconds
+            elif len(parts) == 3 and int(parts[1]) < 60:
+                cputime = int(parts[0]) * 3600.0 + int(parts[1]) * 60.0 + seconds
             else:
-                raise ValueError(tokens[9])
-            if not isfinite(cputime):
-                raise ValueError(tokens[9])
+                raise ValueError(time)
+            # ps prints no sign and seconds below 60; that also rules out nan and inf.
+            if "-" in time or not (seconds < 60.0 and isfinite(cputime)):
+                raise ValueError(time)
         except (ValueError, OverflowError):  # OverflowError: TIME too large for a float
             skipped += 1
             continue

@@ -67,11 +67,12 @@ def two_user_files(tmp_path):
         # Timestamps 64 s apart near 1e17, where floats are 16 s apart.
         "log_coarse_clock": b"T 100000000000000000\nalice 1 1.0 0 0 0 ? S 10:00 0:01 x\n"
                             b"T 100000000000000064\nalice 1 1.0 0 0 0 ? S 10:00 0:02 x\n",
-        # TIME from -1e308 to 1e308 s: a change past the float range.
-        "log_float_range": b"T 0\nalice 1 1.0 0 0 0 ? S 10:00 0:-1e308 x\n"
+        # Two pids each gaining 4e304 hours (1.44e308 s) of TIME in a minute:
+        # a busy time past the float range.
+        "log_float_range": b"T 0\nalice 1 1.0 0 0 0 ? S 10:00 0:00 x\n"
                            b"bob 2 1.0 0 0 0 ? S 10:00 0:00 x\n"
-                           b"T 60\nalice 1 1.0 0 0 0 ? S 10:00 0:1e308 x\n"
-                           b"bob 2 1.0 0 0 0 ? S 10:00 0:30 x\n",
+                           b"T 60\nalice 1 1.0 0 0 0 ? S 10:00 4" + b"0" * 304 + b":00:00 x\n"
+                           b"bob 2 1.0 0 0 0 ? S 10:00 4" + b"0" * 304 + b":00:00 x\n",
     }.items():
         path = tmp_path / role
         path.write_bytes(data)
@@ -332,6 +333,19 @@ class TestMonitor:
         code, out, _ = run_cli(capsys, "monitor", log, two_user_files["good"], "--window", "60")
         assert code == 0
         assert out.endswith("max |deviation| 0.0000 -> OK\n")
+
+    def test_negative_time_is_skipped_not_counted(self, capsys, tmp_path, two_user_files):
+        # Read as a sample, alice's 0:-5 would give her 10 s of CPU against
+        # bob's 1 s in a window where both hold half the shares.
+        log = tmp_path / "negative.log"
+        log.write_text("T 0\nalice 1 1.0 0 0 0 ? S 10:00 0:-5 x\nbob 2 1.0 0 0 0 ? S 10:00 0:00 x\n"
+                       "T 60\nalice 1 1.0 0 0 0 ? S 10:00 0:05 x\nbob 2 1.0 0 0 0 ? S 10:00 0:01 x\n")
+        code, out, err = run_cli(capsys, "monitor", str(log), two_user_files["good"],
+                                 "--window", "60")
+        assert code == 0
+        assert "alice" not in out
+        assert out.endswith("max |deviation| 0.0000 -> OK\n")
+        assert err == "note: skipped 1 malformed line(s)\n"
 
     def test_malformed_line_is_noted_and_skipped(self, capsys, tmp_path, two_user_files):
         clean = run_cli(capsys, "monitor", two_user_files["log"], two_user_files["good"])

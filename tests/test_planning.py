@@ -264,6 +264,9 @@ def reference_parse_ps_log(stream) -> PsLog:
             hours, minutes, seconds = parts
         else:
             raise ValueError(text)
+        # ps prints no sign, seconds below 60 and, after hours, minutes below 60.
+        if "-" in text or not float(seconds) < 60 or (len(parts) == 3 and int(minutes) >= 60):
+            raise ValueError(text)
         total = int(hours) * 3600.0 + int(minutes) * 60.0 + float(seconds)
         if not math.isfinite(total):
             raise ValueError(text)
@@ -307,8 +310,9 @@ PS_PADDING = ("", " ", "\t", "  \t ", "\xa0", "\u3000")  # the last two are non-
 PS_HEADERS = ("0", "1000", "-5.5", "1e3") * 3 + (
     "nan", "inf", "-inf", "10:00", "0x10", "1 2", "7 x")
 PS_PIDS = ("7", "4242", "+7", "-3", "1_000", "007", "٣") * 3 + ("x", "1.5")
-PS_TIMES = ("0:00", "2:05", "1:02:03", "12:34.50", "1:-5", "1_0:00", "٣:00", "1:2e1") * 2 + (
-    "1:02:03:04", ":5", "1:nan", "1:inf", "5", "xx", "n/a", "1::2")
+PS_TIMES = ("0:00", "2:05", "1:02:03", "12:34.50", "1_0:00", "٣:00", "1:2e1") * 2 + (
+    "1:02:03:04", ":5", "1:nan", "1:inf", "5", "xx", "n/a", "1::2",
+    "1:-5", "-1:00", "0:75", "1:60:00", "0:1e308")
 
 
 @st.composite
