@@ -11,6 +11,7 @@ checkout's ``src`` in a fresh interpreter:
 - ``cli.build_parser``, the uncached build where the checkout caches it;
 - ``scenario.parse_scenario`` on ``report1..5`` and on the ``sim-crowd``
   workload's 251-line scenario at seed 1 (``bench_crowd`` below);
+- ``planning.parse_slo_file`` on ``slo-example.txt``;
 - ``mva.solve_ts`` on the shipped scenarios ``report1..5`` and on synthetic
   workloads of about 1e4, 1e6 and 4.8e6 population vectors;
 - ``planning.parse_ps_log`` on a seeded day-long ps log (``day_log`` below);
@@ -43,7 +44,7 @@ per quantum in the quantized modes and per simulated second in
 ``ts-ps-reference``, per output line for ``render_report``, per user
 plus event for ``apply_events`` and ``validate_timeline``, per call for
 ``cli.main``, per build for ``cli.build_parser``, per input line for
-``parse_scenario`` and per process for the cold starts.
+``parse_scenario`` and ``parse_slo_file`` and per process for the cold starts.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ from importlib import metadata
 from pathlib import Path
 from fairshare import cli
 from fairshare.mva import ClassLoad, WorkloadSpec, solve_ts
-from fairshare.planning import goal_deviation, parse_ps_log
+from fairshare.planning import goal_deviation, parse_ps_log, parse_slo_file
 from fairshare.report import render_report, run_scenario
 from fairshare.scenario import parse_scenario
 from fairshare.shares import (GroupAlloc, ShareHierarchy, UserAlloc, apply_events,
@@ -165,6 +166,10 @@ for name, text in texts.items():
     _, samples = timed(lambda: parse_scenario(text))
     lines = text.count("\n")
     emit(f"parse_scenario {name}", "scenario.parse_scenario", samples, lines, lines=lines)
+text = (root / "scenarios" / "slo-example.txt").read_text()
+_, samples = timed(lambda: parse_slo_file(text))
+lines = text.count("\n")
+emit("parse_slo_file slo-example", "planning.parse_slo_file", samples, lines, lines=lines)
 
 cases = [(name, parse_scenario((root / "scenarios" / f"{name}.fsp").read_text()).workload)
          for name in json.loads(sys.argv[2])]
@@ -358,6 +363,7 @@ def main(argv=None) -> int:
              "planning.goal_deviation": "window", "report.render_report": "line",
              "shares.apply_events": "user+event", "sim.validate_timeline": "user+event",
              "cli.main": "call", "cli.build_parser": "build", "scenario.parse_scenario": "line",
+             "planning.parse_slo_file": "line",
              "process": "process"}
     for r in records:
         per = units.get(r["layer"]) or ("sim s" if "ts-ps-reference" in r["case"] else "quantum")
