@@ -144,7 +144,6 @@ def render_plan(plan: SharePlan) -> str:
 
 _TARGET_USAGE = "expected: target <name> umax=<float> [demand=<float>] [rslo=<float>]"
 _TARGET_KEYS = (("umax", float), ("demand", float), ("rslo", float))
-_TARGET_OPTIONAL = ("demand", "rslo")
 
 
 def parse_slo_file(text: str) -> list[SLOTarget]:
@@ -162,7 +161,7 @@ def parse_slo_file(text: str) -> list[SLOTarget]:
             raise ScenarioParseError(_TARGET_USAGE, line.no)
         name = line.name(_TARGET_USAGE, names, "target")
         names.add(name)
-        u_max, demand, r_slo = line.fields(2, _TARGET_KEYS, _TARGET_OPTIONAL)
+        u_max, demand, r_slo = line.fields(2, _TARGET_KEYS, ("demand", "rslo"))
         targets.append(
             _build(SLOTarget, line.no, name=name, u_max=u_max, demand=demand, r_slo=r_slo)
         )

@@ -59,13 +59,12 @@ class _Line(NamedTuple):
         return tokens[1]
 
     def fields(self, start: int, keys, optional=()) -> tuple:
-        """The ``key=value`` tokens from ``tokens[start]`` on, cast, in the order of ``keys``.
+        """The values of the ``key=value`` tokens from ``tokens[start]`` on, cast.
 
-        ``keys`` holds ``(key, cast)`` pairs; a key named in ``optional`` may
-        be left out and then gives None.  The first fault is reported: a
-        token that is not ``key=value`` or repeats a key, in token order;
-        then a missing key or a value its cast rejects, in the order of
-        ``keys``; then a key not in ``keys``.
+        ``keys`` holds ``(key, cast)`` pairs, in the order of the values; a
+        key in ``optional`` may be left out and gives None.  The first fault
+        is reported: a token that is not ``key=value`` or repeats a key; a
+        key missing or its value bad, in ``keys`` order; then a key not in it.
         """
         found = {}
         for i, token in enumerate(self.tokens[start:], start):
@@ -77,18 +76,17 @@ class _Line(NamedTuple):
             found[key] = (value, i)
         values = []
         for key, cast in keys:
-            if key not in found:
-                if key not in optional:
-                    raise ScenarioParseError(f"missing {key}=", self.no)
-                values.append(None)
-                continue
-            value, i = found.pop(key)
-            try:
-                values.append(cast(value))
-            except ValueError:
-                raise ScenarioParseError(
-                    f"bad value for {key}: {value!r}", self.no, self.column(i)
-                ) from None
+            value, i = found.pop(key, (None, None))
+            if value is not None:
+                try:
+                    value = cast(value)
+                except ValueError:
+                    raise ScenarioParseError(
+                        f"bad value for {key}: {value!r}", self.no, self.column(i)
+                    ) from None
+            elif key not in optional:
+                raise ScenarioParseError(f"missing {key}=", self.no)
+            values.append(value)
         if found:
             extra, (_, i) = next(iter(found.items()))
             raise ScenarioParseError(
@@ -125,7 +123,6 @@ def _yes_no(value: str) -> bool:
 _GROUP_KEYS = (("shares", int),)
 _USER_KEYS = (("group", str), ("shares", int), ("procs", int), ("think", float),
               ("demand", float), ("active", _yes_no))
-_EVENT_ACTIONS = ("activate", "deactivate")
 _EVENT_KEYS = (("t", float), ("activate", str), ("deactivate", str))
 
 
@@ -173,7 +170,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             users_by_group[group].append(UserAlloc(name=name, shares=shares, active=active))
 
         elif keyword == "event":
-            when, activate, deactivate = line.fields(1, _EVENT_KEYS, _EVENT_ACTIONS)
+            when, activate, deactivate = line.fields(1, _EVENT_KEYS, ("activate", "deactivate"))
             if activate is not None and deactivate is not None:
                 raise ScenarioParseError("event has both activate= and deactivate=", line_no)
             if activate is None and deactivate is None:

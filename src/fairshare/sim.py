@@ -500,9 +500,8 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
         horizon = min(duration, core.release(now + _TIME_EPS, now))
 
         if not ready:
-            # Skip to the next event, wakeup or the end.  It lies past now + _TIME_EPS,
-            # since release() leaves no key at or below that and the loop
-            # runs only while duration is past it, so time always moves on.
+            # On to the next event, wakeup or the end, which is past now + _TIME_EPS:
+            # release() leaves no key at or below it, and duration is past it.
             now = horizon
             continue
 
