@@ -243,6 +243,19 @@ class TestSimulate:
         assert "no windows after the last timeline event" in err
         assert not trace_path.exists()
 
+    def test_idle_run_warns_before_its_error(self, capsys, tmp_path):
+        # The only user is inactive until t=500, past the end of the run.
+        path = tmp_path / "idle.fsp"
+        path.write_text(
+            "total_shares 10\ngroup G shares=10\n"
+            "user a group=G shares=10 procs=1 think=0 demand=1 active=no\n"
+            "event t=500 activate=a\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", str(path), "--duration", "10", "--warmup", "0")
+        assert (code, out) == (1, "")
+        assert err == ("warning: no process was runnable during the run; trace is empty\n"
+                       "error: empty pool: no active users in hierarchy\n")
+
     def test_deterministic_output(self, capsys, report4):
         args = ("simulate", report4, "--duration", "30", "--warmup", "5")
         _, first, _ = run_cli(capsys, *args)

@@ -63,8 +63,9 @@ class TestParse:
 
     def test_unknown_event_user(self):
         bad = GOOD.replace("deactivate=opsC", "deactivate=nobody")
-        with pytest.raises(ScenarioParseError, match="nobody"):
+        with pytest.raises(ScenarioParseError) as exc:
             parse_scenario(bad)
+        assert str(exc.value) == "unknown user 'nobody'"
 
     def test_duplicate_user(self):
         bad = GOOD.replace(
@@ -98,8 +99,67 @@ class TestParse:
             "event t=60 deactivate=opsC",
             "event t=60 deactivate=opsC\nevent t=10 activate=opsC",
         )
-        with pytest.raises(ScenarioParseError, match="non-decreasing"):
+        with pytest.raises(ScenarioParseError) as exc:
             parse_scenario(bad)
+        assert str(exc.value) == "timeline event times must be non-decreasing"
+
+    def test_first_failing_event_is_reported(self):
+        bad = GOOD.replace(
+            "event t=60 deactivate=opsC",
+            "event t=60 deactivate=opsC\nevent t=70 activate=nobody\nevent t=10 activate=opsC",
+        )
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(bad)
+        assert str(exc.value) == "unknown user 'nobody'"
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("solver partition", "solver partition\ntotal_shares 100",
+             "line 13: total_shares given twice"),
+            ("total_shares 100", "total_shares", "line 2: expected: total_shares <int>"),
+            ("total_shares 100", "total_shares 100 0", "line 2: expected: total_shares <int>"),
+            ("event t=60 deactivate=opsC", "event t=60 activate=opsC deactivate=opsC",
+             "line 11: event has both activate= and deactivate="),
+            ("event t=60 deactivate=opsC", "event t=60",
+             "line 11: event needs activate=<user> or deactivate=<user>"),
+            ("group OPS shares=30", "group OPS shares=30\ngroup IDLE shares=0",
+             "line 6: group IDLE: shares must be a positive integer"),
+        ],
+        ids=["total-twice", "total-no-count", "total-two-counts", "event-both", "event-neither",
+             "group-zero"],
+    )
+    def test_one_fault_gives_its_diagnostic(self, old, new, message):
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(GOOD.replace(old, new))
+        assert str(exc.value) == message
+
+    # Faults on different lines: the first one reported is pinned here.
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ((("user wAgg group=WEB shares=10", "user wAgg group=WEB shares=0"),
+              ("solver partition", "solver partition\ntotal_shares 100")),
+             "line 13: total_shares given twice"),
+            ((("total_shares 100", "total_shares 0"),
+              ("user opsB group=OPS shares=5", "user opsB group=OPS shares=4")),
+             "line 2: total allocated shares must be a positive integer, got 0"),
+            ((("total_shares 100", "total_shares 0"),
+              ("user wAgg group=WEB shares=10", "user wAgg group=WEB shares=0")),
+             "line 2: total allocated shares must be a positive integer, got 0"),
+            ((("user fAgg group=FIN shares=60", "user fAgg group=FIN shares=59"),
+              ("user opsA group=OPS shares=6", "user opsA group=OPS shares=0")),
+             "line 3: group FIN: user shares sum to 59, group allocation is 60"),
+        ],
+        ids=["user-then-line", "total-then-group", "total-then-user", "group-then-user"],
+    )
+    def test_faults_on_two_lines_give_the_pinned_diagnostic(self, edits, message):
+        text = GOOD
+        for old, new in edits:
+            text = text.replace(old, new)
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(text)
+        assert str(exc.value) == message
 
     def test_share_sum_error_names_the_right_group_line(self):
         text = (
