@@ -129,11 +129,11 @@ _EVENT_KEYS = (("t", float), ("activate", str), ("deactivate", str))
 def parse_scenario(text: str, label: str = "scenario") -> Scenario:
     """Parse and validate scenario text; diagnostics carry line numbers."""
     total_shares = total_line = None
-    group_rows: list[tuple[str, int, int]] = []  # name, shares, line
-    users_by_group: dict[str, list[UserAlloc]] = {}
-    user_lines: dict[str, int] = {}
+    groups: dict[str, tuple[int, int, list[UserAlloc]]] = {}  # name: shares, line, users
+    user_names: set[str] = set()
     loads: list[ClassLoad] = []
     events: list[TimelineEvent] = []
+    event_lines: list[int] = []
     solver = None
 
     for line in _lines(text):
@@ -154,20 +154,19 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             total_line = line_no
 
         elif keyword == "group":
-            name = line.name("expected: group <name> shares=<int>", users_by_group, "group")
+            name = line.name("expected: group <name> shares=<int>", groups, "group")
             (shares,) = line.fields(2, _GROUP_KEYS)
-            group_rows.append((name, shares, line_no))
-            users_by_group[name] = []
+            groups[name] = (shares, line_no, [])
 
         elif keyword == "user":
-            name = line.name("expected: user <name> key=value...", user_lines, "user")
+            name = line.name("expected: user <name> key=value...", user_names, "user")
             group, shares, procs, think, demand, active = line.fields(2, _USER_KEYS)
-            if group not in users_by_group:
+            if group not in groups:
                 column = line.column(tokens.index(f"group={group}", 2)) + len("group=")
                 raise ScenarioParseError(f"unknown group {group!r}", line_no, column)
             loads.append(_build(ClassLoad, line_no, user=name, procs=procs, think=think, demand=demand))
-            user_lines[name] = line_no
-            users_by_group[group].append(UserAlloc(name=name, shares=shares, active=active))
+            groups[group][2].append(_build(UserAlloc, line_no, name=name, shares=shares, active=active))
+            user_names.add(name)
 
         elif keyword == "event":
             when, activate, deactivate = line.fields(1, _EVENT_KEYS, ("activate", "deactivate"))
@@ -178,6 +177,7 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             action = "activate" if deactivate is None else "deactivate"
             events.append(_build(TimelineEvent, line_no, time=when, action=action,
                                  user=activate or deactivate))
+            event_lines.append(line_no)
 
         elif keyword == "solver":
             if len(tokens) != 2 or tokens[1] not in SOLVERS:
@@ -189,30 +189,19 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
         else:
             raise ScenarioParseError(f"unknown directive {keyword!r}", line_no, 1)
 
-    if not group_rows:
+    if not groups:
         raise ScenarioParseError("no groups defined")
     if total_shares is None:
         raise ScenarioParseError("missing total_shares line")
 
-    try:
-        hierarchy = ShareHierarchy(
-            total_allocated_shares=total_shares,
-            groups=tuple(
-                GroupAlloc(name=name, shares=shares, users=tuple(users_by_group[name]))
-                for name, shares, _ in group_rows
-            ),
-        )
-    except ValidationError as exc:
-        # "group NAME: ..." and "user NAME: ..." are about that line (names
-        # hold no spaces); every other hierarchy error is about the total.
-        owner = " ".join(str(exc).split(" ", 2)[:2])
-        lines = {f"group {name}:": group_line for name, _, group_line in group_rows}
-        lines.update((f"user {name}:", user_line) for name, user_line in user_lines.items())
-        raise ScenarioParseError(str(exc), lines.get(owner, total_line)) from exc
+    hierarchy = _build(ShareHierarchy, total_line, total_allocated_shares=total_shares, groups=tuple(
+        _build(GroupAlloc, group_line, name=name, shares=shares, users=tuple(users))
+        for name, (shares, group_line, users) in groups.items()
+    ))
     try:
         validate_timeline(events, hierarchy)
     except ValidationError as exc:
-        raise ScenarioParseError(str(exc)) from exc
+        raise ScenarioParseError(str(exc), event_lines[exc.event_index]) from exc
 
     return Scenario(
         label=label,

@@ -23,6 +23,10 @@ class UserAlloc:
     shares: int
     active: bool = True
 
+    def __post_init__(self):
+        if not isinstance(self.shares, int) or self.shares <= 0:
+            raise ValidationError(f"user {self.name}: shares must be a positive integer")
+
 
 @dataclass(frozen=True)
 class GroupAlloc:
@@ -30,14 +34,23 @@ class GroupAlloc:
     shares: int
     users: tuple[UserAlloc, ...]
 
+    def __post_init__(self):
+        if not isinstance(self.shares, int) or self.shares <= 0:
+            raise ValidationError(f"group {self.name}: shares must be a positive integer")
+        user_sum = sum(u.shares for u in self.users)
+        if user_sum != self.shares:
+            raise ValidationError(
+                f"group {self.name}: user shares sum to {user_sum}, group allocation is {self.shares}"
+            )
+
 
 @dataclass(frozen=True)
 class ShareHierarchy:
     """Immutable allocation universe: groups of users holding integer shares.
 
-    Invariants (checked on construction): user shares within a group sum
-    to the group's shares, group shares sum to ``total_allocated_shares``,
-    all shares are positive integers, and user names are globally unique.
+    Invariants (checked on construction): ``total_allocated_shares`` is a
+    positive integer that the group shares sum to, and group and user
+    names are unique.  Each group and user checks its own shares.
     """
 
     total_allocated_shares: int
@@ -56,20 +69,10 @@ class ShareHierarchy:
             if group.name in seen_groups:
                 raise ValidationError(f"duplicate group name {group.name!r}")
             seen_groups.add(group.name)
-            if not isinstance(group.shares, int) or group.shares <= 0:
-                raise ValidationError(f"group {group.name}: shares must be a positive integer")
-            user_sum = 0
             for user in group.users:
                 if user.name in seen_users:
                     raise ValidationError(f"duplicate user name {user.name!r}")
                 seen_users.add(user.name)
-                if not isinstance(user.shares, int) or user.shares <= 0:
-                    raise ValidationError(f"user {user.name}: shares must be a positive integer")
-                user_sum += user.shares
-            if user_sum != group.shares:
-                raise ValidationError(
-                    f"group {group.name}: user shares sum to {user_sum}, group allocation is {group.shares}"
-                )
         group_sum = sum(g.shares for g in self.groups)
         if group_sum != self.total_allocated_shares:
             raise ValidationError(

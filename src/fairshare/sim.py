@@ -116,17 +116,22 @@ class TimelineEvent:
 def validate_timeline(events, h: ShareHierarchy) -> None:
     """Check what no single event can: times in order, users in the hierarchy.
 
-    Errors come in event order, and within an event the time first.  Costs
+    Errors come in event order, and within an event the time first; an
+    error's ``event_index`` is the index of the event at fault.  Costs
     O(users + events).
     """
     names = set(h.user_names())
     last = 0.0
-    for ev in events:
+    for i, ev in enumerate(events):
         if ev.time < last:
-            raise ValidationError("timeline event times must be non-decreasing")
-        last = ev.time
-        if ev.user not in names:
-            raise UnknownUserError(f"unknown user {ev.user!r}")
+            error = ValidationError("timeline event times must be non-decreasing")
+        elif ev.user not in names:
+            error = UnknownUserError(f"unknown user {ev.user!r}")
+        else:
+            last = ev.time
+            continue
+        error.event_index = i
+        raise error
 
 
 @dataclass

@@ -65,7 +65,7 @@ class TestParse:
         bad = GOOD.replace("deactivate=opsC", "deactivate=nobody")
         with pytest.raises(ScenarioParseError) as exc:
             parse_scenario(bad)
-        assert str(exc.value) == "unknown user 'nobody'"
+        assert str(exc.value) == "line 11: unknown user 'nobody'"
 
     def test_duplicate_user(self):
         bad = GOOD.replace(
@@ -101,7 +101,7 @@ class TestParse:
         )
         with pytest.raises(ScenarioParseError) as exc:
             parse_scenario(bad)
-        assert str(exc.value) == "timeline event times must be non-decreasing"
+        assert str(exc.value) == "line 12: timeline event times must be non-decreasing"
 
     def test_first_failing_event_is_reported(self):
         bad = GOOD.replace(
@@ -110,7 +110,7 @@ class TestParse:
         )
         with pytest.raises(ScenarioParseError) as exc:
             parse_scenario(bad)
-        assert str(exc.value) == "unknown user 'nobody'"
+        assert str(exc.value) == "line 12: unknown user 'nobody'"
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -140,16 +140,16 @@ class TestParse:
         [
             ((("user wAgg group=WEB shares=10", "user wAgg group=WEB shares=0"),
               ("solver partition", "solver partition\ntotal_shares 100")),
-             "line 13: total_shares given twice"),
+             "line 7: user wAgg: shares must be a positive integer"),
             ((("total_shares 100", "total_shares 0"),
               ("user opsB group=OPS shares=5", "user opsB group=OPS shares=4")),
-             "line 2: total allocated shares must be a positive integer, got 0"),
+             "line 5: group OPS: user shares sum to 29, group allocation is 30"),
             ((("total_shares 100", "total_shares 0"),
               ("user wAgg group=WEB shares=10", "user wAgg group=WEB shares=0")),
-             "line 2: total allocated shares must be a positive integer, got 0"),
+             "line 7: user wAgg: shares must be a positive integer"),
             ((("user fAgg group=FIN shares=60", "user fAgg group=FIN shares=59"),
               ("user opsA group=OPS shares=6", "user opsA group=OPS shares=0")),
-             "line 3: group FIN: user shares sum to 59, group allocation is 60"),
+             "line 8: user opsA: shares must be a positive integer"),
         ],
         ids=["user-then-line", "total-then-group", "total-then-user", "group-then-user"],
     )
