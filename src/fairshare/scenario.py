@@ -8,8 +8,8 @@ Grammar ('#' starts a comment, blank lines ignored):
     event t=<float> <activate|deactivate>=<user>
     solver <partition|conserving|simulate>
 
-Groups must be declared before their users; the solver line is optional
-and defaults to partition.
+Groups must be declared before their users.  The total_shares line is
+given once; the solver line at most once, and it defaults to partition.
 """
 
 from __future__ import annotations
@@ -180,6 +180,8 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
             event_lines.append(line_no)
 
         elif keyword == "solver":
+            if solver is not None:
+                raise ScenarioParseError("solver given twice", line_no)
             if len(tokens) != 2 or tokens[1] not in SOLVERS:
                 raise ScenarioParseError(
                     f"expected: solver <{'|'.join(SOLVERS)}>", line_no

@@ -80,6 +80,8 @@ def two_user_files(tmp_path):
     for role, text in {
         "slo_duplicate_key": "target alice umax=0.9 umax=0.2\n",
         "slo_duplicate_target": "target alice umax=0.2\ntarget alice umax=0.3\n",
+        "solver_twice": TWO_USERS.format(think="1", demand="0.5",
+                                         event="solver conserving\nsolver simulate"),
         # A hundred times the simulator's process budget.
         "procs_huge": TWO_USERS.format(think="1", demand="0.5", event="")
                       .replace("procs=2", "procs=100000000"),
@@ -396,6 +398,7 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("advise", "slo_not_utf8", "--total-shares", "100"),
         ("advise", "slo_duplicate_key", "--total-shares", "100"),
         ("advise", "slo_duplicate_target", "--total-shares", "100"),
+        ("report", "solver_twice"),
         ("compare", "good"),
         ("monitor", "log_not_utf8", "good"),
         ("monitor", "log_far_header", "good", "--window", "60"),

@@ -125,9 +125,11 @@ class TestParse:
              "line 11: event needs activate=<user> or deactivate=<user>"),
             ("group OPS shares=30", "group OPS shares=30\ngroup IDLE shares=0",
              "line 6: group IDLE: shares must be a positive integer"),
+            ("solver partition", "solver conserving\nsolver simulate",
+             "line 13: solver given twice"),
         ],
         ids=["total-twice", "total-no-count", "total-two-counts", "event-both", "event-neither",
-             "group-zero"],
+             "group-zero", "solver-twice"],
     )
     def test_one_fault_gives_its_diagnostic(self, old, new, message):
         with pytest.raises(ScenarioParseError) as exc:
