@@ -203,19 +203,6 @@ def run_sim(
     return _run_quantized(h, w, timeline, config)
 
 
-def _think_sampler(config: SimConfig):
-    rng = random.Random(config.seed)
-
-    def sample(mean: float) -> float:
-        if mean <= 0.0:
-            return 0.0
-        if config.think_jitter:
-            return rng.expovariate(1.0 / mean)
-        return mean
-
-    return sample
-
-
 class _Core:
     """Process life cycles, the timeline and busy-time accounting.
 
@@ -223,23 +210,23 @@ class _Core:
     time.  Timeline events and wakeups are ordered by a key that the
     engine derives from a time with ``to_key``: the quantum index in the
     quantized engine, the time itself in the fluid one.  Runnable
-    processes join ``queues[user]``, one FIFO per user, or one FIFO that
-    every user shares when ``shared_queue`` is set.  ``on_ready(user)`` is
-    called when a user's queue goes from empty to non-empty.
+    processes join ``queues[user]``: with ``on_ready`` one FIFO per user,
+    and ``on_ready(user)`` is called when a user's queue goes from empty to
+    non-empty; without it one FIFO, ``run_queue``, that every user shares.
     """
 
-    def __init__(self, h, w, timeline, config, n_windows, to_key, shared_queue, on_ready=None):
+    def __init__(self, h, w, timeline, config, n_windows, to_key, on_ready=None):
         self.config = config
         self.workload = w
         self.to_key = to_key
         self.on_ready = on_ready
-        self.sample_think = _think_sampler(config)
+        self.rng = random.Random(config.seed)
         self.loads = {c.user: c for c in w.classes}
         self.user_names = list(self.loads)
         self.active = {u.name: u.active for u in h.users()}
         self.procs = {u: [_Proc(u, i) for i in range(c.procs)] for u, c in self.loads.items()}
         self.run_queue: deque[_Proc] = deque()
-        self.queues = {u: self.run_queue if shared_queue else deque() for u in self.user_names}
+        self.queues = {u: self.run_queue if on_ready is None else deque() for u in self.user_names}
         self.parked: list[tuple[float, int, _Proc]] = []  # heap on (wake key, seq)
         self.seq = 0
         # validate_timeline guarantees non-decreasing times, hence keys.
@@ -268,7 +255,9 @@ class _Core:
         ``earliest``, or infinity when it restarted at once.
         """
         self.cycles[proc.user].append((proc.index, proc.ready_since, when))
-        think = self.sample_think(self.loads[proc.user].think)
+        think = self.loads[proc.user].think
+        if think > 0.0 and self.config.think_jitter:
+            think = self.rng.expovariate(1.0 / think)
         if think <= 0.0:
             self.start_cycle(proc, when)
             return math.inf
@@ -380,8 +369,7 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
     def to_tick(t: float) -> int:
         return max(0, math.ceil(t / q - _TIME_EPS))
 
-    core = _Core(h, w, timeline, config, n_windows, to_tick, shared_queue=round_robin,
-                 on_ready=None if round_robin else on_ready)
+    core = _Core(h, w, timeline, config, n_windows, to_tick, None if round_robin else on_ready)
     queues = core.queues
     run_queue = core.run_queue  # FIFO over processes (ts-roundrobin)
     window_busy = core.window_busy
@@ -493,7 +481,7 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
     duration = config.duration
     window_seconds = config.window
     n_windows = int((duration + _TIME_EPS) // window_seconds)
-    core = _Core(h, w, timeline, config, n_windows, lambda t: t, shared_queue=True)
+    core = _Core(h, w, timeline, config, n_windows, lambda t: t)
     ready = core.run_queue
     window_busy = core.window_busy
     post_busy = core.post_busy
@@ -534,9 +522,9 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
             total_busy += delta
         now = boundary
 
-        finished = [p for p in ready if p.remaining <= 1e-9]
+        finished = [p for p in ready if p.remaining <= _TIME_EPS]
         if finished:
-            kept = [p for p in ready if p.remaining > 1e-9]
+            kept = [p for p in ready if p.remaining > _TIME_EPS]
             ready.clear()
             ready.extend(kept)
             for p in finished:
