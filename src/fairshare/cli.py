@@ -24,7 +24,7 @@ from .planning import (
     render_deviation,
     render_plan,
 )
-from .report import cross_compare, entitlement_lines, render_report, run_scenario
+from .report import DEFAULT_SIM, cross_compare, entitlement_lines, render_report, run_scenario
 from .scenario import SOLVERS, parse_scenario
 from .shares import (
     ENTITLEMENT_MODES,
@@ -73,14 +73,16 @@ def _sim_config(args) -> SimConfig:
 
 
 def _add_sim_options(parser):
-    parser.add_argument("--duration", type=float, default=300.0, help="simulated seconds")
-    parser.add_argument("--warmup", type=float, default=30.0, help="seconds discarded before measuring")
-    parser.add_argument("--quantum", type=float, default=0.01, help="scheduler quantum in seconds")
-    parser.add_argument("--half-life", type=float, default=5.0, help="usage decay half-life in seconds")
-    parser.add_argument("--window", type=float, default=1.0, help="utilization sampling window in seconds")
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument("--sim-mode", choices=SIM_MODES, default="fairshare-flat",
-                        help="dispatch discipline")
+    d = DEFAULT_SIM
+    parser.add_argument("--duration", type=float, default=d.duration, help="simulated seconds")
+    parser.add_argument("--warmup", type=float, default=d.warmup, help="seconds discarded before measuring")
+    parser.add_argument("--quantum", type=float, default=d.quantum, help="scheduler quantum in seconds")
+    parser.add_argument("--half-life", type=float, default=d.usage_half_life,
+                        help="usage decay half-life in seconds")
+    parser.add_argument("--window", type=float, default=d.window,
+                        help="utilization sampling window in seconds")
+    parser.add_argument("--seed", type=int, default=d.seed, help="simulation seed")
+    parser.add_argument("--sim-mode", choices=SIM_MODES, default=d.mode, help="dispatch discipline")
     parser.add_argument("--jitter-think", action="store_true",
                         help="draw think times from an exponential instead of fixed values")
 
