@@ -196,10 +196,9 @@ def parse_scenario(text: str, label: str = "scenario") -> Scenario:
     if total_shares is None:
         raise ScenarioParseError("missing total_shares line")
 
-    hierarchy = _build(ShareHierarchy, total_line, total_allocated_shares=total_shares, groups=tuple(
-        _build(GroupAlloc, group_line, name=name, shares=shares, users=tuple(users))
-        for name, (shares, group_line, users) in groups.items()
-    ))
+    allocs = tuple(_build(GroupAlloc, group_line, name=name, shares=shares, users=tuple(users))
+                   for name, (shares, group_line, users) in groups.items())
+    hierarchy = _build(ShareHierarchy, total_line, total_allocated_shares=total_shares, groups=allocs)
     try:
         validate_timeline(events, hierarchy)
     except ValidationError as exc:
