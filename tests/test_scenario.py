@@ -152,8 +152,12 @@ class TestParse:
             ((("user fAgg group=FIN shares=60", "user fAgg group=FIN shares=59"),
               ("user opsA group=OPS shares=6", "user opsA group=OPS shares=0")),
              "line 8: user opsA: shares must be a positive integer"),
+            ((("total_shares 100\n", ""),
+              ("user wAgg group=WEB shares=10", "user wAgg group=WEB shares=0")),
+             "line 6: user wAgg: shares must be a positive integer"),
         ],
-        ids=["user-then-line", "total-then-group", "total-then-user", "group-then-user"],
+        ids=["user-then-line", "total-then-group", "total-then-user", "group-then-user",
+             "user-then-no-total"],
     )
     def test_faults_on_two_lines_give_the_pinned_diagnostic(self, edits, message):
         text = GOOD
