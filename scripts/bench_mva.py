@@ -34,7 +34,9 @@ falls on every tree alike.
 Each ``--e2e WORKLOAD`` adds end-to-end records from the results that
 ``python3 bench/run.py --workload WORKLOAD --seed N --trace 0`` left in the
 checkout's ``.bench_work/results``: per metric, the median, minimum and
-quartiles over the seeds found there.
+quartiles over the seeds found there.  Only results of the checkout's
+current source count: those whose ``meta.src_sha256`` is the digest of
+its ``src/fairshare/*.py``, taken as ``bench/run.py`` takes it.
 
 Every record has the fields ``case, layer, size, repeats, median_s, min_s,
 per_unit, work_counters, python, numpy, commit``; ``per_unit`` is µs per
@@ -50,6 +52,7 @@ plus event for ``apply_events`` and ``validate_timeline``, per call for
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -306,11 +309,22 @@ def layer_records(label: str, tree: Path, rounds: list[list[dict]]) -> list[dict
     return records
 
 
+def src_digest(tree: Path) -> str:
+    """The digest ``bench/run.py`` records as ``meta.src_sha256`` for ``tree``'s source."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "fairshare").glob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def e2e_records(label: str, tree: Path, workload: str) -> list[dict]:
-    runs = [json.loads(path.read_text()) for path in
-            sorted((tree / ".bench_work" / "results").glob(f"{workload}-seed*-trace0.json"))]
+    found = [json.loads(path.read_text()) for path in
+             sorted((tree / ".bench_work" / "results").glob(f"{workload}-seed*-trace0.json"))]
+    digest = src_digest(tree)
+    runs = [run for run in found if run["meta"].get("src_sha256") == digest]
     if not runs:
-        raise SystemExit(f"no {workload} results under {tree}/.bench_work/results")
+        raise SystemExit(f"no {workload} results of this source ({digest}) under "
+                         f"{tree}/.bench_work/results; skipped {len(found)} of other source")
     meta = runs[0]["meta"]
     records = []
     for metric in E2E_METRICS:
@@ -327,6 +341,7 @@ def e2e_records(label: str, tree: Path, workload: str) -> list[dict]:
             "work_counters": {
                 "seeds": [run["meta"]["seed"] for run in runs],
                 "failed": sum(run["result"]["failed"] for run in runs),
+                "skipped": len(found) - len(runs),
                 "q1_s": q1,
                 "q3_s": q3,
             },

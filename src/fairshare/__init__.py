@@ -34,15 +34,14 @@ from .shares import (
     EntitlementTable,
     GroupAlloc,
     ShareHierarchy,
+    TimelineEvent,
     UserAlloc,
     compute_entitlements,
     least_upper_bounds,
-    set_active,
 )
 from .sim import (
     SimConfig,
     SimTrace,
-    TimelineEvent,
     convergence_time,
     export_trace,
     run_sim,

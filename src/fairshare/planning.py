@@ -81,9 +81,10 @@ class SharePlan:
 def allocate_topdown(targets, total_shares: int) -> SharePlan:
     """Integer share allocation covering every target's required entitlement.
 
-    Feasible iff required entitlements sum to at most 1.  Quotas are
-    integerized by largest remainder with a one-share floor; leftover
-    shares are reported as residual for the operator to assign.
+    Feasible iff required entitlements sum to at most 1 and the quotas,
+    floored but at least one share each, fit in ``total_shares``.  Quotas
+    are integerized by largest remainder; leftover shares are reported as
+    residual for the operator to assign.
     """
     targets = list(targets)
     if not targets:
@@ -106,7 +107,8 @@ def allocate_topdown(targets, total_shares: int) -> SharePlan:
         )
 
     quotas = {name: req * total_shares for name, req in required.items()}
-    house = math.ceil(sum(quotas.values()) - _QUOTA_EPS)
+    # At most the total: float noise in a large quota sum must not seat a share too many.
+    house = min(total_shares, math.ceil(sum(quotas.values()) - _QUOTA_EPS))
     base: dict[str, int] = {}
     fractions: dict[str, float] = {}
     for name, quota in quotas.items():
@@ -117,7 +119,13 @@ def allocate_topdown(targets, total_shares: int) -> SharePlan:
         base[name] = max(1, floor)
         fractions[name] = quota - floor
 
-    extras = house - sum(base.values())
+    floored = sum(base.values())
+    if floored > total_shares:
+        raise InfeasiblePlanError(
+            f"the one-share floor needs {floored} shares, more than the total of "
+            f"{total_shares}; use a larger --total-shares"
+        )
+    extras = house - floored
     if extras > 0:
         order = sorted(fractions, key=lambda n: (-fractions[n], n))
         for name in order[:extras]:

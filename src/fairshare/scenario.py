@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 from .errors import ScenarioParseError, ValidationError
 from .mva import ClassLoad, WorkloadSpec
-from .shares import GroupAlloc, ShareHierarchy, UserAlloc
-from .sim import TimelineEvent, validate_timeline
+from .shares import GroupAlloc, ShareHierarchy, TimelineEvent, UserAlloc, validate_timeline
 
 SOLVERS = ("partition", "conserving", "simulate")
 

@@ -3,11 +3,13 @@
 A hierarchy awards integer shares to groups and to the users inside them.
 An entitlement is a user's guaranteed minimum fraction of the CPU: its
 shares divided by the shares currently active (competing).  Deactivating
-users shrinks the pool and raises everyone else's entitlement.
+users shrinks the pool and raises everyone else's entitlement.  Timeline
+events switch users on and off; ``apply_events`` folds them into a hierarchy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import EmptyPoolError, UnknownUserError, ValidationError
@@ -163,22 +165,49 @@ def least_upper_bounds(h: ShareHierarchy) -> EntitlementTable:
     return compute_entitlements(_with_active(h, dict.fromkeys(h.user_names(), True)), FLAT_POOL)
 
 
-def set_active(h: ShareHierarchy, user: str, active: bool) -> ShareHierarchy:
-    """Return a copy of the hierarchy with one user's active flag changed.
+@dataclass(frozen=True)
+class TimelineEvent:
+    time: float
+    action: str
+    user: str
 
-    Costs O(users), as ``apply_events`` with one event: one rebuild and one
-    validation of the hierarchy.
+    def __post_init__(self):
+        if self.action not in ("activate", "deactivate"):
+            raise ValidationError(f"unknown timeline action {self.action!r}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValidationError(f"event time must be finite and >= 0, got {self.time!r}")
+
+
+def validate_timeline(events, h: ShareHierarchy) -> None:
+    """Check what no single event can: times in order, users in the hierarchy.
+
+    Errors come in event order, and within an event the time first; an
+    error's ``event_index`` is the index of the event at fault.  Costs
+    O(users + events).
     """
-    return _with_active(h, {user: active})
+    names = set(h.user_names())
+    last = 0.0
+    for i, ev in enumerate(events):
+        if ev.time < last:
+            error = ValidationError("timeline event times must be non-decreasing")
+        elif ev.user not in names:
+            error = UnknownUserError(f"unknown user {ev.user!r}")
+        else:
+            last = ev.time
+            continue
+        error.event_index = i
+        raise error
 
 
 def apply_events(h: ShareHierarchy, events) -> ShareHierarchy:
     """Fold a sequence of (de)activation events into a new hierarchy.
 
-    The last event for a user sets its flag.  Costs O(users + events): one
+    The events are checked by ``validate_timeline`` first.  The last event
+    for a user sets its flag.  Costs O(users + events): the check and one
     pass over the events, then one rebuild and one validation of the
     hierarchy, whatever the number of events.
     """
+    validate_timeline(events, h)
     flags = {event.user: event.action == "activate" for event in events}
     return _with_active(h, flags) if flags else h
 
@@ -186,13 +215,9 @@ def apply_events(h: ShareHierarchy, events) -> ShareHierarchy:
 def _with_active(h: ShareHierarchy, flags: dict[str, bool]) -> ShareHierarchy:
     """The hierarchy with each user in ``flags`` given its flag.
 
-    Raises UnknownUserError for the first name, in ``flags`` order, that is
-    not a user.  Only the groups holding a named user are rebuilt.
+    Every name in ``flags`` must be a user.  Only the groups holding a
+    named user are rebuilt.
     """
-    names = set(h.user_names())
-    for user in flags:
-        if user not in names:
-            raise UnknownUserError(f"unknown user {user!r}")
     return replace(h, groups=tuple(
         replace(g, users=tuple(
             replace(u, active=flags[u.name]) if u.name in flags else u for u in g.users))

@@ -50,9 +50,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import PopulationGuardError, UnknownUserError, ValidationError
+from .errors import PopulationGuardError, ValidationError
 from .mva import PerfRow, PerfTable, WorkloadSpec
-from .shares import EntitlementTable, ShareHierarchy
+from .shares import EntitlementTable, ShareHierarchy, TimelineEvent, validate_timeline
 
 FAIRSHARE_FLAT = "fairshare-flat"
 FAIRSHARE_HIERARCHICAL = "fairshare-hierarchical"
@@ -98,40 +98,6 @@ class SimConfig:
             raise ValidationError("usage half-life must be > 0")
         if self.mode not in SIM_MODES:
             raise ValidationError(f"unknown mode {self.mode!r}; expected one of {SIM_MODES}")
-
-
-@dataclass(frozen=True)
-class TimelineEvent:
-    time: float
-    action: str
-    user: str
-
-    def __post_init__(self):
-        if self.action not in ("activate", "deactivate"):
-            raise ValidationError(f"unknown timeline action {self.action!r}")
-        if not (math.isfinite(self.time) and self.time >= 0):
-            raise ValidationError(f"event time must be finite and >= 0, got {self.time!r}")
-
-
-def validate_timeline(events, h: ShareHierarchy) -> None:
-    """Check what no single event can: times in order, users in the hierarchy.
-
-    Errors come in event order, and within an event the time first; an
-    error's ``event_index`` is the index of the event at fault.  Costs
-    O(users + events).
-    """
-    names = set(h.user_names())
-    last = 0.0
-    for i, ev in enumerate(events):
-        if ev.time < last:
-            error = ValidationError("timeline event times must be non-decreasing")
-        elif ev.user not in names:
-            error = UnknownUserError(f"unknown user {ev.user!r}")
-        else:
-            last = ev.time
-            continue
-        error.event_index = i
-        raise error
 
 
 @dataclass
@@ -297,10 +263,10 @@ class _Core:
             heapq.heapify(self.parked)
         self.applied.append(ev)
 
-    def trace(self, window_seconds: float, elapsed: float, total_busy: float) -> SimTrace:
+    def trace(self, window_seconds: float, elapsed: float) -> SimTrace:
         warnings = ()
-        if total_busy <= 0.0:
-            warnings = ("no process was runnable during the run; trace is empty",)
+        if not any(any(busy.values()) for busy in (self.post_busy, *self.window_busy)):
+            warnings = ("the run recorded no busy time; trace is empty",)
         trace = SimTrace(
             config=self.config,
             workload=self.workload,
@@ -428,7 +394,6 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
             group_heap[:] = [group_key[g] for g in group_members if heaps[g]]
             heapq.heapify(group_heap)
 
-    total_busy = 0.0
     next_due = 0
     for tick in range(n_ticks):
         tick_time = tick * q
@@ -453,7 +418,6 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
             sub += run
             time_left -= run
             u = proc.user
-            total_busy += run
             if in_window:
                 window_busy[widx][u] += run
             if post:
@@ -473,7 +437,7 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
         if scale > _SCALE_LIMIT:
             renormalize()
 
-    return core.trace(window_ticks * q, n_ticks * q - warmup_ticks * q, total_busy)
+    return core.trace(window_ticks * q, n_ticks * q - warmup_ticks * q)
 
 
 def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
@@ -486,7 +450,6 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
     window_busy = core.window_busy
     post_busy = core.post_busy
 
-    total_busy = 0.0
     next_edge = 1  # window edge index; warmup is handled as its own boundary
     now = 0.0
     while now < duration - _TIME_EPS:
@@ -519,7 +482,6 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
                     window_busy[widx][p.user] += per
                 if post:
                     post_busy[p.user] += per
-            total_busy += delta
         now = boundary
 
         finished = [p for p in ready if p.remaining <= _TIME_EPS]
@@ -530,7 +492,7 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
             for p in finished:
                 core.finish_cycle(p, now, now)
 
-    return core.trace(window_seconds, duration - config.warmup, total_busy)
+    return core.trace(window_seconds, duration - config.warmup)
 
 
 def trace_perf(tr: SimTrace) -> PerfTable:

@@ -28,10 +28,11 @@ from fairshare.report import extract_section, render_report, run_scenario
 from fairshare.shares import (
     GroupAlloc,
     ShareHierarchy,
+    TimelineEvent,
     UserAlloc,
     compute_entitlements,
 )
-from fairshare.sim import SimConfig, TimelineEvent, convergence_time, run_sim
+from fairshare.sim import SimConfig, convergence_time, run_sim
 
 REPORT_USERS = ("fAgg", "wAgg", "opsA", "opsB", "opsC")
 REPORT4_ENTITLEMENTS = {"fAgg": 0.60, "wAgg": 0.10, "opsA": 0.06, "opsB": 0.05, "opsC": 0.19}

@@ -255,7 +255,7 @@ class TestSimulate:
         )
         code, out, err = run_cli(capsys, "simulate", str(path), "--duration", "10", "--warmup", "0")
         assert (code, out) == (1, "")
-        assert err == ("warning: no process was runnable during the run; trace is empty\n"
+        assert err == ("warning: the run recorded no busy time; trace is empty\n"
                        "error: empty pool: no active users in hierarchy\n")
 
     def test_deterministic_output(self, capsys, report4):
@@ -300,6 +300,14 @@ class TestAdvise:
         code, _, err = run_cli(capsys, "advise", str(slo), "--total-shares", "100")
         assert code == 2
         assert "split groups across separate servers" in err
+
+    def test_floor_past_the_total_exits_two(self, capsys, tmp_path):
+        slo = tmp_path / "slo.txt"
+        slo.write_text("target A umax=0.98\ntarget B umax=0.01\ntarget C umax=0.01\n")
+        code, out, err = run_cli(capsys, "advise", str(slo), "--total-shares", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: the one-share floor needs 4 shares, more than the total of 3; "
+                       "use a larger --total-shares\n")
 
 
 class TestMonitor:

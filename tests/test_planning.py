@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairshare.errors import InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError
@@ -81,15 +81,31 @@ class TestAllocateTopdown:
         with pytest.raises(ValidationError):
             allocate_topdown([SLOTarget("A", u_max=0.2), SLOTarget("B", u_max=0.2)], 1)
 
+    def test_one_share_floor_past_the_total_is_refused(self):
+        targets = [SLOTarget("A", u_max=0.98), SLOTarget("B", u_max=0.01), SLOTarget("C", u_max=0.01)]
+        with pytest.raises(InfeasiblePlanError,
+                           match=r"needs 4 shares, more than the total of 3; use a larger --total-shares"):
+            allocate_topdown(targets, 3)
+
+    def test_quota_noise_seats_no_share_past_the_total(self):
+        # The quotas' float sum overshoots 3000000007 by more than the snapping tolerance.
+        total = 3_000_000_007
+        plan = allocate_topdown(
+            [SLOTarget("A", u_max=0.3493), SLOTarget("B", u_max=0.5167), SLOTarget("C", u_max=0.134)],
+            total,
+        )
+        assert plan.residual >= 0
+        assert sum(plan.shares.values()) + plan.residual == total
+
     def test_target_validation(self):
         with pytest.raises(ValidationError):
-            SLOTarget("bad", u_max=0.0).validate()
+            SLOTarget("bad", u_max=0.0)
         with pytest.raises(ValidationError):
-            SLOTarget("bad", u_max=1.2).validate()
+            SLOTarget("bad", u_max=1.2)
         with pytest.raises(ValidationError, match="needs a demand"):
-            SLOTarget("bad", u_max=0.5, r_slo=2.0).validate()
+            SLOTarget("bad", u_max=0.5, r_slo=2.0)
         with pytest.raises(ValidationError, match="below the demand"):
-            SLOTarget("bad", u_max=0.5, demand=2.0, r_slo=1.0).validate()
+            SLOTarget("bad", u_max=0.5, demand=2.0, r_slo=1.0)
 
 
     @pytest.mark.parametrize("demand", [math.nan, math.inf, 0.0, -1.0])
@@ -110,12 +126,19 @@ class TestAllocateTopdown:
     ),
     st.integers(min_value=10, max_value=500),
 )
+@example([0.5, 0.47, 0.01, 0.01, 0.01], 10)
 def test_plan_conserves_and_dominates(umaxes, total):
     targets = [SLOTarget(f"w{i}", u_max=round(u, 4)) for i, u in enumerate(umaxes)]
     required = sum(t.u_max for t in targets)
     if required > 1.0 or total < len(targets):
         return
-    plan = allocate_topdown(targets, total)
+    floored = sum(max(1, math.floor(t.u_max * total + 1e-9)) for t in targets)
+    try:
+        plan = allocate_topdown(targets, total)
+    except InfeasiblePlanError:
+        assert floored > total
+        return
+    assert plan.residual >= 0
     assert sum(plan.shares.values()) + plan.residual == total
     for t in targets:
         assert plan.shares[t.name] / total >= t.u_max - 1.0 / total - 1e-12

@@ -11,7 +11,7 @@ from fairshare.errors import ScenarioParseError, ValidationError
 from fairshare.mva import ClassLoad, WorkloadSpec
 from fairshare.planning import parse_slo_file
 from fairshare.scenario import parse_scenario, render_scenario
-from fairshare.sim import TimelineEvent
+from fairshare.shares import TimelineEvent
 
 GOOD = """\
 # demo

@@ -1,20 +1,23 @@
 """Entitlement arithmetic on share hierarchies."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairshare import shares, sim
 from fairshare.errors import EmptyPoolError, UnknownUserError, ValidationError
 from fairshare.shares import (
     GroupAlloc,
     ShareHierarchy,
+    TimelineEvent,
     UserAlloc,
     apply_events,
     compute_entitlements,
     least_upper_bounds,
-    set_active,
 )
-from fairshare.sim import TimelineEvent
 
 
 def standard_hierarchy(fin=True, web=True, ops_a=True, ops_b=True, ops_c=True):
@@ -148,22 +151,24 @@ class TestLeastUpperBounds:
 
 
 class TestSetActive:
+    """One user's flag set by ``apply_events`` with one event."""
+
     def test_deactivating_opsc_turns_report4_into_report5(self):
-        h = set_active(standard_hierarchy(), "opsC", False)
+        h = apply_events(standard_hierarchy(), [TimelineEvent(0.0, "deactivate", "opsC")])
         assert compute_entitlements(h) == compute_entitlements(standard_hierarchy(ops_c=False))
 
     def test_idempotent_deactivation(self):
         h = standard_hierarchy(ops_c=False)
-        assert set_active(h, "opsC", False) == h
+        assert apply_events(h, [TimelineEvent(0.0, "deactivate", "opsC")]) == h
 
     def test_original_is_untouched(self):
         h = standard_hierarchy()
-        set_active(h, "opsC", False)
+        apply_events(h, [TimelineEvent(0.0, "deactivate", "opsC")])
         assert next(u for u in h.users() if u.name == "opsC").active
 
     def test_unknown_user(self):
-        with pytest.raises(UnknownUserError):
-            set_active(standard_hierarchy(), "nobody", True)
+        with pytest.raises(UnknownUserError, match="unknown user 'nobody'"):
+            apply_events(standard_hierarchy(), [TimelineEvent(0.0, "activate", "nobody")])
 
 
 # Random two-level hierarchies for the property checks.
@@ -245,7 +250,7 @@ def test_deactivation_redistributes_upward(h, data):
         return
     leaver = data.draw(st.sampled_from(active))
     before = compute_entitlements(h)
-    after = compute_entitlements(set_active(h, leaver, False))
+    after = compute_entitlements(apply_events(h, [TimelineEvent(0.0, "deactivate", leaver)]))
     for user in active:
         if user != leaver:
             assert after.entitlements[user] >= before.entitlements[user] - 1e-12
@@ -254,9 +259,7 @@ def test_deactivation_redistributes_upward(h, data):
 @settings(max_examples=100, deadline=None)
 @given(hierarchies())
 def test_modes_agree_when_everyone_is_active(h):
-    everyone = h
-    for user in h.user_names():
-        everyone = set_active(everyone, user, True)
+    everyone = apply_events(h, [TimelineEvent(0.0, "activate", u) for u in h.user_names()])
     flat = compute_entitlements(everyone, "flat-pool")
     hier = compute_entitlements(everyone, "hierarchical")
     for user in everyone.user_names():
@@ -326,3 +329,27 @@ def test_apply_events_validates_the_hierarchy_once(monkeypatch):
                         lambda self: validations.append(post_init(self)))
     assert apply_events(h, events) == want
     assert len(validations) <= 1
+
+
+def test_apply_events_refuses_events_out_of_time_order():
+    events = [TimelineEvent(5.0, "deactivate", "opsC"), TimelineEvent(1.0, "activate", "opsC")]
+    with pytest.raises(ValidationError, match="non-decreasing") as got:
+        apply_events(standard_hierarchy(), events)
+    assert got.value.event_index == 1
+
+
+@pytest.mark.parametrize("module", ["shares", "scenario", "planning"])
+def test_model_and_file_formats_import_nothing_from_the_simulator(module):
+    path = Path(shares.__file__).parent / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {".sim", "fairshare.sim"}
+
+
+def test_the_simulator_re_exports_the_activity_model():
+    assert sim.TimelineEvent is TimelineEvent
+    assert sim.validate_timeline is shares.validate_timeline

@@ -14,18 +14,23 @@ from fairshare import sim
 from fairshare.errors import PopulationGuardError, ValidationError
 from fairshare.mva import ClassLoad, WorkloadSpec, solve_ts
 from fairshare.scenario import parse_scenario
-from fairshare.shares import GroupAlloc, ShareHierarchy, UserAlloc, compute_entitlements
+from fairshare.shares import (
+    GroupAlloc,
+    ShareHierarchy,
+    TimelineEvent,
+    UserAlloc,
+    compute_entitlements,
+    validate_timeline,
+)
 from fairshare.sim import (
     FAIRSHARE_FLAT,
     FAIRSHARE_HIERARCHICAL,
     SIM_MODES,
     SimConfig,
-    TimelineEvent,
     convergence_time,
     export_trace,
     run_sim,
     trace_perf,
-    validate_timeline,
 )
 
 
@@ -261,6 +266,16 @@ class TestTraceEstimates:
         trace = run_sim(h, cpu_bound("ghost"), (), SimConfig(duration=5.0, warmup=0.0))
         assert trace.warnings
         assert not trace.perf.rows
+
+    @pytest.mark.parametrize("mode", SIM_MODES)
+    def test_busy_time_outside_every_window_and_the_warmup_warns(self, mode):
+        # The user runs from 2.05 to 2.15 s: after the last whole window
+        # ends at 2 s, before the warmup ends at 2.2 s.
+        events = (TimelineEvent(2.05, "activate", "blip"), TimelineEvent(2.15, "deactivate", "blip"))
+        config = SimConfig(duration=2.5, warmup=2.2, window=1.0, mode=mode)
+        trace = run_sim(pool(("blip", 1, False)), cpu_bound("blip"), events, config)
+        assert trace.warnings == ("the run recorded no busy time; trace is empty",)
+        assert not any(trace.busy.values())
 
 
 class TestWorkConservation:
