@@ -214,9 +214,9 @@ def solve_srm_conserving(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
     # allows at most users shrinking passes, users + 1 passes that change
     # only the speeds, and one final pass that changes nothing.
     for _ in range(2 * len(base) + 2):
-        used = {}
+        solved, used = {}, {}
         for c in w.classes:
-            _, x = _repairman(c.procs, c.think, c.demand / speeds[c.user])
+            _, x = solved[c.user] = _repairman(c.procs, c.think, c.demand / speeds[c.user])
             used[c.user] = x * c.demand
         still = {u for u in saturated if speeds[u] - used[u] <= _SATURATION_TOL}
         new_speeds = dict(base)  # nobody can absorb the slack when still is empty
@@ -230,8 +230,10 @@ def solve_srm_conserving(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
             break
         speeds, saturated = new_speeds, still
 
+    # The loop ends on a pass that changed nothing, so that pass ran on the
+    # final speeds and its solutions are the rows.
     rows = {}
     for c in w.classes:
-        r, x = _repairman(c.procs, c.think, c.demand / speeds[c.user])
-        rows[c.user] = PerfRow(x, r, x * c.demand)
+        r, x = solved[c.user]
+        rows[c.user] = PerfRow(x, r, used[c.user])
     return PerfTable(solver="conserving", rows=rows)
