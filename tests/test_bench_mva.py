@@ -1,6 +1,8 @@
-"""``scripts/bench_mva.py`` takes end-to-end records only from runs of the checkout's own source."""
+"""``scripts/bench_mva.py`` summarizes ``bench/run.py`` results of the checkout's own source."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -30,8 +32,29 @@ def tree(tmp_path):
     return tmp_path
 
 
-def _write(tree: Path, seed: int, result: dict) -> None:
-    path = tree / ".bench_work" / "results" / f"sim-crowd-seed{seed}-trace0.json"
+def _traced(seed: int, src_sha256: str, ops: int, solve_ts_s: float, us_per_state: float) -> dict:
+    """A trace-1 result: cli.main, solve_ts (with a unit cost), render_report (without),
+    one run_sim mode that ran and one that did not, and a function never called."""
+    values = {
+        "cli.main.calls": ops, "cli.main.self_s": 0.001 * ops, "cli.main.raised": 0,
+        "mva.solve_ts.calls": 2 * ops, "mva.solve_ts.self_s": solve_ts_s, "mva.solve_ts.raised": 0,
+        "mva.solve_ts.states": 1000 * ops, "mva.solve_ts.us_per_state": us_per_state,
+        "report.render_report.calls": ops, "report.render_report.self_s": 0.002 * ops,
+        "report.render_report.raised": 0,
+        "shares.apply_events.calls": 0, "shares.apply_events.self_s": 0.0,
+        "shares.apply_events.raised": 0,
+        "sim.run_sim.fairshare-flat.self_s": 0.003 * ops,
+        "sim.run_sim.fairshare-flat.us_per_quantum": 3.0 + seed,
+        "sim.run_sim.ts-roundrobin.self_s": 0.0, "sim.run_sim.ts-roundrobin.us_per_quantum": 0.0,
+        "trace.overhead_frac": 0.1,
+    }
+    result = _result(seed, src_sha256, 0.0)
+    result["result"]["metrics"] = {name: {"value": v} for name, v in values.items()}
+    return result
+
+
+def _write(tree: Path, seed: int, result: dict, trace: int = 0) -> None:
+    path = tree / ".bench_work" / "results" / f"sim-crowd-seed{seed}-trace{trace}.json"
     path.write_text(json.dumps(result))
 
 
@@ -60,3 +83,65 @@ def test_src_digest_is_the_one_bench_run_records():
         capture_output=True, text=True, check=True,
     ).stdout.strip()
     assert recorded == bench_mva.src_digest(ROOT)
+
+
+def test_layer_records_give_self_time_per_op_and_the_tracers_unit_cost(tree):
+    digest = bench_mva.src_digest(tree)
+    _write(tree, 1, _traced(1, digest, ops=10, solve_ts_s=0.1, us_per_state=0.5), trace=1)
+    _write(tree, 2, _traced(2, digest, ops=20, solve_ts_s=0.4, us_per_state=0.7), trace=1)
+    records = {r["layer"]: r for r in bench_mva.layer_records("change", tree, "sim-crowd")}
+    assert sorted(records) == ["cli.main", "mva.solve_ts", "report.render_report",
+                               "sim.run_sim.fairshare-flat"]
+    ts = records["mva.solve_ts"]
+    assert ts["case"] == "sim-crowd mva.solve_ts change"
+    assert (ts["size"], ts["repeats"]) == (60, 2)
+    assert ts["median_s"] == pytest.approx(0.015)  # 0.01 and 0.02 s per op
+    assert ts["min_s"] == pytest.approx(0.01)
+    assert (ts["per_unit"], ts["work_counters"]["per"]) == (pytest.approx(0.6), "state")
+    render = records["report.render_report"]
+    assert render["median_s"] == pytest.approx(0.002)
+    assert (render["per_unit"], render["work_counters"]["per"]) == (pytest.approx(2000.0), "call")
+    flat = records["sim.run_sim.fairshare-flat"]
+    assert flat["size"] is None  # the tracer counts no calls per mode
+    assert flat["median_s"] == pytest.approx(0.003)
+    assert (flat["per_unit"], flat["work_counters"]["per"]) == (pytest.approx(4.5), "quantum")
+
+
+def test_layer_records_skip_traced_runs_of_other_source(tree):
+    _write(tree, 1, _traced(1, bench_mva.src_digest(tree), 10, 0.1, 0.5), trace=1)
+    _write(tree, 2, _traced(2, "0123456789abcdef", 20, 9.0, 9.0), trace=1)
+    _write(tree, 3, _traced(3, "0123456789abcdef", 20, 9.0, 9.0), trace=1)
+    records = bench_mva.layer_records("change", tree, "sim-crowd")
+    assert records
+    for r in records:
+        assert r["repeats"] == 1
+        assert r["work_counters"]["seeds"] == [1]
+        assert r["work_counters"]["skipped"] == 2
+    assert {r["layer"]: r["per_unit"] for r in records}["mva.solve_ts"] == 0.5
+
+
+def test_untraced_results_give_end_to_end_records_only(tree, tmp_path):
+    _write(tree, 1, _result(1, bench_mva.src_digest(tree), 0.015))
+    out = tmp_path / "bench.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert bench_mva.main(["--tree", f"change={tree}", "--workload", "sim-crowd",
+                               "--out", str(out)]) == 0
+    records = json.loads(out.read_text())
+    assert [r["layer"] for r in records] == ["end-to-end"] * len(bench_mva.E2E_METRICS)
+
+
+def test_main_writes_records_of_the_bench_schema(tree, tmp_path):
+    digest = bench_mva.src_digest(tree)
+    for seed in (1, 2, 3):
+        _write(tree, seed, _result(seed, digest, 0.01 * seed))
+        _write(tree, seed, _traced(seed, digest, 10 * seed, 0.1, 0.5), trace=1)
+    out = tmp_path / "bench.json"
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert bench_mva.main(["--tree", f"a={tree}", "--tree", f"b={tree}",
+                               "--workload", "sim-crowd", "--out", str(out)]) == 0
+    records = json.loads(out.read_text())
+    assert len(records) == 2 * (len(bench_mva.E2E_METRICS) + 4)
+    schema = ["case", "layer", "size", "repeats", "median_s", "min_s", "per_unit",
+              "work_counters", "python", "numpy", "commit"]
+    assert all(list(r) == schema for r in records)
+    assert len(printed.getvalue().splitlines()) == len(records)
