@@ -10,7 +10,7 @@
         done
     done
     python3 scripts/bench_mva.py --tree parent=PARENT_CHECKOUT --tree change=. \\
-        --workload sim-crowd --out BENCH_18.json
+        --workload sim-crowd --out BENCH_N.json
 
 This script times nothing.  It reads the results that ``bench/run.py``
 left in each ``--tree LABEL=PATH`` checkout's ``.bench_work/results``, and
