@@ -22,7 +22,7 @@ class ZeroEntitlementError(ValidationError):
 
 
 class PopulationGuardError(FairshareError):
-    """The exact solver's population space or the simulator's process count is too large."""
+    """A workload or run exceeds the exact solver's or the simulator's work budget."""
 
 
 class ScenarioParseError(ValidationError):

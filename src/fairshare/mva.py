@@ -27,9 +27,12 @@ from .shares import EntitlementTable
 # Largest population-vector space the exact recursion will attempt.  At the
 # limit the queue table takes 8 bytes per vector, 80 MB, and solving 2 to 23
 # classes measured 0.4-3.5 s at 106-167 MB peak RSS (2-CPU x86-64 host).
-# Each population level also costs 10-15 us however few vectors it holds, so
-# a thin space costs more per vector: one class of 1e5 processes takes 1.3 s.
 POPULATION_GUARD = 10_000_000
+# Each population level also costs 14-35 us however few vectors it holds,
+# against 0.05-0.38 us per vector, so a level counts as 100 vectors against
+# the guard and a thin space stays within the same few seconds: one class
+# of 1e5 processes (1.6-1.9 s) is just over it.
+_LEVEL_VECTORS = 100
 
 # Most (class, vector) cells one block of a level holds, 8 MB per array, so
 # a wide level of many classes is not materialised k times over at once.
@@ -98,18 +101,20 @@ def solve_ts(w: WorkloadSpec) -> PerfTable:
     class also has a think (delay) station.  The mean CPU queue at a
     population vector depends only on the vectors with one process fewer,
     so the solver sweeps the population levels (total processes) upward and
-    solves each level as one batch of array operations.  Every vector is
-    visited once, so the product of (N_c + 1) is guarded.
+    solves each level as one batch of array operations.  Every vector and
+    every level is visited once, so the product of (N_c + 1) plus the
+    levels, each counted as ``_LEVEL_VECTORS`` vectors, is guarded.
     """
     import numpy as np  # here, not at module top, so commands that solve nothing never load it
 
     dims = [c.procs + 1 for c in w.classes]
     size = math.prod(dims)
-    if size > POPULATION_GUARD:
+    levels = sum(c.procs for c in w.classes)
+    if size + levels * _LEVEL_VECTORS > POPULATION_GUARD:
         raise PopulationGuardError(
-            f"population space {size} exceeds {POPULATION_GUARD} vectors, the exact "
-            "solver's budget of an 80 MB queue table and a few seconds; "
-            "use the simulator (`fairshare simulate`) for this workload"
+            f"population space {size} and {levels} levels of {_LEVEL_VECTORS} vectors each "
+            f"exceed {POPULATION_GUARD} vectors, the exact solver's budget of an 80 MB queue "
+            "table and a few seconds; use the simulator (`fairshare simulate`) for this workload"
         )
 
     # Per-class constants as (k, 1) columns.  Every per-level array is

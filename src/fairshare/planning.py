@@ -15,6 +15,7 @@ against entitlements.  TIME deltas are used rather than the instantaneous
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
@@ -321,14 +322,14 @@ def goal_deviation(
                key=lambda i: samples[i][1:3])
     t_min = samples[first].timestamp
     t_max = samples[last].timestamp
-    if t_max - t_min < window:
+    span = t_max - t_min  # inf when two finite timestamps lie too far apart
+    if span < window:
+        raise ValidationError(f"window {window}s exceeds the log span {span}s")
+    count = span / window
+    if count >= MAX_WINDOWS + 1:  # over the budget in whole windows, or past the float range
+        count = math.floor(count) if count < math.inf else f"more than {sys.float_info.max:.1e}"
         raise ValidationError(
-            f"window {window}s exceeds the log span {t_max - t_min}s"
-        )
-    count = math.floor((t_max - t_min) / window)
-    if count > MAX_WINDOWS:
-        raise ValidationError(
-            f"window {window:g}s cuts the log span {t_max - t_min:g}s into {count} "
+            f"window {window:g}s cuts the log span {t_min:g}s to {t_max:g}s into {count} "
             f"windows, over the budget of {MAX_WINDOWS}; use a larger --window"
         )
     # Window edges are found by adding `window` to the previous edge, so it

@@ -34,21 +34,24 @@ kept incrementally so that a dispatch costs O(log users):
 * Exact renormalization.  When the scale passes 2**64 it is divided,
   together with every stored usage, by a power of two (``frexp``/``ldexp``),
   which rounds nothing, so no key changes order.
-* Heaps.  Priorities are (usage/shares, last quantum run, name), so ties
-  go to the least recently run user, then by name, and runs are
-  reproducible bit for bit.  Runnable users sit in a heap keyed so, with
-  stale entries dropped when popped; hierarchical mode keeps a heap of
-  groups keyed (group usage/group shares, last run, name) and one user
-  heap per group.
+* Heaps.  Flat mode is the hierarchy of one group that holds every user,
+  so both modes share one dispatch path.  Users and groups alike are keyed
+  (usage/shares, last quantum run, name), so ties go to the least recently
+  run, then by name, and runs are reproducible bit for bit.  A heap of
+  groups holds every group with a runnable user, and each group a heap of
+  its runnable users.  A dispatch runs the top user of the top group and
+  replaces both tops with their new keys; stale entries are dropped when
+  they reach the top.  A group's usage is the sum of its members' charges,
+  kept as they are made and decayed and renormalized with them.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 
 from .errors import PopulationGuardError, ValidationError
 from .mva import PerfRow, PerfTable, WorkloadSpec
@@ -64,6 +67,15 @@ SIM_MODES = (FAIRSHARE_FLAT, FAIRSHARE_HIERARCHICAL, TS_ROUNDROBIN, TS_PS_REFERE
 # of peak RSS before the first quantum, so at the limit set-up alone takes
 # 1.1-2.2 s and 107-137 MB depending on the mode (2-CPU x86-64 host).
 PROCESS_GUARD = 1_000_000
+# Most quanta one quantized run may step through.  A busy quantum costs
+# 2-3 us (5 users to 200) and an idle one 0.26 us, so at the limit the
+# loop takes up to 2-3 s; 10 ms quanta reach it at 10,000 simulated s.
+TICK_GUARD = 1_000_000
+# Most (window, user) busy-time cells one run may record.  Each costs
+# 106-125 B of peak RSS, so the limit is about 125 MB, and 0.15-0.5 us in
+# the quantized modes and 0.9-1.3 us in the fluid one, which ends a step at
+# every window edge.  A 200-user run in 1 s windows reaches it at 5,000 s.
+WINDOW_GUARD = 1_000_000
 
 _TIME_EPS = 1e-9
 # The quantized engine folds its usage scale back into the stored usages
@@ -148,9 +160,11 @@ def run_sim(
 
     Deterministic for a given config and seed.  Users inactive in the
     hierarchy contribute nothing until an activate event; deactivation
-    drops a user's in-flight cycles.  A workload of more than
-    ``PROCESS_GUARD`` processes, inactive users' included, is refused
-    before any is set up.
+    drops a user's in-flight cycles.  Before anything is set up, a run is
+    refused if its workload has more than ``PROCESS_GUARD`` processes,
+    inactive users' included; if it is quantized and steps through more
+    than ``TICK_GUARD`` quanta; or if its windows times its users exceed
+    ``WINDOW_GUARD``.
     """
     known = set(h.user_names())
     for c in w.classes:
@@ -163,10 +177,33 @@ def run_sim(
             f"{procs} processes exceed {PROCESS_GUARD}, the simulator's budget of about "
             "140 MB and 2 s of set-up; use fewer procs"
         )
+    ticks, _, windows = _grid(config)
+    if config.mode != TS_PS_REFERENCE and ticks > TICK_GUARD:
+        raise PopulationGuardError(
+            f"{config.duration:g}s in {config.quantum:g}s quanta is {ticks} quanta, over "
+            f"{TICK_GUARD}, the simulator's budget of a few seconds; "
+            "use a shorter --duration or a larger --quantum"
+        )
+    if windows * len(w.classes) > WINDOW_GUARD:
+        raise PopulationGuardError(
+            f"{windows} windows of {len(w.classes)} users exceed {WINDOW_GUARD} busy-time "
+            "cells, the simulator's budget of about 125 MB; "
+            "use a larger --window or a shorter --duration"
+        )
 
     if config.mode == TS_PS_REFERENCE:
         return _run_fluid_ps(h, w, timeline, config)
     return _run_quantized(h, w, timeline, config)
+
+
+def _grid(config: SimConfig) -> tuple[int, int, int]:
+    """(quanta, quanta per window, windows) of a run.  The fluid engine
+    steps by events, not quanta, and records the whole windows of its run."""
+    ticks = round(config.duration / config.quantum)
+    if config.mode == TS_PS_REFERENCE:
+        return ticks, 0, int((config.duration + _TIME_EPS) // config.window)
+    window_ticks = max(1, round(config.window / config.quantum))
+    return ticks, window_ticks, ticks // window_ticks
 
 
 class _Core:
@@ -229,7 +266,7 @@ class _Core:
             return math.inf
         key = max(self.to_key(when + think), earliest)
         self.seq += 1
-        heapq.heappush(self.parked, (key, self.seq, proc))
+        heappush(self.parked, (key, self.seq, proc))
         return key
 
     def release(self, limit, when: float):
@@ -241,7 +278,7 @@ class _Core:
         while events and events[0][0] <= limit:
             self._apply(events.popleft()[1], when)
         while parked and parked[0][0] <= limit:
-            self.start_cycle(heapq.heappop(parked)[2], when)
+            self.start_cycle(heappop(parked)[2], when)
         due = parked[0][0] if parked else math.inf
         return min(due, events[0][0]) if events else due
 
@@ -260,7 +297,7 @@ class _Core:
                 queue.clear()
                 queue.extend(kept)
             self.parked[:] = [e for e in self.parked if e[2].user != user]
-            heapq.heapify(self.parked)
+            heapify(self.parked)
         self.applied.append(ev)
 
     def trace(self, window_seconds: float, elapsed: float) -> SimTrace:
@@ -289,12 +326,9 @@ class _Core:
 def _run_quantized(h, w, timeline, config) -> SimTrace:
     """Advance one quantum at a time, dispatching by decayed usage or round robin."""
     q = config.quantum
-    n_ticks = int(round(config.duration / q))
+    n_ticks, window_ticks, n_windows = _grid(config)
     warmup_ticks = int(round(config.warmup / q))
-    window_ticks = max(1, int(round(config.window / q)))
-    n_windows = n_ticks // window_ticks
     round_robin = config.mode == TS_ROUNDROBIN
-    fair_hier = config.mode == FAIRSHARE_HIERARCHICAL
     # Usage decays by `decay` every quantum.  Rather than multiply every
     # user's usage, each charge is multiplied by `scale`, which grows by
     # 1/decay every quantum: usage[u] is u's decayed usage times scale, the
@@ -304,33 +338,33 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
     growth = 1.0 / decay if decay else math.inf
     scale = 1.0
 
-    shares = {u.name: u.shares for u in h.users()}
-    group_of = {u.name: g.name for g in h.groups for u in g.users}
-    group_shares = {g.name: g.shares for g in h.groups}
+    # Fair share picks a group, then a user inside it.  Flat mode is the
+    # hierarchy of one group, "", that holds every user.
     loaded = {c.user for c in w.classes}
-    group_members = {g.name: [u.name for u in g.users if u.name in loaded] for g in h.groups}
+    if config.mode == FAIRSHARE_HIERARCHICAL:
+        groups = [(g.name, g.shares, [u.name for u in g.users if u.name in loaded])
+                  for g in h.groups]
+    else:
+        groups = [("", 1, [u.name for g in h.groups for u in g.users if u.name in loaded])]
+    shares = {u.name: u.shares for u in h.users()}
+    group_of = {u: g for g, _, members in groups for u in members}
+    group_shares = {g: s for g, s, _ in groups}
     usage = dict.fromkeys(shares, 0.0)
-    # Dispatch keys: (usage/shares, last run, name) per user, and
-    # (group usage/group shares, last run, name) per group.
+    group_usage = dict.fromkeys(group_shares, 0.0)  # its members' charges, summed as made
+    # Dispatch keys: (usage/shares, last run, name) per user and per group.
     key = {name: (0.0, -1, name) for name in shares}
     group_key = {name: (0.0, -1, name) for name in group_shares}
-    # Every runnable user's current key sits in its heap: one heap for all
-    # users in flat mode, one per group in hierarchical mode, where
+    # Every runnable user's current key sits in its group's heap, and
     # group_heap holds the current key of every group with a runnable user.
-    # An entry that is no longer its owner's key, or whose user has nothing
-    # queued, is dropped when it is popped.
-    if fair_hier:
-        heap_members = group_members
-    else:
-        heap_members = {"": [u for members in group_members.values() for u in members]}
-    heaps = {name: [] for name in heap_members}
-    heap_of = {u: heaps[name] for name, members in heap_members.items() for u in members}
+    # An entry that is no longer its owner's key, or whose owner has
+    # nothing to run, is dropped when it reaches the top.
+    heaps = {g: [] for g in group_shares}
     group_heap: list[tuple[float, int, str]] = []
 
     def on_ready(user: str) -> None:
-        heapq.heappush(heap_of[user], key[user])
-        if fair_hier:
-            heapq.heappush(group_heap, group_key[group_of[user]])
+        g = group_of[user]
+        heappush(heaps[g], key[user])
+        heappush(group_heap, group_key[g])
 
     def to_tick(t: float) -> int:
         return max(0, math.ceil(t / q - _TIME_EPS))
@@ -340,38 +374,6 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
     run_queue = core.run_queue  # FIFO over processes (ts-roundrobin)
     window_busy = core.window_busy
     post_busy = core.post_busy
-
-    def pop_runnable(heap) -> str | None:
-        while heap:
-            entry = heapq.heappop(heap)
-            user = entry[2]
-            if entry is key[user] and queues[user]:
-                return user
-        return None
-
-    def pick_user() -> str | None:
-        if not fair_hier:
-            return pop_runnable(heaps[""])
-        while group_heap:
-            entry = heapq.heappop(group_heap)
-            if entry is group_key[entry[2]]:
-                user = pop_runnable(heaps[entry[2]])
-                if user is not None:
-                    return user
-        return None
-
-    def charge(user: str, run: float, tick: int) -> None:
-        # The picked user's entry was popped; push its new key if it still
-        # has a process queued.  Only its own group's key changes.
-        usage[user] += run * scale
-        key[user] = (usage[user] / shares[user], tick, user)
-        if queues[user]:
-            heapq.heappush(heap_of[user], key[user])
-        if fair_hier:
-            g = group_of[user]
-            group_key[g] = (sum(usage[m] for m in group_members[g]) / group_shares[g], tick, g)
-            if heaps[g]:
-                heapq.heappush(group_heap, group_key[g])
 
     def renormalize() -> None:
         # Divide the scale and every usage by one power of two, which is
@@ -384,15 +386,13 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
         for user in usage:
             usage[user] = math.ldexp(usage[user], -shift)
             key[user] = (usage[user] / shares[user], key[user][1], user)
-        for name, members in heap_members.items():
-            heaps[name][:] = [key[u] for u in members if queues[u]]
-            heapq.heapify(heaps[name])
-        if fair_hier:
-            for g, members in group_members.items():
-                group_key[g] = (sum(usage[m] for m in members) / group_shares[g],
-                                group_key[g][1], g)
-            group_heap[:] = [group_key[g] for g in group_members if heaps[g]]
-            heapq.heapify(group_heap)
+        for g, _, members in groups:
+            group_usage[g] = math.ldexp(group_usage[g], -shift)
+            group_key[g] = (group_usage[g] / group_shares[g], group_key[g][1], g)
+            heaps[g][:] = [key[u] for u in members if queues[u]]
+            heapify(heaps[g])
+        group_heap[:] = [group_key[g] for g in heaps if heaps[g]]
+        heapify(group_heap)
 
     next_due = 0
     for tick in range(n_ticks):
@@ -407,12 +407,30 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
         sub = tick_time
         while time_left > _TIME_EPS:
             if round_robin:
-                proc = run_queue.popleft() if run_queue else None
+                if not run_queue:
+                    break
+                proc = run_queue.popleft()
             else:
-                user = pick_user()
-                proc = queues[user].popleft() if user else None
-            if proc is None:
-                break
+                # The lowest valid group key, then the lowest valid user key
+                # in its heap.  Both entries stay on top until the charge.
+                user = None
+                while group_heap:
+                    entry = group_heap[0]
+                    g = entry[2]
+                    heap = heaps[g]
+                    if entry is group_key[g]:
+                        while heap:
+                            entry = heap[0]
+                            if entry is key[entry[2]] and queues[entry[2]]:
+                                user = entry[2]
+                                break
+                            heappop(heap)
+                        if user is not None:
+                            break
+                    heappop(group_heap)
+                if user is None:
+                    break
+                proc = queues[user].popleft()
             run = proc.remaining if proc.remaining < time_left else time_left
             proc.remaining -= run
             sub += run
@@ -426,7 +444,21 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
             if not finished:
                 queues[u].append(proc)
             if not round_robin:
-                charge(u, run, tick)
+                # Replace the picked entries with the new keys, or drop them
+                # when their owner has nothing left to run.
+                charged = run * scale
+                usage[u] += charged
+                key[u] = (usage[u] / shares[u], tick, u)
+                if queues[u]:
+                    heapreplace(heap, key[u])
+                else:
+                    heappop(heap)
+                group_usage[g] += charged
+                group_key[g] = (group_usage[g] / group_shares[g], tick, g)
+                if heap:
+                    heapreplace(group_heap, group_key[g])
+                else:
+                    heappop(group_heap)
             if finished:
                 # Wakeups are released at the start of a quantum, so a
                 # process parked now wakes in the next one at the earliest.
@@ -444,7 +476,7 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
     """Event-driven processor sharing: every runnable process advances at 1/k."""
     duration = config.duration
     window_seconds = config.window
-    n_windows = int((duration + _TIME_EPS) // window_seconds)
+    n_windows = _grid(config)[2]
     core = _Core(h, w, timeline, config, n_windows, lambda t: t)
     ready = core.run_queue
     window_busy = core.window_busy

@@ -73,6 +73,9 @@ def two_user_files(tmp_path):
                            b"bob 2 1.0 0 0 0 ? S 10:00 0:00 x\n"
                            b"T 60\nalice 1 1.0 0 0 0 ? S 10:00 4" + b"0" * 304 + b":00:00 x\n"
                            b"bob 2 1.0 0 0 0 ? S 10:00 4" + b"0" * 304 + b":00:00 x\n",
+        # Two finite headers whose span overflows to inf.
+        "log_span_overflow": b"T -1.7e308\nalice 1 1.0 0 0 0 ? S 10:00 0:01 x\n"
+                             b"T 1.7e308\nalice 1 1.0 0 0 0 ? S 10:00 0:02 x\n",
     }.items():
         path = tmp_path / role
         path.write_bytes(data)
@@ -85,6 +88,10 @@ def two_user_files(tmp_path):
         # A hundred times the simulator's process budget.
         "procs_huge": TWO_USERS.format(think="1", demand="0.5", event="")
                       .replace("procs=2", "procs=100000000"),
+        # One class of 9.9e6 processes: within the exact solver's vector
+        # budget, but 9.9e6 levels.
+        "procs_one_deep_class": "total_shares 10\ngroup G shares=10\nuser alice group=G "
+                                "shares=10 procs=9900000 think=1 demand=0.5 active=yes\n",
     }.items():
         path = tmp_path / role
         path.write_text(text)
@@ -400,6 +407,10 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("simulate", "event_in_last_window", *SHORT_RUN),
         ("simulate", "good", "--epsilon", "nan", *SHORT_RUN),
         ("simulate", "procs_huge", *SHORT_RUN),
+        ("simulate", "good", "--duration", "1e9"),
+        ("simulate", "good", "--quantum", "1e-7"),
+        ("simulate", "good", "--sim-mode", "ts-ps-reference", "--duration", "1e9"),
+        ("report", "procs_one_deep_class"),
         ("monitor", "log", "good", "--window", "nan"),
         ("monitor", "log", "good", "--threshold", "nan"),
         ("entitle", "fsp_not_utf8"),
@@ -412,6 +423,7 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("monitor", "log_far_header", "good", "--window", "60"),
         ("monitor", "log_coarse_clock", "good", "--window", "1"),
         ("monitor", "log_float_range", "good", "--window", "60"),
+        ("monitor", "log_span_overflow", "good"),
     ],
     ids=lambda argv: "-".join(argv[:4]),
 )

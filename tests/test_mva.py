@@ -111,6 +111,14 @@ class TestSolveTs:
         with pytest.raises(PopulationGuardError, match="80 MB .* use the simulator"):
             solve_ts(w)
 
+    def test_population_guard_counts_levels(self, monkeypatch):
+        # One class of n processes: n + 1 vectors and n levels of 100 vectors each.
+        monkeypatch.setattr(mva, "POPULATION_GUARD", 910)
+        solve_ts(WorkloadSpec((ClassLoad("a", 9, 1.0, 0.5),)))
+        with pytest.raises(PopulationGuardError,
+                           match="^population space 11 and 10 levels of 100 vectors each exceed 910"):
+            solve_ts(WorkloadSpec((ClassLoad("a", 10, 1.0, 0.5),)))
+
     def test_empty_workload(self):
         with pytest.raises(ValidationError):
             solve_ts(WorkloadSpec(()))

@@ -445,6 +445,13 @@ class TestGoalDeviation:
         with pytest.raises(ValidationError, match=rf"budget of {MAX_WINDOWS}; use a larger --window"):
             goal_deviation(log.samples, equal_table("a"), window=60.0)
 
+    def test_span_past_the_float_range_rejected(self):
+        # Each header is finite, but their difference overflows to inf.
+        samples = [UsageSample(-1.7e308, "a", 1, 1.0), UsageSample(1.7e308, "a", 1, 2.0)]
+        with pytest.raises(ValidationError,
+                           match=r"into more than 1\.8e\+308 windows, over the budget of "):
+            goal_deviation(samples, equal_table("a"), window=60.0)
+
     def test_window_below_float_spacing_rejected(self):
         # 1e17 + 1.0 == 1e17: window edges would never advance.
         log = parse_ps_log(synth_log([(10**17, "a", 1, 0), (10**17 + 64, "a", 1, 60)]))

@@ -457,6 +457,32 @@ def test_process_budget_counts_every_process(monkeypatch, mode):
         run_sim(h, workload(3), (), config)
 
 
+@pytest.mark.parametrize("mode", SIM_MODES)
+def test_tick_budget_counts_the_quanta_of_quantized_runs(monkeypatch, mode):
+    monkeypatch.setattr(sim, "TICK_GUARD", 300)
+    run_sim(TWO_EQUAL, TWO_EQUAL_W, (), SimConfig(duration=3.0, mode=mode))
+    config = SimConfig(duration=3.01, mode=mode)
+    if mode == sim.TS_PS_REFERENCE:  # steps by events, not quanta
+        run_sim(TWO_EQUAL, TWO_EQUAL_W, (), config)
+        return
+    with pytest.raises(PopulationGuardError,
+                       match=r"^3\.01s in 0\.01s quanta is 301 quanta, over 300, .*"
+                             r"use a shorter --duration or a larger --quantum$"):
+        run_sim(TWO_EQUAL, TWO_EQUAL_W, (), config)
+
+
+@pytest.mark.parametrize("mode", SIM_MODES)
+def test_window_budget_counts_windows_times_users(monkeypatch, mode):
+    monkeypatch.setattr(sim, "WINDOW_GUARD", 20)
+    # Ten one-second windows of two users fill the budget; eleven exceed it.
+    run_sim(TWO_EQUAL, TWO_EQUAL_W, (), SimConfig(duration=10.0, mode=mode))
+    config = SimConfig(duration=11.0, mode=mode)
+    with pytest.raises(PopulationGuardError,
+                       match=r"^11 windows of 2 users exceed 20 busy-time cells, .*"
+                             r"use a larger --window or a shorter --duration$"):
+        run_sim(TWO_EQUAL, TWO_EQUAL_W, (), config)
+
+
 # Two groups, thinking and multi-process users, a user offline at the start,
 # a 13 ms demand (shorter than a quantum) and events both on and off the
 # quantum grid.
@@ -686,3 +712,32 @@ class TestModelValues:
         trace = run_sim(TWO_EQUAL, TWO_EQUAL_W, (), SimConfig(duration=3.0, warmup=0.0))
         with pytest.raises(ValidationError, match="epsilon"):
             convergence_time(trace, compute_entitlements(TWO_EQUAL), math.nan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), jitter=st.booleans(), half_life=st.sampled_from((5.0, 0.05)))
+def test_one_group_hierarchy_dispatches_as_the_flat_pool(data, jitter, half_life):
+    # Flat fair share is the hierarchy of one group that holds every user,
+    # so on such a hierarchy the two modes must give the same trace, bit for
+    # bit: fractions, busy time, cycles and estimates.
+    users = tuple(
+        UserAlloc(f"u{j}", data.draw(st.integers(1, 9)), data.draw(st.booleans()))
+        for j in range(data.draw(st.integers(1, 5)))
+    )
+    h = ShareHierarchy(sum(u.shares for u in users),
+                       (GroupAlloc("G", sum(u.shares for u in users), users),))
+    w = WorkloadSpec(tuple(
+        ClassLoad(u.name, data.draw(st.integers(1, 3)), data.draw(st.sampled_from((0.0, 0.05, 0.5))),
+                  data.draw(st.sampled_from(DEMANDS)))
+        for u in users
+    ))
+    first = users[0]
+    churn = TimelineEvent(4.0, "deactivate" if first.active else "activate", first.name)
+    timeline = (churn,) if data.draw(st.booleans()) else ()
+    traces = [
+        run_sim(h, w, timeline, SimConfig(duration=12.0, warmup=1.0, mode=mode, seed=3,
+                                          usage_half_life=half_life, think_jitter=jitter))
+        for mode in (FAIRSHARE_FLAT, FAIRSHARE_HIERARCHICAL)
+    ]
+    flat, hier = ((tr.fractions, tr.busy, tr.cycles, tr.perf.rows, tr.perf.notes) for tr in traces)
+    assert hier == flat
