@@ -741,3 +741,130 @@ def test_one_group_hierarchy_dispatches_as_the_flat_pool(data, jitter, half_life
     ]
     flat, hier = ((tr.fractions, tr.busy, tr.cycles, tr.perf.rows, tr.perf.notes) for tr in traces)
     assert hier == flat
+
+
+def reference_run_fluid_ps(h, w, timeline, config):
+    """The fluid engine as it was before processor sharing moved to virtual
+    time: every step scans every ready process.  Kept as an oracle."""
+    duration = config.duration
+    window_seconds = config.window
+    n_windows = sim._grid(config)[2]
+    core = sim._Core(h, w, timeline, config, n_windows, lambda t: t)
+    ready = core.run_queue
+    window_busy = core.window_busy
+    post_busy = core.post_busy
+
+    next_edge = 1  # window edge index; warmup is handled as its own boundary
+    now = 0.0
+    while now < duration - sim._TIME_EPS:
+        horizon = min(duration, core.release(now + sim._TIME_EPS, now))
+
+        if not ready:
+            # On to the next event, wakeup or the end, which is past now + _TIME_EPS:
+            # release() leaves no key at or below it, and duration is past it.
+            now = horizon
+            continue
+
+        k = len(ready)
+        min_rem = min(p.remaining for p in ready)
+        boundary = min(horizon, now + min_rem * k)
+        while next_edge * window_seconds <= now + sim._TIME_EPS:
+            next_edge += 1
+        boundary = min(boundary, next_edge * window_seconds)
+        if config.warmup > now + sim._TIME_EPS:
+            boundary = min(boundary, config.warmup)
+
+        delta = boundary - now
+        if delta > sim._TIME_EPS:
+            per = delta / k
+            widx = int((now + sim._TIME_EPS) // window_seconds)
+            in_window = widx < n_windows
+            post = now >= config.warmup - sim._TIME_EPS
+            for p in ready:
+                p.remaining -= per
+                if in_window:
+                    window_busy[widx][p.user] += per
+                if post:
+                    post_busy[p.user] += per
+        now = boundary
+
+        finished = [p for p in ready if p.remaining <= sim._TIME_EPS]
+        if finished:
+            kept = [p for p in ready if p.remaining > sim._TIME_EPS]
+            ready.clear()
+            ready.extend(kept)
+            for p in finished:
+                core.finish_cycle(p, now, now)
+
+    return core.trace(window_seconds, duration - config.warmup)
+
+
+# Small processor-sharing runs: demands below, at and above a second, and
+# think times of none, a fraction of a demand and several demands.
+PS_DEMANDS = (0.013, 0.1, 0.37, 1.0, 1.7)
+PS_THINKS = (0.0, 0.05, 1.0, 2.5)
+# Completion times, window fractions and busy times of two engines that
+# round differently may differ by this much, in seconds or as a fraction.
+PS_TOLERANCE = 1e-9
+
+
+@st.composite
+def ps_runs(draw, thinks=PS_THINKS, events=True):
+    """(hierarchy, workload, timeline, config) of a drawn ts-ps-reference
+    run of 1-4 users with 1-3 processes each, up to 100 simulated seconds."""
+    names = [f"u{j}" for j in range(draw(st.integers(1, 4)))]
+    h = pool(*((name, 1, draw(st.booleans())) for name in names))
+    w = WorkloadSpec(tuple(
+        ClassLoad(name, draw(st.integers(1, 3)), draw(st.sampled_from(thinks)),
+                  draw(st.sampled_from(PS_DEMANDS)))
+        for name in names
+    ))
+    duration = draw(st.sampled_from((3.0, 20.0, 45.5, 100.0)))
+    # Events both on window edges and between them.
+    times = draw(st.lists(st.one_of(st.integers(0, int(duration)).map(float),
+                                    st.floats(0.0, duration)), max_size=4 if events else 0))
+    timeline = tuple(
+        TimelineEvent(t, draw(st.sampled_from(("activate", "deactivate"))),
+                      draw(st.sampled_from(names)))
+        for t in sorted(times)
+    )
+    config = SimConfig(
+        duration=duration,
+        warmup=draw(st.sampled_from((0.0, 1.0, 2.25))),
+        window=draw(st.sampled_from((0.5, 1.0, 2.5, 10.0))),
+        mode=sim.TS_PS_REFERENCE,
+        seed=draw(st.integers(0, 9)),
+        think_jitter=draw(st.booleans()),
+    )
+    return h, w, timeline, config
+
+
+def per_process_cycles(trace):
+    """{(user, process): [(ready, completed), ...]} in completion order."""
+    cycles = {}
+    for user, records in trace.cycles.items():
+        for index, ready, done in records:
+            cycles.setdefault((user, index), []).append((ready, done))
+    return cycles
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=ps_runs())
+def test_fluid_engine_matches_the_reference_engine(run):
+    # Both engines finish the same cycles of every process, at the same
+    # times to within PS_TOLERANCE, and record the same busy time.
+    h, w, timeline, config = run
+    got = run_sim(h, w, timeline, config)
+    want = reference_run_fluid_ps(h, w, timeline, config)
+    got_cycles, want_cycles = per_process_cycles(got), per_process_cycles(want)
+    assert got_cycles.keys() == want_cycles.keys()
+    for proc, expected in want_cycles.items():
+        assert len(got_cycles[proc]) == len(expected), proc
+        for got_times, want_times in zip(got_cycles[proc], expected):
+            assert got_times == pytest.approx(want_times, rel=0, abs=PS_TOLERANCE), proc
+    assert len(got.fractions) == len(want.fractions)
+    for got_window, want_window in zip(got.fractions, want.fractions):
+        assert got_window == pytest.approx(want_window, rel=0, abs=PS_TOLERANCE)
+    assert got.busy == pytest.approx(want.busy, rel=0, abs=PS_TOLERANCE)
+    assert (got.users, got.elapsed, got.events_applied, got.warnings) == (
+        want.users, want.elapsed, want.events_applied, want.warnings)
