@@ -52,6 +52,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
+from operator import itemgetter
 
 from .errors import PopulationGuardError, ValidationError
 from .mva import PerfRow, PerfTable, WorkloadSpec
@@ -76,6 +77,11 @@ TICK_GUARD = 1_000_000
 # the quantized modes and 0.9-1.3 us in the fluid one, which ends a step at
 # every window edge.  A 200-user run in 1 s windows reaches it at 5,000 s.
 WINDOW_GUARD = 1_000_000
+# Most demand cycles a processor-sharing run may complete, bounded before
+# the run by duration / demand summed over the workload's classes.  A cycle
+# costs 2.7-6.8 us and 96-150 B of peak RSS, its record in SimTrace.cycles
+# included, so at the limit a run takes up to 7 s and 150 MB.
+CYCLE_GUARD = 1_000_000
 
 _TIME_EPS = 1e-9
 # The quantized engine folds its usage scale back into the stored usages
@@ -163,8 +169,9 @@ def run_sim(
     drops a user's in-flight cycles.  Before anything is set up, a run is
     refused if its workload has more than ``PROCESS_GUARD`` processes,
     inactive users' included; if it is quantized and steps through more
-    than ``TICK_GUARD`` quanta; or if its windows times its users exceed
-    ``WINDOW_GUARD``.
+    than ``TICK_GUARD`` quanta; if its windows times its users exceed
+    ``WINDOW_GUARD``; or if it is processor sharing and could complete
+    more than ``CYCLE_GUARD`` cycles, inactive users' included.
     """
     known = set(h.user_names())
     for c in w.classes:
@@ -192,6 +199,15 @@ def run_sim(
         )
 
     if config.mode == TS_PS_REFERENCE:
+        # Each completed cycle of a class used its demand of the one CPU.
+        cycles = sum(config.duration / c.demand for c in w.classes)
+        if cycles > CYCLE_GUARD:
+            raise PopulationGuardError(
+                f"{config.duration:g}s of demands as short as "
+                f"{min(c.demand for c in w.classes):g}s allow {cycles:.3g} cycles, over "
+                f"{CYCLE_GUARD}, the simulator's budget of about 150 MB and 7 s; "
+                "use a shorter --duration or a larger demand"
+            )
         return _run_fluid_ps(h, w, timeline, config)
     return _run_quantized(h, w, timeline, config)
 
@@ -473,58 +489,133 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
 
 
 def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
-    """Event-driven processor sharing: every runnable process advances at 1/k."""
+    """Event-driven processor sharing in virtual time: every ready process
+    advances at 1/k, and a heap keyed by virtual finish gives the next
+    completion in O(log k)."""
     duration = config.duration
+    warmup = config.warmup
     window_seconds = config.window
     n_windows = _grid(config)[2]
     core = _Core(h, w, timeline, config, n_windows, lambda t: t)
-    ready = core.run_queue
-    window_busy = core.window_busy
-    post_busy = core.post_busy
+    inbox = core.run_queue  # processes that started a cycle since the last step
+    applied = core.applied
+    demand = {c.user: c.demand for c in w.classes}
+    # v is the service each ready process has received.  A process that
+    # starts a cycle at v gets the finish tag v + demand.
+    v = 0.0
+    heap: list[tuple[float, int, _Proc]] = []  # (tag, start seq, proc)
+    seq = 0
+    # A user with n ready processes is credited n * (v - since[u]) of busy
+    # time whenever n changes, and at every window edge and the warmup,
+    # into the current stretch's window (busy) and post-warmup (post) dicts.
+    ready = dict.fromkeys(core.user_names, 0)
+    since = dict.fromkeys(core.user_names, 0.0)
+    stretch = None  # (window index, past the warmup) of busy and post
+    busy = post = None
 
+    n_applied = 0
     next_edge = 1  # window edge index; warmup is handled as its own boundary
+    next_due = 0.0  # key of the next event or wakeup
     now = 0.0
     while now < duration - _TIME_EPS:
-        horizon = min(duration, core.release(now + _TIME_EPS, now))
+        if next_due <= now + _TIME_EPS:
+            next_due = core.release(now + _TIME_EPS, now)
+            for ev in applied[n_applied:]:
+                u = ev.user
+                if ev.action == "deactivate" and ready.get(u):
+                    # The core dropped u's processes; drop their entries too.
+                    _credit((u,), ready, since, v, busy, post)
+                    ready[u] = 0
+                    heap[:] = [e for e in heap if e[2].user != u]
+                    heapify(heap)
+            n_applied = len(applied)
+        while inbox:
+            p = inbox.popleft()
+            u = p.user
+            n = ready[u]
+            if n:
+                amount = n * (v - since[u])
+                if busy is not None:
+                    busy[u] += amount
+                if post is not None:
+                    post[u] += amount
+            since[u] = v
+            ready[u] = n + 1
+            seq += 1
+            heappush(heap, (v + demand[u], seq, p))
 
-        if not ready:
+        if not heap:
             # On to the next event, wakeup or the end, which is past now + _TIME_EPS:
             # release() leaves no key at or below it, and duration is past it.
-            now = horizon
+            now = min(duration, next_due)
             continue
 
-        k = len(ready)
-        min_rem = min(p.remaining for p in ready)
-        boundary = min(horizon, now + min_rem * k)
+        widx = int((now + _TIME_EPS) // window_seconds)
+        state = (widx, now >= warmup - _TIME_EPS)
+        if state != stretch:
+            _credit(ready, ready, since, v, busy, post)
+            stretch = state
+            busy = core.window_busy[widx] if widx < n_windows else None
+            post = core.post_busy if state[1] else None
+
+        k = len(heap)
+        boundary = now + (heap[0][0] - v) * k
+        if next_due < boundary:
+            boundary = next_due
+        if duration < boundary:
+            boundary = duration
         while next_edge * window_seconds <= now + _TIME_EPS:
             next_edge += 1
-        boundary = min(boundary, next_edge * window_seconds)
-        if config.warmup > now + _TIME_EPS:
-            boundary = min(boundary, config.warmup)
+        if next_edge * window_seconds < boundary:
+            boundary = next_edge * window_seconds
+        if now + _TIME_EPS < warmup < boundary:
+            boundary = warmup
 
         delta = boundary - now
-        if delta > _TIME_EPS:
-            per = delta / k
-            widx = int((now + _TIME_EPS) // window_seconds)
-            in_window = widx < n_windows
-            post = now >= config.warmup - _TIME_EPS
-            for p in ready:
-                p.remaining -= per
-                if in_window:
-                    window_busy[widx][p.user] += per
-                if post:
-                    post_busy[p.user] += per
+        if delta > 0.0:
+            v += delta / k
+        else:
+            # The next completion is nearer than the spacing of floats at
+            # now, so it is now; without this the run would stall.
+            v = heap[0][0]
         now = boundary
 
-        finished = [p for p in ready if p.remaining <= _TIME_EPS]
-        if finished:
-            kept = [p for p in ready if p.remaining > _TIME_EPS]
-            ready.clear()
-            ready.extend(kept)
-            for p in finished:
-                core.finish_cycle(p, now, now)
+        if heap[0][0] - v <= _TIME_EPS:
+            finished = [heappop(heap)]
+            while heap and heap[0][0] - v <= _TIME_EPS:
+                finished.append(heappop(heap))
+            finished.sort(key=itemgetter(1))  # in the order they became ready
+            for entry in finished:
+                p = entry[2]
+                u = p.user
+                n = ready[u]
+                amount = n * (v - since[u])
+                if busy is not None:
+                    busy[u] += amount
+                if post is not None:
+                    post[u] += amount
+                since[u] = v
+                ready[u] = n - 1
+                wake = core.finish_cycle(p, now, now)
+                if wake < next_due:
+                    next_due = wake
 
+    _credit(ready, ready, since, v, busy, post)
     return core.trace(window_seconds, duration - config.warmup)
+
+
+def _credit(users, ready, since, v, busy, post) -> None:
+    """Credit each user in ``users`` its busy time since its last credit,
+    ``ready[u] * (v - since[u])``, in the busy-time dicts that are not None."""
+    for u in users:
+        n = ready[u]
+        if n:
+            amount = n * (v - since[u])
+            if busy is not None:
+                busy[u] += amount
+            if post is not None:
+                post[u] += amount
+        since[u] = v
 
 
 def trace_perf(tr: SimTrace) -> PerfTable:

@@ -51,6 +51,8 @@ def two_user_files(tmp_path):
         "event_nan": dict(think="1", demand="0.5", event="event t=nan deactivate=alice"),
         # Under SHORT_RUN no window starts after this event.
         "event_in_last_window": dict(think="1", demand="0.5", event="event t=19.5 deactivate=bob"),
+        # 20 s of 1e-7 s demands: up to 2e8 processor-sharing cycles.
+        "demand_tiny": dict(think="0", demand="1e-7", event=""),
     }.items():
         path = tmp_path / f"{role}.fsp"
         path.write_text(TWO_USERS.format(**fields))
@@ -96,6 +98,7 @@ def two_user_files(tmp_path):
         path = tmp_path / role
         path.write_text(text)
         paths[role] = str(path)
+    paths["report4"] = str(Path(__file__).resolve().parent.parent / "scenarios" / "report4.fsp")
     # Trace paths that cannot be opened for writing.
     paths["trace_in_missing_dir"] = str(tmp_path / "no-such-dir" / "trace.csv")
     paths["trace_is_a_dir"] = str(tmp_path)
@@ -410,6 +413,10 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("simulate", "good", "--duration", "1e9"),
         ("simulate", "good", "--quantum", "1e-7"),
         ("simulate", "good", "--sim-mode", "ts-ps-reference", "--duration", "1e9"),
+        # 5e5 busy-time cells, but up to 5e8 cycles.
+        ("simulate", "report4", "--sim-mode", "ts-ps-reference", "--duration", "1e8",
+         "--window", "1000"),
+        ("simulate", "demand_tiny", "--sim-mode", "ts-ps-reference", *SHORT_RUN),
         ("report", "procs_one_deep_class"),
         ("monitor", "log", "good", "--window", "nan"),
         ("monitor", "log", "good", "--threshold", "nan"),
