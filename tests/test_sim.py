@@ -890,12 +890,9 @@ def per_process_cycles(trace):
     return cycles
 
 
-@settings(max_examples=60, deadline=None)
-@given(run=ps_runs())
-def test_fluid_engine_matches_the_reference_engine(run):
-    # Both engines finish the same cycles of every process, at the same
-    # times to within PS_TOLERANCE, and record the same busy time.
-    h, w, timeline, config = run
+def assert_same_fluid_run(h, w, timeline, config):
+    """The engine and the oracle finish the same cycles of every process,
+    at the same times to within PS_TOLERANCE, and record the same busy time."""
     got = run_sim(h, w, timeline, config)
     want = reference_run_fluid_ps(h, w, timeline, config)
     got_cycles, want_cycles = per_process_cycles(got), per_process_cycles(want)
@@ -910,6 +907,25 @@ def test_fluid_engine_matches_the_reference_engine(run):
     assert got.busy == pytest.approx(want.busy, rel=0, abs=PS_TOLERANCE)
     assert (got.users, got.elapsed, got.events_applied, got.warnings) == (
         want.users, want.elapsed, want.events_applied, want.warnings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=ps_runs())
+def test_fluid_engine_matches_the_reference_engine(run):
+    assert_same_fluid_run(*run)
+
+
+@pytest.mark.parametrize("jitter", [False, True])
+@pytest.mark.parametrize("name", ["example-2-2", "report1", "report2", "report3", "report4",
+                                  "report5", "mixed", "crowd40"])
+def test_fluid_engine_matches_the_reference_engine_on_the_digest_fixtures(
+        scenario_dir, name, jitter):
+    # The pinned processor-sharing runs, jittered ones included: 80 s is
+    # short enough here for think draws to keep to the same processes.
+    text = {"mixed": MIXED_SCENARIO, "crowd40": crowd_scenario()}.get(name)
+    s = parse_scenario(text or (scenario_dir / f"{name}.fsp").read_text(), label=name)
+    config = SimConfig(duration=80.0, warmup=5.0, mode=sim.TS_PS_REFERENCE, think_jitter=jitter)
+    assert_same_fluid_run(s.hierarchy, s.workload, s.timeline, config)
 
 
 @settings(max_examples=40, deadline=None)
