@@ -14,6 +14,7 @@ against entitlements.  TIME deltas are used rather than the instantaneous
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 from collections import defaultdict
@@ -199,10 +200,11 @@ def parse_ps_log(stream) -> PsLog:
     hh:mm:ss).  Only USER, PID and TIME are read.  A TIME is malformed when
     it holds a minus sign, when its seconds are not below 60, or when its
     minutes are 60 or more after hours.  Malformed lines, and the ps lines
-    under a malformed header, are skipped and counted.
+    under a malformed header, are skipped and counted.  A string is read as
+    a text file is: lines end at ``\n``, ``\r\n`` or ``\r`` and nowhere else.
     """
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        stream = io.StringIO(stream, newline=None)
     samples: list[UsageSample] = []
     append = samples.append
     new_sample = tuple.__new__  # positional, skipping the NamedTuple's keyword __new__
@@ -323,6 +325,11 @@ def goal_deviation(
     t_min = samples[first].timestamp
     t_max = samples[last].timestamp
     span = t_max - t_min  # inf when two finite timestamps lie too far apart
+    if span == math.inf:
+        raise ValidationError(
+            f"the log's timestamps run from {t_min:g}s to {t_max:g}s, a span past the float "
+            "range that no window can cut; the log's T headers are out of range"
+        )
     if span < window:
         raise ValidationError(f"window {window}s exceeds the log span {span}s")
     count = span / window

@@ -380,6 +380,15 @@ class TestMonitor:
         assert out.endswith("max |deviation| 0.0000 -> OK\n")
         assert err == "note: skipped 1 malformed line(s)\n"
 
+    @pytest.mark.parametrize("window", ["60", "1e308"])
+    def test_a_span_past_the_float_range_blames_the_t_headers(self, capsys, two_user_files,
+                                                              window):
+        code, out, err = run_cli(capsys, "monitor", two_user_files["log_span_overflow"],
+                                 two_user_files["good"], "--window", window)
+        assert (code, out) == (1, "")
+        assert err.endswith("the log's T headers are out of range\n")
+        assert "--window" not in err
+
     def test_malformed_line_is_noted_and_skipped(self, capsys, tmp_path, two_user_files):
         clean = run_cli(capsys, "monitor", two_user_files["log"], two_user_files["good"])
         lines = Path(two_user_files["log"]).read_text().splitlines(keepends=True)

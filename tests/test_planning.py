@@ -366,6 +366,19 @@ def ps_log_texts(draw):
     return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
 
 
+def test_a_string_breaks_lines_where_a_text_file_does(tmp_path):
+    # str.splitlines() would also break this COMMAND at \x85, \x0b, \x0c,
+    # \x1c-\x1e, \u2028 and \u2029; a text file breaks only at \n, \r\n and \r.
+    text = ("T 0\r\nalice 1 1.0 0 0 0 ? S 10:00 0:01 job\x85a\x0bb\x0cc\x1cd\x1de\x1ef"
+            "\u2028g\u2029h 1 2 3 4 5 6 7 8 0:00\rT 60\nalice 1 1.0 0 0 0 ? S 10:00 0:31 job\n")
+    path = tmp_path / "odd.log"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8") as fh:
+        from_file = parse_ps_log(fh)
+    assert (len(from_file.samples), from_file.skipped) == (2, 0)
+    assert parse_ps_log(text) == from_file
+
+
 def parse_outcome(parse, stream):
     try:
         return parse(stream)
@@ -446,11 +459,21 @@ class TestGoalDeviation:
             goal_deviation(log.samples, equal_table("a"), window=60.0)
 
     def test_span_past_the_float_range_rejected(self):
-        # Each header is finite, but their difference overflows to inf.
+        # Each header is finite, but their difference overflows to inf, so
+        # no window can help: the error blames the timestamps instead.
         samples = [UsageSample(-1.7e308, "a", 1, 1.0), UsageSample(1.7e308, "a", 1, 2.0)]
+        for window in (60.0, 1e308):
+            with pytest.raises(ValidationError,
+                               match=r"^the log's timestamps run from -1\.7e\+308s to 1\.7e\+308s, "
+                                     r"a span past the float range .*T headers are out of range$"):
+                goal_deviation(samples, equal_table("a"), window=window)
+
+    def test_windows_past_the_float_range_rejected(self):
+        # A finite span in windows so short that their count overflows.
+        samples = [UsageSample(0.0, "a", 1, 1.0), UsageSample(1e10, "a", 1, 2.0)]
         with pytest.raises(ValidationError,
-                           match=r"into more than 1\.8e\+308 windows, over the budget of "):
-            goal_deviation(samples, equal_table("a"), window=60.0)
+                           match=r"into more than 1\.8e\+308 windows, .*use a larger --window$"):
+            goal_deviation(samples, equal_table("a"), window=1e-300)
 
     def test_window_below_float_spacing_rejected(self):
         # 1e17 + 1.0 == 1e17: window edges would never advance.
