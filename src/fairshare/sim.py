@@ -24,6 +24,19 @@ time (10 ms default).  The processor-sharing mode jumps from event to
 event.  Randomness enters only through optional exponentially jittered
 think times.
 
+Processor sharing runs in virtual time, as GPS and WFQ do (Demers, Keshav &
+Shenker, SIGCOMM 1989; Parekh & Gallager, ToN 1993), so a step costs
+O(log k) with k processes ready:
+
+* One virtual clock, the service each ready process has received, grows
+  by delta/k over a step of delta seconds.  A process that starts a cycle
+  gets the finish tag clock + demand, and a heap of tags gives the next
+  completion.  Completions within 1e-9 s of service of each other finish
+  together, in the order the processes became ready.
+* Busy time is credited per user, not per process: a user with n ready
+  processes gets n times the clock's advance since its last credit,
+  whenever n changes and at every window edge and the warmup.
+
 Fair-share dispatch is the decay-usage policy of Kay & Lauder (CACM 1988),
 kept incrementally so that a dispatch costs O(log users):
 
@@ -74,8 +87,9 @@ PROCESS_GUARD = 1_000_000
 TICK_GUARD = 1_000_000
 # Most (window, user) busy-time cells one run may record.  Each costs
 # 106-125 B of peak RSS, so the limit is about 125 MB, and 0.15-0.5 us in
-# the quantized modes and 0.9-1.3 us in the fluid one, which ends a step at
-# every window edge.  A 200-user run in 1 s windows reaches it at 5,000 s.
+# the quantized modes and 0.45-0.7 us in the fluid one, which ends a step
+# and credits every ready user at each window edge.  A 200-user run in 1 s
+# windows reaches it at 5,000 s.
 WINDOW_GUARD = 1_000_000
 # Most demand cycles a processor-sharing run may complete, bounded before
 # the run by duration / demand summed over the workload's classes.  A cycle
