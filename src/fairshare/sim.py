@@ -528,7 +528,7 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
     busy = post = None
 
     n_applied = 0
-    next_edge = 1  # window edge index; warmup is handled as its own boundary
+    next_edge = 1  # index of the next window edge; the warmup is its own boundary
     next_due = 0.0  # key of the next event or wakeup
     now = 0.0
     while now < duration - _TIME_EPS:
@@ -564,12 +564,15 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
             now = min(duration, next_due)
             continue
 
-        widx = int((now + _TIME_EPS) // window_seconds)
-        state = (widx, now >= warmup - _TIME_EPS)
+        while next_edge * window_seconds <= now + _TIME_EPS:
+            next_edge += 1
+        # The stretch's window is the one that ends at the next edge, so a
+        # step never credits a window other than the one its edges bound.
+        state = (next_edge - 1, now >= warmup - _TIME_EPS)
         if state != stretch:
             _credit(ready, ready, since, v, busy, post)
             stretch = state
-            busy = core.window_busy[widx] if widx < n_windows else None
+            busy = core.window_busy[state[0]] if state[0] < n_windows else None
             post = core.post_busy if state[1] else None
 
         k = len(heap)
@@ -578,8 +581,6 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
             boundary = next_due
         if duration < boundary:
             boundary = duration
-        while next_edge * window_seconds <= now + _TIME_EPS:
-            next_edge += 1
         if next_edge * window_seconds < boundary:
             boundary = next_edge * window_seconds
         if now + _TIME_EPS < warmup < boundary:
