@@ -543,6 +543,8 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
                     heap[:] = [e for e in heap if e[2].user != u]
                     heapify(heap)
             n_applied = len(applied)
+        # Starts and completions credit their user with _credit's body,
+        # inline: these run once per cycle, where a call costs 5-15%.
         while inbox:
             p = inbox.popleft()
             u = p.user
