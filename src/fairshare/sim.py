@@ -538,7 +538,7 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
                 u = ev.user
                 if ev.action == "deactivate" and ready.get(u):
                     # The core dropped u's processes; drop their entries too.
-                    _credit((u,), ready, since, v, busy, post)
+                    _credit(((u, ready[u]),), since, v, busy, post)
                     ready[u] = 0
                     heap[:] = [e for e in heap if e[2].user != u]
                     heapify(heap)
@@ -572,7 +572,7 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
         # step never credits a window other than the one its edges bound.
         state = (next_edge - 1, now >= warmup - _TIME_EPS)
         if state != stretch:
-            _credit(ready, ready, since, v, busy, post)
+            _credit(ready.items(), since, v, busy, post)
             stretch = state
             busy = core.window_busy[state[0]] if state[0] < n_windows else None
             post = core.post_busy if state[1] else None
@@ -617,22 +617,23 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
                 if wake < next_due:
                     next_due = wake
 
-    _credit(ready, ready, since, v, busy, post)
+    _credit(ready.items(), since, v, busy, post)
     return core.trace(window_seconds, duration - config.warmup)
 
 
-def _credit(users, ready, since, v, busy, post) -> None:
-    """Credit each user in ``users`` its busy time since its last credit,
-    ``ready[u] * (v - since[u])``, in the busy-time dicts that are not None."""
-    for u in users:
-        n = ready[u]
+def _credit(counts, since, v, busy, post) -> None:
+    """Credit each user of the (user, ready processes) pairs ``counts`` its
+    busy time since its last credit, ``n * (v - since[u])``, in the
+    busy-time dicts that are not None.  A user with nothing ready is
+    skipped: its ``since`` restarts when a process of its becomes ready."""
+    for u, n in counts:
         if n:
             amount = n * (v - since[u])
+            since[u] = v
             if busy is not None:
                 busy[u] += amount
             if post is not None:
                 post[u] += amount
-        since[u] = v
 
 
 def trace_perf(tr: SimTrace) -> PerfTable:
