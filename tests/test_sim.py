@@ -501,26 +501,20 @@ def test_cycle_budget_bounds_processor_sharing_runs(monkeypatch, mode):
         run_sim(h, w, (), config)
 
 
-def test_fluid_run_ends_where_floats_are_sparser_than_the_tolerance():
+@pytest.mark.parametrize("a, b, duration, window", [
     # Past 1.7e7 s floats lie more than the 1e-9 s tolerance apart, so a
     # step to a completion less than half a spacing away takes no time.
     # Unless that completion then happens, the run steps in place forever.
+    ((3, 0.0, 1e5), (2, 1.234e5, 2.5e5), 1e8, 1e6),
+    # There a step's start divided by the window can also name the window
+    # before the edge that the step starts from.  Crediting that index once
+    # gave windows of 1.056 and 0.990 around 1.68e7 s.
+    ((2, 0.0, 1000.0), (1, 0.0, 777.7), 3e7, 3030.3),
+], ids=["completion-in-no-time", "window-index"])
+def test_fluid_runs_where_floats_are_sparser_than_the_tolerance(a, b, duration, window):
     h = pool(("a", 1, True), ("b", 1, True))
-    w = WorkloadSpec((ClassLoad("a", 3, 0.0, 1e5), ClassLoad("b", 2, 1.234e5, 2.5e5)))
-    trace = run_sim(h, w, (), SimConfig(duration=1e8, window=1e6, mode=sim.TS_PS_REFERENCE))
-    assert len(trace.cycles["a"]) >= 500
-    for fractions in trace.fractions:  # a is CPU bound, so the CPU never idles
-        assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_fluid_steps_credit_the_window_that_their_edges_bound():
-    # Past 1.7e7 s floats lie 3.7e-9 s apart, more than the 1e-9 s
-    # tolerance, so a step's start divided by the window can name the
-    # window before the edge that the step starts from.  Crediting that
-    # index once gave windows of 1.056 and 0.990 around 1.68e7 s.
-    h = pool(("a", 1, True), ("b", 1, True))
-    w = WorkloadSpec((ClassLoad("a", 2, 0.0, 1000.0), ClassLoad("b", 1, 0.0, 777.7)))
-    trace = run_sim(h, w, (), SimConfig(duration=3e7, window=3030.3, mode=sim.TS_PS_REFERENCE))
+    w = WorkloadSpec((ClassLoad("a", *a), ClassLoad("b", *b)))
+    trace = run_sim(h, w, (), SimConfig(duration=duration, window=window, mode=sim.TS_PS_REFERENCE))
     for fractions in trace.fractions:  # a is CPU bound, so the CPU never idles
         assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
 
