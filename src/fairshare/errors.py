@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one check of every work budget."""
+
+import math
+import sys
 
 
 class FairshareError(Exception):
@@ -22,7 +25,16 @@ class ZeroEntitlementError(ValidationError):
 
 
 class PopulationGuardError(FairshareError):
-    """A workload or run exceeds the exact solver's or the simulator's work budget."""
+    """A workload or run exceeds a solver's, the simulator's or the monitor's work budget."""
+
+
+def check_budget(count, limit, counted: str, cost: str, advice: str) -> None:
+    """Refuse a predicted ``count`` of ``counted`` over ``limit``, whose measured
+    cost is ``cost``; ``advice`` says how to ask for less.  No count reads inf."""
+    if count > limit:
+        shown = (count if isinstance(count, int) else f"{count:g}" if count < math.inf
+                 else f"more than {sys.float_info.max:.1e}")
+        raise PopulationGuardError(f"{shown} {counted} exceed {limit}, the budget of {cost}; {advice}")
 
 
 class ScenarioParseError(ValidationError):

@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PopulationGuardError, ValidationError, ZeroEntitlementError
+from .errors import ValidationError, ZeroEntitlementError, check_budget
 from .shares import EntitlementTable
 
 # Largest population-vector space the exact recursion will attempt.  At the
 # limit the queue table takes 8 bytes per vector, 80 MB, and solving 2 to 23
 # classes measured 0.4-3.5 s at 106-167 MB peak RSS (2-CPU x86-64 host).
+# The repairman solvers' process levels count against it at 0.09 us each: 1 s.
 POPULATION_GUARD = 10_000_000
 # Each population level also costs 14-35 us however few vectors it holds,
 # against 0.05-0.38 us per vector, so a level counts as 100 vectors against
@@ -110,12 +111,10 @@ def solve_ts(w: WorkloadSpec) -> PerfTable:
     dims = [c.procs + 1 for c in w.classes]
     size = math.prod(dims)
     levels = sum(c.procs for c in w.classes)
-    if size + levels * _LEVEL_VECTORS > POPULATION_GUARD:
-        raise PopulationGuardError(
-            f"population space {size} and {levels} levels of {_LEVEL_VECTORS} vectors each "
-            f"exceed {POPULATION_GUARD} vectors, the exact solver's budget of an 80 MB queue "
-            "table and a few seconds; use the simulator (`fairshare simulate`) for this workload"
-        )
+    check_budget(size + levels * _LEVEL_VECTORS, POPULATION_GUARD,
+                 f"vectors ({size} states and {levels} levels of {_LEVEL_VECTORS})",
+                 "an 80 MB queue table and a few seconds",
+                 "use the simulator (`fairshare simulate`) for this workload")
 
     # Per-class constants as (k, 1) columns.  Every per-level array is
     # class-major, (k, vectors), so a sum over axis 0 adds the classes row by
@@ -174,12 +173,16 @@ def _repairman(procs: int, think: float, demand: float) -> tuple[float, float]:
     return r, x
 
 
-def _require_entitlements(w: WorkloadSpec, e: EntitlementTable) -> None:
+def _check_workload(w: WorkloadSpec, e: EntitlementTable, passes: int) -> None:
+    """Refuse a user without entitlement, or ``passes`` of ``_repairman`` over the budget."""
     for c in w.classes:
         if e.entitlements.get(c.user, 0.0) <= 0.0:
             raise ZeroEntitlementError(
                 f"user {c.user!r} has zero entitlement but a nonzero workload"
             )
+    procs = sum(c.procs for c in w.classes)
+    check_budget(passes * procs, POPULATION_GUARD, f"process levels ({passes} x {procs} processes)",
+                 "about 1 s", "use fewer procs")
 
 
 def solve_srm_partition(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
@@ -189,7 +192,7 @@ def solve_srm_partition(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
     virtual processor; users do not interact.  For one CPU-bound process
     this gives R = D/E and U = E.
     """
-    _require_entitlements(w, e)
+    _check_workload(w, e, 1)
     rows = {}
     for c in w.classes:
         speed = e.entitlements[c.user]
@@ -207,18 +210,19 @@ def solve_srm_conserving(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
     among still-saturated users in proportion to their shares.  With every
     user CPU bound this is exactly the partition model.
     """
-    _require_entitlements(w, e)
-
-    base = {c.user: e.entitlements[c.user] for c in w.classes}
-    speeds = dict(base)
-    saturated = set(base)
     # Bound on the passes: the saturated set only shrinks, and a pass's
     # speeds depend only on that set and on what the other users use.  When
     # two passes in a row leave the set unchanged, the users outside it ran
     # at base speed in both, so the second repeats the first's speeds.  That
     # allows at most users shrinking passes, users + 1 passes that change
     # only the speeds, and one final pass that changes nothing.
-    for _ in range(2 * len(base) + 2):
+    passes = 2 * len(w.classes) + 2
+    _check_workload(w, e, passes)
+
+    base = {c.user: e.entitlements[c.user] for c in w.classes}
+    speeds = dict(base)
+    saturated = set(base)
+    for _ in range(passes):
         solved, used = {}, {}
         for c in w.classes:
             _, x = solved[c.user] = _repairman(c.procs, c.think, c.demand / speeds[c.user])

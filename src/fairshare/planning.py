@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import io
 import math
-import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError
+from .errors import (InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError,
+                     check_budget)
 from .scenario import _build, _lines
 from .shares import EntitlementTable
 
@@ -193,7 +193,7 @@ class PsLog(NamedTuple):
 
 
 def parse_ps_log(stream) -> PsLog:
-    """Parse a timestamped BSD ps-aux log.
+    r"""Parse a timestamped BSD ps-aux log.
 
     Records are ``T <epoch-seconds>`` header lines followed by ps lines
     (USER PID %CPU %MEM SZ RSS TT S START TIME COMMAND, TIME as mm:ss or
@@ -332,13 +332,9 @@ def goal_deviation(
         )
     if span < window:
         raise ValidationError(f"window {window}s exceeds the log span {span}s")
-    count = span / window
-    if count >= MAX_WINDOWS + 1:  # over the budget in whole windows, or past the float range
-        count = math.floor(count) if count < math.inf else f"more than {sys.float_info.max:.1e}"
-        raise ValidationError(
-            f"window {window:g}s cuts the log span {t_min:g}s to {t_max:g}s into {count} "
-            f"windows, over the budget of {MAX_WINDOWS}; use a larger --window"
-        )
+    check_budget(span // window, MAX_WINDOWS,  # whole windows, or past the float range
+                 f"windows of {window:g}s in the log span {t_min:g}s to {t_max:g}s",
+                 "about 0.4 s", "use a larger --window")
     # Window edges are found by adding `window` to the previous edge, so it
     # must be at least the spacing of floats at the log's timestamps.
     farthest = max(abs(t_min), abs(t_max))

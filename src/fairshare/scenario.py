@@ -14,6 +14,7 @@ given once; the solver line at most once, and it defaults to partition.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,8 +96,9 @@ class _Line(NamedTuple):
 
 
 def _lines(text: str):
-    """Yield a ``_Line`` for each line with content, comments stripped."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    r"""Yield a ``_Line`` for each line with content, comments stripped.  Lines
+    end at ``\n``, ``\r\n`` or ``\r``, as in a text file, and nowhere else."""
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0]
         tokens = line.split()
         if tokens:

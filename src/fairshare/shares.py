@@ -135,12 +135,7 @@ def compute_entitlements(h: ShareHierarchy, mode: str = FLAT_POOL) -> Entitlemen
         group_pool = sum(g.shares for g in live_groups)
         for group in h.groups:
             group_active = sum(u.shares for u in group.users if u.active)
-            if group_active == 0:
-                group_fractions[group.name] = 0.0
-                for user in group.users:
-                    entitlements[user.name] = 0.0
-                continue
-            fraction = group.shares / group_pool
+            fraction = group.shares / group_pool if group_active else 0.0
             group_fractions[group.name] = fraction
             for user in group.users:
                 entitlements[user.name] = (

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import itemgetter
 
-from .errors import PopulationGuardError, ValidationError
+from .errors import ValidationError, check_budget
 from .mva import PerfRow, PerfTable, WorkloadSpec
 from .shares import EntitlementTable, ShareHierarchy, TimelineEvent, validate_timeline
 
@@ -91,10 +91,10 @@ TICK_GUARD = 1_000_000
 # and credits every ready user at each window edge.  A 200-user run in 1 s
 # windows reaches it at 5,000 s.
 WINDOW_GUARD = 1_000_000
-# Most demand cycles a processor-sharing run may complete, bounded before
-# the run by duration / demand summed over the workload's classes.  A cycle
-# costs 2.7-6.8 us and 96-150 B of peak RSS, its record in SimTrace.cycles
-# included, so at the limit a run takes up to 7 s and 150 MB.
+# Most demand cycles a run may complete, bounded before the run (run_sim).
+# A cycle costs 2.7-6.8 us in the processor-sharing engine, 0.8-3.4 us in
+# the quantized ones, and 96-154 B of peak RSS with its SimTrace.cycles
+# record, so at the limit a run takes up to 7 s and 155 MB (2-CPU x86-64).
 CYCLE_GUARD = 1_000_000
 
 _TIME_EPS = 1e-9
@@ -181,49 +181,40 @@ def run_sim(
     Deterministic for a given config and seed.  Users inactive in the
     hierarchy contribute nothing until an activate event; deactivation
     drops a user's in-flight cycles.  Before anything is set up, a run is
-    refused if its workload has more than ``PROCESS_GUARD`` processes,
-    inactive users' included; if it is quantized and steps through more
-    than ``TICK_GUARD`` quanta; if its windows times its users exceed
-    ``WINDOW_GUARD``; or if it is processor sharing and could complete
-    more than ``CYCLE_GUARD`` cycles, inactive users' included.
+    refused if, inactive users included, it has more than ``PROCESS_GUARD``
+    processes; more than ``TICK_GUARD`` quanta, if quantized; more than
+    ``WINDOW_GUARD`` windows times users; or more than ``CYCLE_GUARD``
+    demand cycles in the worst case.  That bound: the engine runs S
+    seconds (the duration, or the whole quanta it rounds to), and a cycle
+    of class c uses its demand D_c of the one CPU, so c completes at most
+    S / D_c.  A quantized process that parks wakes in a later quantum, so a
+    quantized class with think time also completes at most procs_c a
+    quantum, and its bound is min(S / D_c, procs_c x quanta).
     """
     known = set(h.user_names())
     for c in w.classes:
         if c.user not in known:
             raise ValidationError(f"workload user {c.user!r} not in hierarchy")
     validate_timeline(timeline, h)
-    procs = sum(c.procs for c in w.classes)
-    if procs > PROCESS_GUARD:
-        raise PopulationGuardError(
-            f"{procs} processes exceed {PROCESS_GUARD}, the simulator's budget of about "
-            "140 MB and 2 s of set-up; use fewer procs"
-        )
     ticks, _, windows = _grid(config)
-    if config.mode != TS_PS_REFERENCE and ticks > TICK_GUARD:
-        raise PopulationGuardError(
-            f"{config.duration:g}s in {config.quantum:g}s quanta is {ticks} quanta, over "
-            f"{TICK_GUARD}, the simulator's budget of a few seconds; "
-            "use a shorter --duration or a larger --quantum"
-        )
-    if windows * len(w.classes) > WINDOW_GUARD:
-        raise PopulationGuardError(
-            f"{windows} windows of {len(w.classes)} users exceed {WINDOW_GUARD} busy-time "
-            "cells, the simulator's budget of about 125 MB; "
-            "use a larger --window or a shorter --duration"
-        )
-
-    if config.mode == TS_PS_REFERENCE:
-        # Each completed cycle of a class used its demand of the one CPU.
-        cycles = sum(config.duration / c.demand for c in w.classes)
-        if cycles > CYCLE_GUARD:
-            raise PopulationGuardError(
-                f"{config.duration:g}s of demands as short as "
-                f"{min(c.demand for c in w.classes):g}s allow {cycles:.3g} cycles, over "
-                f"{CYCLE_GUARD}, the simulator's budget of about 150 MB and 7 s; "
-                "use a shorter --duration or a larger demand"
-            )
-        return _run_fluid_ps(h, w, timeline, config)
-    return _run_quantized(h, w, timeline, config)
+    quantized = config.mode != TS_PS_REFERENCE
+    seconds = max(config.duration, ticks * config.quantum)
+    cycles = sum(min(seconds / c.demand, c.procs * ticks if quantized and c.think > 0 else math.inf)
+                 for c in w.classes)
+    for budget in (
+        (sum(c.procs for c in w.classes), PROCESS_GUARD, "processes",
+         "about 140 MB and 2 s of set-up", "use fewer procs"),
+        (ticks if quantized else 0, TICK_GUARD,
+         f"quanta of {config.quantum:g}s in {config.duration:g}s", "a few seconds",
+         "use a shorter --duration or a larger --quantum"),
+        (windows * len(w.classes), WINDOW_GUARD,
+         f"busy-time cells in {windows} windows of {len(w.classes)} users", "about 125 MB",
+         "use a larger --window or a shorter --duration"),
+        (cycles, CYCLE_GUARD, f"demand cycles in {seconds:g}s", "about 155 MB and 7 s",
+         "use a shorter --duration or a larger demand"),
+    ):
+        check_budget(*budget)
+    return (_run_quantized if quantized else _run_fluid_ps)(h, w, timeline, config)
 
 
 def _grid(config: SimConfig) -> tuple[int, int, int]:
@@ -289,11 +280,11 @@ class _Core:
         """
         self.cycles[proc.user].append((proc.index, proc.ready_since, when))
         think = self.loads[proc.user].think
-        if think > 0.0 and self.config.think_jitter:
-            think = self.rng.expovariate(1.0 / think)
         if think <= 0.0:
             self.start_cycle(proc, when)
             return math.inf
+        if self.config.think_jitter:  # a draw of 0.0 parks too, as run_sim's cycle bound needs
+            think = self.rng.expovariate(1.0 / think)
         key = max(self.to_key(when + think), earliest)
         self.seq += 1
         heappush(self.parked, (key, self.seq, proc))

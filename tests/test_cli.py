@@ -51,7 +51,7 @@ def two_user_files(tmp_path):
         "event_nan": dict(think="1", demand="0.5", event="event t=nan deactivate=alice"),
         # Under SHORT_RUN no window starts after this event.
         "event_in_last_window": dict(think="1", demand="0.5", event="event t=19.5 deactivate=bob"),
-        # 20 s of 1e-7 s demands: up to 2e8 processor-sharing cycles.
+        # 20 s of 1e-7 s demands: up to 2e8 cycles in any mode.
         "demand_tiny": dict(think="0", demand="1e-7", event=""),
     }.items():
         path = tmp_path / f"{role}.fsp"
@@ -425,7 +425,8 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         # 5e5 busy-time cells, but up to 5e8 cycles.
         ("simulate", "report4", "--sim-mode", "ts-ps-reference", "--duration", "1e8",
          "--window", "1000"),
-        ("simulate", "demand_tiny", "--sim-mode", "ts-ps-reference", *SHORT_RUN),
+        *(("simulate", "demand_tiny", "--sim-mode", mode, *SHORT_RUN)
+          for mode in fairshare.sim.SIM_MODES),
         ("report", "procs_one_deep_class"),
         ("monitor", "log", "good", "--window", "nan"),
         ("monitor", "log", "good", "--threshold", "nan"),

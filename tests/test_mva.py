@@ -116,7 +116,8 @@ class TestSolveTs:
         monkeypatch.setattr(mva, "POPULATION_GUARD", 910)
         solve_ts(WorkloadSpec((ClassLoad("a", 9, 1.0, 0.5),)))
         with pytest.raises(PopulationGuardError,
-                           match="^population space 11 and 10 levels of 100 vectors each exceed 910"):
+                           match=r"^1011 vectors \(11 states and 10 levels of 100\) exceed 910, .*; "
+                                 r"use the simulator \(`fairshare simulate`\) for this workload$"):
             solve_ts(WorkloadSpec((ClassLoad("a", 10, 1.0, 0.5),)))
 
     def test_empty_workload(self):
@@ -336,6 +337,23 @@ class TestSolveSrmConserving:
             assert conserving.rows[user].utilization >= floor - 1e-9
             total += conserving.rows[user].utilization
         assert total <= 1.0 + 1e-9
+
+
+def test_repairman_budget_counts_the_levels_of_every_pass(monkeypatch):
+    # Partition runs each class's process levels once, conserving up to
+    # 2 x users + 2 passes of them: 6 passes of 5 levels for two users.
+    monkeypatch.setattr(mva, "POPULATION_GUARD", 30)
+    e = equal_pool("a", "b")
+    solve_srm_conserving(WorkloadSpec((ClassLoad("a", 3, 1.0, 0.5), ClassLoad("b", 2, 0.0, 1.0))), e)
+    w = WorkloadSpec((ClassLoad("a", 4, 1.0, 0.5), ClassLoad("b", 2, 0.0, 1.0)))
+    solve_srm_partition(w, e)
+    with pytest.raises(PopulationGuardError,
+                       match=r"^36 process levels \(6 x 6 processes\) exceed 30, .*; use fewer procs$"):
+        solve_srm_conserving(w, e)
+    monkeypatch.setattr(mva, "POPULATION_GUARD", 5)
+    with pytest.raises(PopulationGuardError,
+                       match=r"^6 process levels \(1 x 6 processes\) exceed 5, .*; use fewer procs$"):
+        solve_srm_partition(w, e)
 
 
 class TestCompareTables:

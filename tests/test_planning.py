@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fairshare.errors import InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError
+from fairshare.errors import (InfeasiblePlanError, PopulationGuardError, PsLogError,
+                             ScenarioParseError, ValidationError)
 from fairshare.planning import (
     MAX_WINDOWS,
     UNALLOCATED,
@@ -155,6 +156,11 @@ class TestSloFile:
     def test_bad_line(self):
         with pytest.raises(ValidationError, match="line 1"):
             parse_slo_file("workload FIN umax=0.5")
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
+    def test_a_comment_runs_to_the_end_of_its_text_line(self, sep):
+        targets = parse_slo_file(f"target FIN umax=0.5\n# note{sep}target x umax=0.5\n")
+        assert targets == [SLOTarget("FIN", u_max=0.5)]
 
     def test_empty(self):
         with pytest.raises(ValidationError, match="no targets"):
@@ -455,7 +461,9 @@ class TestGoalDeviation:
 
     def test_windows_over_the_budget_rejected(self):
         log = parse_ps_log(synth_log([(0, "a", 1, 0), (60 * (MAX_WINDOWS + 1), "a", 1, 60)]))
-        with pytest.raises(ValidationError, match=rf"budget of {MAX_WINDOWS}; use a larger --window"):
+        with pytest.raises(PopulationGuardError,
+                           match=rf"^{MAX_WINDOWS + 1} windows of 60s in the log span 0s to .* "
+                                 rf"exceed {MAX_WINDOWS}, .*; use a larger --window$"):
             goal_deviation(log.samples, equal_table("a"), window=60.0)
 
     def test_span_past_the_float_range_rejected(self):
@@ -471,8 +479,9 @@ class TestGoalDeviation:
     def test_windows_past_the_float_range_rejected(self):
         # A finite span in windows so short that their count overflows.
         samples = [UsageSample(0.0, "a", 1, 1.0), UsageSample(1e10, "a", 1, 2.0)]
-        with pytest.raises(ValidationError,
-                           match=r"into more than 1\.8e\+308 windows, .*use a larger --window$"):
+        with pytest.raises(PopulationGuardError,
+                           match=rf"^more than 1\.8e\+308 windows of 1e-300s in the log span 0s to "
+                                 rf"1e\+10s exceed {MAX_WINDOWS}, .*; use a larger --window$"):
             goal_deviation(samples, equal_table("a"), window=1e-300)
 
     def test_window_below_float_spacing_rejected(self):

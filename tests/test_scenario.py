@@ -29,6 +29,10 @@ solver partition
 """
 
 
+# Characters at which str.splitlines() also breaks a line, and a text file does not.
+NOT_LINE_ENDS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
 class TestParse:
     def test_full_scenario(self):
         s = parse_scenario(GOOD, label="demo")
@@ -287,6 +291,24 @@ class TestParse:
     def test_defaults_to_partition_solver(self):
         no_solver = "\n".join(l for l in GOOD.splitlines() if not l.startswith("solver"))
         assert parse_scenario(no_solver).solver == "partition"
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_a_comment_runs_to_the_end_of_its_text_line(self, sep):
+        text = GOOD.replace("event t=60", f"# off{sep}event t=60")
+        assert parse_scenario(text).timeline == ()
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+    def test_diagnostics_count_text_lines_only(self, sep):
+        bad = GOOD.replace("total_shares 100", f"total_shares 100{sep}").replace("FIN shares=60",
+                                                                                "FIN shares=sixty")
+        with pytest.raises(ScenarioParseError, match=r"^line 3, col 11: bad value for shares"):
+            parse_scenario(bad)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_one_line_each(self, end):
+        bad = GOOD.replace("FIN shares=60", "FIN shares=sixty").replace("\n", end)
+        with pytest.raises(ScenarioParseError, match=r"^line 3, col 11: bad value for shares"):
+            parse_scenario(bad)
 
 
 class TestRoundTrip:

@@ -1,5 +1,6 @@
 """Scheduler simulator behavior: fairness limits, dynamics, and estimates."""
 
+import dataclasses
 import gc
 import hashlib
 import io
@@ -466,7 +467,7 @@ def test_tick_budget_counts_the_quanta_of_quantized_runs(monkeypatch, mode):
         run_sim(TWO_EQUAL, TWO_EQUAL_W, (), config)
         return
     with pytest.raises(PopulationGuardError,
-                       match=r"^3\.01s in 0\.01s quanta is 301 quanta, over 300, .*"
+                       match=r"^301 quanta of 0\.01s in 3\.01s exceed 300, .*; "
                              r"use a shorter --duration or a larger --quantum$"):
         run_sim(TWO_EQUAL, TWO_EQUAL_W, (), config)
 
@@ -478,7 +479,7 @@ def test_window_budget_counts_windows_times_users(monkeypatch, mode):
     run_sim(TWO_EQUAL, TWO_EQUAL_W, (), SimConfig(duration=10.0, mode=mode))
     config = SimConfig(duration=11.0, mode=mode)
     with pytest.raises(PopulationGuardError,
-                       match=r"^11 windows of 2 users exceed 20 busy-time cells, .*"
+                       match=r"^22 busy-time cells in 11 windows of 2 users exceed 20, .*; "
                              r"use a larger --window or a shorter --duration$"):
         run_sim(TWO_EQUAL, TWO_EQUAL_W, (), config)
 
@@ -492,12 +493,9 @@ def test_cycle_budget_bounds_processor_sharing_runs(monkeypatch, mode):
     w = WorkloadSpec((ClassLoad("a", 1, 0.0, 1.0), ClassLoad("b", 2, 0.0, 0.5)))
     run_sim(h, w, (), SimConfig(duration=10.0, mode=mode))
     config = SimConfig(duration=10.5, mode=mode)
-    if mode != sim.TS_PS_REFERENCE:  # the quantized modes have no cycle budget yet
-        run_sim(h, w, (), config)
-        return
     with pytest.raises(PopulationGuardError,
-                       match=r"^10\.5s of demands as short as 0\.5s allow 31\.5 cycles, over 30, "
-                             r".*; use a shorter --duration or a larger demand$"):
+                       match=r"^31\.5 demand cycles in 10\.5s exceed 30, .*; "
+                             r"use a shorter --duration or a larger demand$"):
         run_sim(h, w, (), config)
 
 
@@ -956,3 +954,25 @@ def test_cpu_bound_users_split_every_fluid_window_by_process_count(run):
     for fractions in trace.fractions:
         for user, n in procs.items():
             assert fractions[user] == pytest.approx(n / total if total else 0.0, rel=0, abs=1e-9)
+
+
+def cycle_bound(w, config):
+    """run_sim's worst case of completed cycles, derived from its docstring:
+    S / demand per class, or at most procs a quantum for a quantized class
+    with think time, where S is the duration or the whole quanta it rounds to."""
+    ticks = round(config.duration / config.quantum)
+    seconds = max(config.duration, ticks * config.quantum)
+    quantized = config.mode != sim.TS_PS_REFERENCE
+    return sum(min(seconds / c.demand, c.procs * ticks if quantized and c.think else math.inf)
+               for c in w.classes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=ps_runs(), mode=st.sampled_from(SIM_MODES), quantum=st.sampled_from((0.01, 0.1)))
+def test_completed_cycles_stay_within_the_cycle_bound(run, mode, quantum):
+    # At 0.1 s quanta a process of demand 0.013 thinking 0.05 s completes
+    # one cycle a quantum when it runs alone, so procs x quanta binds.
+    h, w, timeline, config = run
+    config = dataclasses.replace(config, mode=mode, quantum=quantum)
+    trace = run_sim(h, w, timeline, config)
+    assert sum(len(c) for c in trace.cycles.values()) <= cycle_bound(w, config)
