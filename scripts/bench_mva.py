@@ -20,12 +20,16 @@ only those of the checkout's current source: results whose
 counted.
 
 For each ``--workload``, the ``--trace 0`` results give one end-to-end
-record per metric in ``E2E_METRICS``: the median, minimum and quartiles
-over the seeds found.  The ``--trace 1`` results, where there are any,
+record per metric they carry, every one that ``bench/run.py`` reports: the
+median, minimum and quartiles over the seeds found, in the metric's own
+unit, which ``work_counters['unit']`` names.  So the ``median_s``,
+``min_s``, ``q1_s`` and ``q3_s`` of ``ops_per_s``, ``ok_rate`` and
+``peak_rss_mb`` hold ops/s, a ratio and MB.  The ``--trace 1`` results, where there are any,
 give one layer record per traced function that was called and per
 ``sim.run_sim`` mode that ran.  Its times are the layer's self time per
 benchmark op (``self_s / cli.main.calls`` of each seed), so trees that run
-a different number of ops in the same time stay comparable.  Its
+a different number of ops in the same time stay comparable, and their unit
+is s.  Its
 ``per_unit`` is the median of the tracer's own ``us_per_*`` metric where it
 reports one (µs per population state, quantum, simulated second, log line
 or pid-window), and otherwise µs per call; ``work_counters['per']`` names
@@ -45,8 +49,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-E2E_METRICS = ("setup_s", "op_p50_s", "op_p90_s", "cpu_per_op_s")
 
 
 def describe(tree: Path) -> str:
@@ -72,9 +74,9 @@ def own_runs(tree: Path, workload: str, trace: int) -> tuple[list[dict], int]:
     return runs, len(found) - len(runs)
 
 
-def record(case: str, layer: str, size, values: list[float], per_unit,
+def record(case: str, layer: str, size, values: list[float], unit: str, per_unit,
            runs: list[dict], skipped: int, commit: str) -> dict:
-    """One BENCH record of ``values``, one per run."""
+    """One BENCH record of ``values``, one per run, in ``unit``."""
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {
         "case": case,
@@ -90,6 +92,7 @@ def record(case: str, layer: str, size, values: list[float], per_unit,
             "skipped": skipped,
             "q1_s": q1,
             "q3_s": q3,
+            "unit": unit,
         },
         "python": runs[0]["meta"]["python"],
         "numpy": runs[0]["meta"]["numpy"],
@@ -105,9 +108,9 @@ def e2e_records(label: str, tree: Path, workload: str) -> list[dict]:
     size = sum(run["result"]["attempted"] for run in runs)
     commit = describe(tree)
     return [record(f"{workload} {metric} {label}", "end-to-end", size,
-                   [run["result"]["metrics"][metric]["value"] for run in runs], None,
+                   [run["result"]["metrics"][metric]["value"] for run in runs], m["unit"], None,
                    runs, skipped, commit)
-            for metric in E2E_METRICS]
+            for metric, m in runs[0]["result"]["metrics"].items()]
 
 
 def layer_records(label: str, tree: Path, workload: str) -> list[dict]:
@@ -129,7 +132,7 @@ def layer_records(label: str, tree: Path, workload: str) -> list[dict]:
         per = unit.partition(".us_per_")[2] if unit else "call"
         per_unit = (statistics.median(m[unit] for m in metrics) if unit
                     else 1e6 * sum(m[key] for m in metrics) / calls)
-        records.append(record(f"{workload} {name} {label}", name, calls, per_op, per_unit,
+        records.append(record(f"{workload} {name} {label}", name, calls, per_op, "s", per_unit,
                               runs, skipped, commit))
         records[-1]["work_counters"]["per"] = per
     return records
@@ -149,10 +152,10 @@ def main(argv=None) -> int:
             records += e2e_records(label, tree, workload) + layer_records(label, tree, workload)
     Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
     for r in records:
-        unit = ("" if r["per_unit"] is None
+        cost = ("" if r["per_unit"] is None
                 else f"  {r['per_unit']:.3f} us/{r['work_counters']['per']}")
-        print(f"{r['case']:56s} {r['median_s']:.6g} s (min {r['min_s']:.6g}, "
-              f"n={r['repeats']}){unit}")
+        print(f"{r['case']:56s} {r['median_s']:.6g} {r['work_counters']['unit']} "
+              f"(min {r['min_s']:.6g}, n={r['repeats']}){cost}")
     return 0
 
 

@@ -101,28 +101,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Capacity planning for fair-share CPU scheduling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-    p = sub.add_parser("entitle", help="print the entitlement table for a scenario",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("entitle", help="print the entitlement table for a scenario")
     p.add_argument("scenario")
     p.add_argument("--mode", choices=ENTITLEMENT_MODES, default=FLAT_POOL)
     p.add_argument("--lub", action="store_true", help="show guaranteed minimums (all users active)")
 
-    p = sub.add_parser("report", help="run a scenario and print its capacity report",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("report", help="run a scenario and print its capacity report")
     p.add_argument("scenario")
     p.add_argument("--mode", choices=ENTITLEMENT_MODES, default=FLAT_POOL)
     p.add_argument("--solver", choices=SOLVERS, default=None,
                    help="override the scenario's solver line")
     _add_sim_options(p)
 
-    p = sub.add_parser("compare", help="ratio tables across two or more scenarios",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("compare", help="ratio tables across two or more scenarios")
     p.add_argument("scenarios", nargs="+")
     p.add_argument("--mode", choices=ENTITLEMENT_MODES, default=FLAT_POOL)
 
-    p = sub.add_parser("simulate", help="run the scheduler simulator on a scenario",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("simulate", help="run the scheduler simulator on a scenario")
     p.add_argument("scenario")
     p.add_argument("--mode-entitle", dest="entitle_mode", choices=ENTITLEMENT_MODES,
                    default=FLAT_POOL, help="entitlement mode used for the convergence check")
@@ -132,13 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="export per-window fractions as CSV")
 
-    p = sub.add_parser("advise", help="derive a share plan from measured targets",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("advise", help="derive a share plan from measured targets")
     p.add_argument("slo_file")
     p.add_argument("--total-shares", type=int, required=True)
 
-    p = sub.add_parser("monitor", help="check a ps log against entitlements",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add("monitor", help="check a ps log against entitlements")
     p.add_argument("ps_log")
     p.add_argument("scenario")
     p.add_argument("--mode", choices=ENTITLEMENT_MODES, default=FLAT_POOL)

@@ -133,7 +133,7 @@ def solve_ts(w: WorkloadSpec) -> PerfTable:
 
     queue = np.zeros(size)  # total mean CPU queue length per population vector
     level = strides[:, 0]  # level 1: one process of any one class; level 0 is 0.0
-    for _ in range(1, sum(c.procs for c in w.classes)):  # levels 1 .. N-1
+    for _ in range(1, levels):  # levels 1 .. N-1
         solved = np.empty(len(level))
         children = []
         # A wide level is solved in blocks of vectors.  A single leftover

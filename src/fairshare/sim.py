@@ -136,8 +136,9 @@ class SimConfig:
 class SimTrace:
     """Everything observed during one run.
 
-    ``fractions`` holds per-window busy fractions for every user (windows
-    tile the whole run, warmup included, so convergence can be located);
+    ``fractions`` holds per-window busy fractions for every user (whole
+    windows from the start, warmup included, so convergence can be located;
+    a partial window at the end is left out);
     ``busy``/``elapsed`` are post-warmup aggregates; ``cycles`` records
     (process, ready, completed) per user for every finished demand cycle,
     in completion order.
@@ -237,9 +238,14 @@ class _Core:
     processes join ``queues[user]``: with ``on_ready`` one FIFO per user,
     and ``on_ready(user)`` is called when a user's queue goes from empty to
     non-empty; without it one FIFO, ``run_queue``, that every user shares.
+
+    ``window_busy`` holds one busy-time dict per whole window of the run
+    (``_grid``), and one more for the partial window after the last whole
+    one, so the engines add every slice of busy time to its window without
+    a test; ``trace`` leaves that last dict out.
     """
 
-    def __init__(self, h, w, timeline, config, n_windows, to_key, on_ready=None):
+    def __init__(self, h, w, timeline, config, to_key, on_ready=None):
         self.config = config
         self.workload = w
         self.to_key = to_key
@@ -256,7 +262,7 @@ class _Core:
         # validate_timeline guarantees non-decreasing times, hence keys.
         self.events = deque((to_key(ev.time), ev) for ev in timeline)
         self.applied: list[TimelineEvent] = []
-        self.window_busy = [dict.fromkeys(self.user_names, 0.0) for _ in range(n_windows)]
+        self.window_busy = [dict.fromkeys(self.user_names, 0.0) for _ in range(_grid(config)[2] + 1)]
         self.post_busy = dict.fromkeys(self.user_names, 0.0)
         self.cycles = {u: [] for u in self.user_names}
         for u in self.user_names:
@@ -322,18 +328,16 @@ class _Core:
         self.applied.append(ev)
 
     def trace(self, window_seconds: float, elapsed: float) -> SimTrace:
+        whole = self.window_busy[:-1]
         warnings = ()
-        if not any(any(busy.values()) for busy in (self.post_busy, *self.window_busy)):
+        if not any(any(busy.values()) for busy in (self.post_busy, *whole)):
             warnings = ("the run recorded no busy time; trace is empty",)
         trace = SimTrace(
             config=self.config,
             workload=self.workload,
             users=tuple(self.user_names),
             window_seconds=window_seconds,
-            fractions=[
-                {u: busy / window_seconds for u, busy in wb.items()}
-                for wb in self.window_busy
-            ],
+            fractions=[{u: busy / window_seconds for u, busy in wb.items()} for wb in whole],
             busy=self.post_busy,
             elapsed=elapsed,
             cycles=self.cycles,
@@ -347,7 +351,7 @@ class _Core:
 def _run_quantized(h, w, timeline, config) -> SimTrace:
     """Advance one quantum at a time, dispatching by decayed usage or round robin."""
     q = config.quantum
-    n_ticks, window_ticks, n_windows = _grid(config)
+    n_ticks, window_ticks, _ = _grid(config)
     warmup_ticks = int(round(config.warmup / q))
     round_robin = config.mode == TS_ROUNDROBIN
     # Usage decays by `decay` every quantum.  Rather than multiply every
@@ -390,7 +394,7 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
     def to_tick(t: float) -> int:
         return max(0, math.ceil(t / q - _TIME_EPS))
 
-    core = _Core(h, w, timeline, config, n_windows, to_tick, None if round_robin else on_ready)
+    core = _Core(h, w, timeline, config, to_tick, None if round_robin else on_ready)
     queues = core.queues
     run_queue = core.run_queue  # FIFO over processes (ts-roundrobin)
     window_busy = core.window_busy
@@ -421,8 +425,7 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
         if tick >= next_due:
             next_due = core.release(tick, tick_time)
 
-        widx = tick // window_ticks
-        in_window = widx < n_windows
+        busy = window_busy[tick // window_ticks]
         post = tick >= warmup_ticks
         time_left = q
         sub = tick_time
@@ -457,8 +460,7 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
             sub += run
             time_left -= run
             u = proc.user
-            if in_window:
-                window_busy[widx][u] += run
+            busy[u] += run
             if post:
                 post_busy[u] += run
             finished = proc.remaining <= _TIME_EPS
@@ -500,8 +502,7 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
     duration = config.duration
     warmup = config.warmup
     window_seconds = config.window
-    n_windows = _grid(config)[2]
-    core = _Core(h, w, timeline, config, n_windows, lambda t: t)
+    core = _Core(h, w, timeline, config, lambda t: t)
     inbox = core.run_queue  # processes that started a cycle since the last step
     applied = core.applied
     demand = {c.user: c.demand for c in w.classes}
@@ -516,7 +517,8 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
     ready = dict.fromkeys(core.user_names, 0)
     since = dict.fromkeys(core.user_names, 0.0)
     stretch = None  # (window index, past the warmup) of busy and post
-    busy = post = None
+    busy = core.window_busy[0]
+    post = None
 
     n_applied = 0
     next_edge = 1  # index of the next window edge; the warmup is its own boundary
@@ -542,8 +544,7 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
             n = ready[u]
             if n:
                 amount = n * (v - since[u])
-                if busy is not None:
-                    busy[u] += amount
+                busy[u] += amount
                 if post is not None:
                     post[u] += amount
             since[u] = v
@@ -565,7 +566,7 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
         if state != stretch:
             _credit(ready.items(), since, v, busy, post)
             stretch = state
-            busy = core.window_busy[state[0]] if state[0] < n_windows else None
+            busy = core.window_busy[state[0]]
             post = core.post_busy if state[1] else None
 
         k = len(heap)
@@ -598,8 +599,7 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
                 u = p.user
                 n = ready[u]
                 amount = n * (v - since[u])
-                if busy is not None:
-                    busy[u] += amount
+                busy[u] += amount
                 if post is not None:
                     post[u] += amount
                 since[u] = v
@@ -614,15 +614,14 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
 
 def _credit(counts, since, v, busy, post) -> None:
     """Credit each user of the (user, ready processes) pairs ``counts`` its
-    busy time since its last credit, ``n * (v - since[u])``, in the
-    busy-time dicts that are not None.  A user with nothing ready is
+    busy time since its last credit, ``n * (v - since[u])``, in ``busy``
+    and, unless it is None, in ``post``.  A user with nothing ready is
     skipped: its ``since`` restarts when a process of its becomes ready."""
     for u, n in counts:
         if n:
             amount = n * (v - since[u])
             since[u] = v
-            if busy is not None:
-                busy[u] += amount
+            busy[u] += amount
             if post is not None:
                 post[u] += amount
 
@@ -671,29 +670,16 @@ def convergence_time(tr: SimTrace, e: EntitlementTable, epsilon: float):
         raise ValidationError(f"epsilon must be finite, got {epsilon!r}")
     last_event = max((ev.time for ev in tr.events_applied), default=0.0)
     window = tr.window_seconds
-    eligible = [
-        i for i in range(len(tr.fractions)) if i * window >= last_event - _TIME_EPS
-    ]
-    if not eligible:
+    start = len(tr.fractions)  # the converged suffix is tr.fractions[start:]
+    while start and (start - 1) * window >= last_event - _TIME_EPS:
+        fractions = tr.fractions[start - 1]
+        if not all(abs(fractions.get(u, 0.0) - e.entitlements[u]) <= epsilon + _TIME_EPS
+                   for u in e.active_users):
+            return start * window if start < len(tr.fractions) else None
+        start -= 1
+    if start == len(tr.fractions):
         raise ValidationError("trace has no windows after the last timeline event")
-
-    def window_ok(i: int) -> bool:
-        fractions = tr.fractions[i]
-        return all(
-            abs(fractions.get(u, 0.0) - e.entitlements[u]) <= epsilon + _TIME_EPS
-            for u in e.active_users
-        )
-
-    suffix_start = None
-    for i in reversed(eligible):
-        if not window_ok(i):
-            break
-        suffix_start = i
-    if suffix_start is None:
-        return None
-    if suffix_start == eligible[0]:
-        return last_event
-    return suffix_start * window
+    return last_event
 
 
 def export_trace(tr: SimTrace, fh) -> None:

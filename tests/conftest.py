@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fairshare.report import run_scenario
 from fairshare.scenario import parse_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +33,12 @@ def load_scenario():
         return parse_scenario(path.read_text(), label=name)
 
     return _load
+
+
+@pytest.fixture(scope="session")
+def reports(load_scenario):
+    """The capacity reports of the shipped scenarios report1-5, by number."""
+    return {n: run_scenario(load_scenario(f"report{n}")) for n in range(1, 6)}
 
 
 def pytest_runtest_logreport(report):

@@ -24,7 +24,7 @@ from fairshare.mva import (
     solve_ts,
 )
 from fairshare.planning import SLOTarget, allocate_topdown, goal_deviation, parse_ps_log
-from fairshare.report import extract_section, render_report, run_scenario
+from fairshare.report import extract_section, render_report
 from fairshare.shares import (
     GroupAlloc,
     ShareHierarchy,
@@ -36,11 +36,6 @@ from fairshare.sim import SimConfig, convergence_time, run_sim
 
 REPORT_USERS = ("fAgg", "wAgg", "opsA", "opsB", "opsC")
 REPORT4_ENTITLEMENTS = {"fAgg": 0.60, "wAgg": 0.10, "opsA": 0.06, "opsB": 0.05, "opsC": 0.19}
-
-
-@pytest.fixture(scope="module")
-def reports(load_scenario):
-    return {n: run_scenario(load_scenario(f"report{n}")) for n in range(1, 6)}
 
 
 @pytest.fixture(scope="module")

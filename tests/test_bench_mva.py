@@ -15,9 +15,13 @@ _spec = importlib.util.spec_from_file_location("bench_mva", ROOT / "scripts" / "
 bench_mva = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_mva)
 
+# The end-to-end metrics of a ``--trace 0`` result of ``bench/run.py``, with their units.
+E2E_UNITS = {"setup_s": "s", "op_p50_s": "s", "op_p90_s": "s", "ops_per_s": "ops/s",
+             "cpu_per_op_s": "s", "ok_rate": "ratio", "peak_rss_mb": "MB"}
+
 
 def _result(seed: int, src_sha256: str, op_p50_s: float) -> dict:
-    metrics = {name: {"value": op_p50_s} for name in bench_mva.E2E_METRICS}
+    metrics = {name: {"value": op_p50_s, "unit": unit} for name, unit in E2E_UNITS.items()}
     return {
         "meta": {"seed": seed, "src_sha256": src_sha256, "python": "3", "numpy": "1"},
         "result": {"attempted": 10, "failed": 0, "metrics": metrics},
@@ -62,10 +66,36 @@ def test_e2e_records_skip_runs_of_other_source(tree):
     _write(tree, 1, _result(1, bench_mva.src_digest(tree), 0.015))
     _write(tree, 2, _result(2, "0123456789abcdef", 0.5))
     records = bench_mva.e2e_records("change", tree, "sim-crowd")
-    assert [r["repeats"] for r in records] == [1] * len(bench_mva.E2E_METRICS)
+    assert [r["repeats"] for r in records] == [1] * len(E2E_UNITS)
     assert {r["median_s"] for r in records} == {0.015}
+    assert {r["case"]: r["work_counters"]["unit"] for r in records} == {
+        f"sim-crowd {name} change": unit for name, unit in E2E_UNITS.items()}
     assert records[0]["work_counters"]["seeds"] == [1]
     assert records[0]["work_counters"]["skipped"] == 1
+
+
+def test_e2e_records_take_names_and_units_from_the_results(tree):
+    digest = bench_mva.src_digest(tree)
+    for seed, rss in ((1, 40.0), (2, 44.0), (3, 41.0)):
+        result = _result(seed, digest, 0.0)
+        result["result"]["metrics"] = {"ops_per_s": {"value": 100.0 * seed, "unit": "ops/s"},
+                                       "peak_rss_mb": {"value": rss, "unit": "MB"}}
+        _write(tree, seed, result)
+    records = bench_mva.e2e_records("change", tree, "sim-crowd")
+    assert [(r["case"], r["work_counters"]["unit"], r["median_s"], r["min_s"]) for r in records] == [
+        ("sim-crowd ops_per_s change", "ops/s", 200.0, 100.0),
+        ("sim-crowd peak_rss_mb change", "MB", 41.0, 40.0),
+    ]
+
+
+def test_e2e_units_are_the_ones_bench_run_reports():
+    reported = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; sys.path.insert(0, sys.argv[1]); import run; "
+         "print(json.dumps(run.END_TO_END))", str(ROOT / "bench")],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert json.loads(reported) == E2E_UNITS
 
 
 def test_e2e_records_refuse_when_no_run_is_of_this_source(tree):
@@ -127,7 +157,7 @@ def test_untraced_results_give_end_to_end_records_only(tree, tmp_path):
         assert bench_mva.main(["--tree", f"change={tree}", "--workload", "sim-crowd",
                                "--out", str(out)]) == 0
     records = json.loads(out.read_text())
-    assert [r["layer"] for r in records] == ["end-to-end"] * len(bench_mva.E2E_METRICS)
+    assert [r["layer"] for r in records] == ["end-to-end"] * len(E2E_UNITS)
 
 
 def test_main_writes_records_of_the_bench_schema(tree, tmp_path):
@@ -140,8 +170,9 @@ def test_main_writes_records_of_the_bench_schema(tree, tmp_path):
         assert bench_mva.main(["--tree", f"a={tree}", "--tree", f"b={tree}",
                                "--workload", "sim-crowd", "--out", str(out)]) == 0
     records = json.loads(out.read_text())
-    assert len(records) == 2 * (len(bench_mva.E2E_METRICS) + 4)
+    assert len(records) == 2 * (len(E2E_UNITS) + 4)
     schema = ["case", "layer", "size", "repeats", "median_s", "min_s", "per_unit",
               "work_counters", "python", "numpy", "commit"]
     assert all(list(r) == schema for r in records)
+    assert {r["work_counters"]["unit"] for r in records if r["layer"] != "end-to-end"} == {"s"}
     assert len(printed.getvalue().splitlines()) == len(records)

@@ -78,6 +78,14 @@ class TestAllocateTopdown:
         text = render_plan(plan)
         assert "limadm set cpu.shares=50 A" in text
 
+    def test_no_targets_rejected(self):
+        with pytest.raises(ValidationError, match="^no targets given$"):
+            allocate_topdown([], 100)
+
+    def test_duplicate_target_names_rejected(self):
+        with pytest.raises(ValidationError, match="^duplicate target 'A'$"):
+            allocate_topdown([SLOTarget("A", u_max=0.2), SLOTarget("A", u_max=0.3)], 100)
+
     def test_too_few_shares_rejected(self):
         with pytest.raises(ValidationError):
             allocate_topdown([SLOTarget("A", u_max=0.2), SLOTarget("B", u_max=0.2)], 1)
@@ -552,6 +560,10 @@ class TestGoalDeviation:
         log = parse_ps_log(synth_log([(0, "a", 1, 0), (100, "a", 1, 60)]))
         with pytest.raises(ValidationError, match="must be finite"):
             goal_deviation(log.samples, equal_table("a"), window, threshold)
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(PsLogError, match="^no samples$"):
+            goal_deviation([], equal_table("a"), 60.0, 0.05)
 
     def test_reused_pid_starts_a_new_process(self):
         # pid 1 exits after 100 s; a new process takes the pid at 0:00

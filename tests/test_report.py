@@ -20,11 +20,6 @@ from fairshare.scenario import parse_scenario
 from fairshare.shares import compute_entitlements
 
 
-@pytest.fixture(scope="module")
-def reports(load_scenario):
-    return {n: run_scenario(load_scenario(f"report{n}")) for n in range(1, 6)}
-
-
 class TestGoldenSections:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_entitlement_section_matches_reference(self, n, reports, golden_dir):
@@ -111,6 +106,10 @@ class TestCrossCompare:
         rows = [l.split() for l in second_block if l.startswith("usr")]
         assert [cells[0] for cells in rows] == ["usr1", "usr2"]
         assert all(cells[-1] == "N/A" for cells in rows)
+
+    def test_extract_section_names_a_missing_heading(self, reports):
+        with pytest.raises(ValidationError, match="^section 'No Such Section' not found in report$"):
+            extract_section(render_report(reports[1]), "No Such Section")
 
     def test_requires_two_reports(self, reports):
         with pytest.raises(ValidationError):

@@ -91,6 +91,20 @@ class TestComputeEntitlements:
             h = ShareHierarchy(1, (GroupAlloc("G", 1, (UserAlloc("u", 0),)),))
             compute_entitlements(h)
 
+    def test_hierarchy_needs_a_group(self):
+        with pytest.raises(ValidationError, match="^hierarchy has no groups$"):
+            ShareHierarchy(100, ())
+
+    def test_duplicate_group_name_rejected(self):
+        with pytest.raises(ValidationError, match="^duplicate group name 'G'$"):
+            ShareHierarchy(2, (GroupAlloc("G", 1, (UserAlloc("a", 1),)),
+                               GroupAlloc("G", 1, (UserAlloc("b", 1),))))
+
+    def test_user_in_two_groups_rejected(self):
+        with pytest.raises(ValidationError, match="^duplicate user name 'a'$"):
+            ShareHierarchy(2, (GroupAlloc("G", 1, (UserAlloc("a", 1),)),
+                               GroupAlloc("H", 1, (UserAlloc("a", 1),))))
+
     def test_share_sum_mismatch_names_group_and_sums(self):
         with pytest.raises(ValidationError, match=r"OPS.*11.*30"):
             h = ShareHierarchy(

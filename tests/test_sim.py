@@ -294,6 +294,14 @@ class TestWorkConservation:
         for fractions in trace.fractions:
             assert sum(fractions.values()) <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("mode", SIM_MODES)
+    def test_a_partial_last_window_counts_only_after_the_warmup(self, mode):
+        # 10.5 s in 1 s windows: ten whole windows, and the last half second
+        # is post-warmup busy time in no window.
+        trace = run_sim(pool(("a", 1, True)), cpu_bound("a"), (), SimConfig(duration=10.5, mode=mode))
+        assert [f["a"] for f in trace.fractions] == pytest.approx([1.0] * 10, abs=1e-9)
+        assert trace.busy["a"] == pytest.approx(10.5, abs=1e-9)
+
 
 class TestDeterminism:
     def test_identical_seeds_give_identical_traces(self):
@@ -742,6 +750,11 @@ class TestModelValues:
         with pytest.raises(ValidationError, match="pause"):
             TimelineEvent(1.0, "pause", "a")
 
+    def test_workload_user_must_be_in_the_hierarchy(self):
+        w = WorkloadSpec((ClassLoad("a", 1, 0.0, 1.0), ClassLoad("nobody", 1, 0.0, 1.0)))
+        with pytest.raises(ValidationError, match="^workload user 'nobody' not in hierarchy$"):
+            run_sim(TWO_EQUAL, w, (), SimConfig(duration=3.0))
+
     def test_convergence_epsilon_must_be_finite(self):
         trace = run_sim(TWO_EQUAL, TWO_EQUAL_W, (), SimConfig(duration=3.0, warmup=0.0))
         with pytest.raises(ValidationError, match="epsilon"):
@@ -782,8 +795,7 @@ def reference_run_fluid_ps(h, w, timeline, config):
     time: every step scans every ready process.  Kept as an oracle."""
     duration = config.duration
     window_seconds = config.window
-    n_windows = sim._grid(config)[2]
-    core = sim._Core(h, w, timeline, config, n_windows, lambda t: t)
+    core = sim._Core(h, w, timeline, config, lambda t: t)
     ready = core.run_queue
     window_busy = core.window_busy
     post_busy = core.post_busy
@@ -811,13 +823,11 @@ def reference_run_fluid_ps(h, w, timeline, config):
         delta = boundary - now
         if delta > sim._TIME_EPS:
             per = delta / k
-            widx = int((now + sim._TIME_EPS) // window_seconds)
-            in_window = widx < n_windows
+            busy = window_busy[int((now + sim._TIME_EPS) // window_seconds)]
             post = now >= config.warmup - sim._TIME_EPS
             for p in ready:
                 p.remaining -= per
-                if in_window:
-                    window_busy[widx][p.user] += per
+                busy[p.user] += per
                 if post:
                     post_busy[p.user] += per
         now = boundary
