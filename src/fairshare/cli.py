@@ -166,6 +166,8 @@ def _cmd_report(args) -> int:
     if args.solver:
         scenario = dataclasses.replace(scenario, solver=args.solver)
     report = run_scenario(scenario, mode=args.mode, sim_config=_sim_config(args))
+    for note in report.srm.notes:
+        print(f"note: {note}", file=sys.stderr)
     sys.stdout.write(render_report(report))
     return 0
 

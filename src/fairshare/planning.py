@@ -305,8 +305,8 @@ def goal_deviation(
 
     if not (math.isfinite(window) and window > 0):
         raise ValidationError(f"window must be finite and > 0, got {window!r}")
-    if not math.isfinite(threshold):
-        raise ValidationError(f"threshold must be finite, got {threshold!r}")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValidationError(f"threshold must be finite and >= 0, got {threshold!r}")
     samples = list(samples)
     if not samples:
         raise PsLogError("no samples")

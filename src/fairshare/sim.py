@@ -51,11 +51,11 @@ kept incrementally so that a dispatch costs O(log users):
   so both modes share one dispatch path.  Users and groups alike are keyed
   (usage/shares, last quantum run, name), so ties go to the least recently
   run, then by name, and runs are reproducible bit for bit.  A heap of
-  groups holds every group with a runnable user, and each group a heap of
-  its runnable users.  A dispatch runs the top user of the top group and
-  replaces both tops with their new keys; stale entries are dropped when
-  they reach the top.  A group's usage is the sum of its members' charges,
-  kept as they are made and decayed and renormalized with them.
+  groups holds exactly the groups with a runnable user, and each group a
+  heap of exactly its runnable users.  A dispatch runs the top user of the
+  top group and replaces both tops with their new keys, and a user who is
+  deactivated leaves its heap at once.  A group's usage is the sum of its
+  members' charges, kept as they are made and decayed and renormalized.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def _grid(config: SimConfig) -> tuple[int, int, int]:
     ticks = round(config.duration / config.quantum)
     if config.mode == TS_PS_REFERENCE:
         return ticks, 0, int((config.duration + _TIME_EPS) // config.window)
-    window_ticks = max(1, round(config.window / config.quantum))
+    window_ticks = round(config.window / config.quantum)  # >= 1, as window >= quantum
     return ticks, window_ticks, ticks // window_ticks
 
 
@@ -238,6 +238,8 @@ class _Core:
     processes join ``queues[user]``: with ``on_ready`` one FIFO per user,
     and ``on_ready(user)`` is called when a user's queue goes from empty to
     non-empty; without it one FIFO, ``run_queue``, that every user shares.
+    ``on_leave(user)`` is called when a deactivation stops a user with a
+    workload, once its queued and parked processes are dropped.
 
     ``window_busy`` holds one busy-time dict per whole window of the run
     (``_grid``), and one more for the partial window after the last whole
@@ -245,11 +247,12 @@ class _Core:
     a test; ``trace`` leaves that last dict out.
     """
 
-    def __init__(self, h, w, timeline, config, to_key, on_ready=None):
+    def __init__(self, h, w, timeline, config, to_key, on_leave, on_ready=None):
         self.config = config
         self.workload = w
         self.to_key = to_key
         self.on_ready = on_ready
+        self.on_leave = on_leave
         self.rng = random.Random(config.seed)
         self.loads = {c.user: c for c in w.classes}
         self.user_names = list(self.loads)
@@ -318,13 +321,14 @@ class _Core:
                     self.start_cycle(proc, when)
         elif self.active[user]:
             self.active[user] = False
-            queue = self.queues.get(user)
-            if queue:
+            if user in self.loads:
+                queue = self.queues[user]
                 kept = [p for p in queue if p.user != user]
                 queue.clear()
                 queue.extend(kept)
-            self.parked[:] = [e for e in self.parked if e[2].user != user]
-            heapify(self.parked)
+                self.parked[:] = [e for e in self.parked if e[2].user != user]
+                heapify(self.parked)
+                self.on_leave(user)
         self.applied.append(ev)
 
     def trace(self, window_seconds: float, elapsed: float) -> SimTrace:
@@ -379,22 +383,29 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
     # Dispatch keys: (usage/shares, last run, name) per user and per group.
     key = {name: (0.0, -1, name) for name in shares}
     group_key = {name: (0.0, -1, name) for name in group_shares}
-    # Every runnable user's current key sits in its group's heap, and
-    # group_heap holds the current key of every group with a runnable user.
-    # An entry that is no longer its owner's key, or whose owner has
-    # nothing to run, is dropped when it reaches the top.
+    # Each group's heap holds exactly its runnable users' current keys, and
+    # group_heap exactly the current keys of the groups whose heap is not empty.
     heaps = {g: [] for g in group_shares}
     group_heap: list[tuple[float, int, str]] = []
 
     def on_ready(user: str) -> None:
         g = group_of[user]
+        if not heaps[g]:
+            heappush(group_heap, group_key[g])
         heappush(heaps[g], key[user])
-        heappush(group_heap, group_key[g])
+
+    def on_leave(user: str) -> None:
+        heap = heaps[group_of[user]]
+        heap[:] = [entry for entry in heap if entry[2] != user]
+        heapify(heap)
+        group_heap[:] = [group_key[g] for g in heaps if heaps[g]]
+        heapify(group_heap)
 
     def to_tick(t: float) -> int:
         return max(0, math.ceil(t / q - _TIME_EPS))
 
-    core = _Core(h, w, timeline, config, to_tick, None if round_robin else on_ready)
+    # Round robin keeps the heaps empty, so on_leave changes nothing there.
+    core = _Core(h, w, timeline, config, to_tick, on_leave, None if round_robin else on_ready)
     queues = core.queues
     run_queue = core.run_queue  # FIFO over processes (ts-roundrobin)
     window_busy = core.window_busy
@@ -435,26 +446,13 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
                     break
                 proc = run_queue.popleft()
             else:
-                # The lowest valid group key, then the lowest valid user key
-                # in its heap.  Both entries stay on top until the charge.
-                user = None
-                while group_heap:
-                    entry = group_heap[0]
-                    g = entry[2]
-                    heap = heaps[g]
-                    if entry is group_key[g]:
-                        while heap:
-                            entry = heap[0]
-                            if entry is key[entry[2]] and queues[entry[2]]:
-                                user = entry[2]
-                                break
-                            heappop(heap)
-                        if user is not None:
-                            break
-                    heappop(group_heap)
-                if user is None:
+                # The top group, then the top user in its heap.  Both
+                # entries stay on top until the charge.
+                if not group_heap:
                     break
-                proc = queues[user].popleft()
+                g = group_heap[0][2]
+                heap = heaps[g]
+                proc = queues[heap[0][2]].popleft()
             run = proc.remaining if proc.remaining < time_left else time_left
             proc.remaining -= run
             sub += run
@@ -502,9 +500,9 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
     duration = config.duration
     warmup = config.warmup
     window_seconds = config.window
-    core = _Core(h, w, timeline, config, lambda t: t)
+    left: list[str] = []  # users deactivated since the last step
+    core = _Core(h, w, timeline, config, lambda t: t, left.append)
     inbox = core.run_queue  # processes that started a cycle since the last step
-    applied = core.applied
     demand = {c.user: c.demand for c in w.classes}
     # v is the service each ready process has received.  A process that
     # starts a cycle at v gets the finish tag v + demand.
@@ -520,22 +518,20 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
     busy = core.window_busy[0]
     post = None
 
-    n_applied = 0
     next_edge = 1  # index of the next window edge; the warmup is its own boundary
     next_due = 0.0  # key of the next event or wakeup
     now = 0.0
     while now < duration - _TIME_EPS:
         if next_due <= now + _TIME_EPS:
             next_due = core.release(now + _TIME_EPS, now)
-            for ev in applied[n_applied:]:
-                u = ev.user
-                if ev.action == "deactivate" and ready.get(u):
+            for u in left:
+                if ready[u]:
                     # The core dropped u's processes; drop their entries too.
                     _credit(((u, ready[u]),), since, v, busy, post)
                     ready[u] = 0
                     heap[:] = [e for e in heap if e[2].user != u]
                     heapify(heap)
-            n_applied = len(applied)
+            left.clear()
         # Starts and completions credit their user with _credit's body,
         # inline: these run once per cycle, where a call costs 5-15%.
         while inbox:
@@ -666,10 +662,12 @@ def convergence_time(tr: SimTrace, e: EntitlementTable, epsilon: float):
 
     Returns seconds, or None when no trailing run of windows qualifies.
     """
-    if not math.isfinite(epsilon):
-        raise ValidationError(f"epsilon must be finite, got {epsilon!r}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     last_event = max((ev.time for ev in tr.events_applied), default=0.0)
     window = tr.window_seconds
+    if not tr.fractions:
+        raise ValidationError(f"the {tr.config.duration:g}s run has no whole {window:g}s window")
     start = len(tr.fractions)  # the converged suffix is tr.fractions[start:]
     while start and (start - 1) * window >= last_event - _TIME_EPS:
         fractions = tr.fractions[start - 1]

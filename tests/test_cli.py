@@ -193,6 +193,22 @@ class TestReport:
         )
         assert out == render_report(expected)
 
+    def test_simulated_notes_go_to_stderr(self, capsys, report4, load_scenario):
+        # In 2 s only fAgg completes a 1 s demand after the 1 s warmup, so
+        # the SRM table has one row and stderr says why the others are missing.
+        from fairshare.report import render_report, run_scenario
+        from fairshare.sim import SimConfig
+
+        code, out, err = run_cli(capsys, "report", report4, "--solver", "simulate",
+                                 "--duration", "2", "--warmup", "1")
+        assert code == 0
+        expected = run_scenario(dataclasses.replace(load_scenario("report4"), solver="simulate"),
+                                sim_config=SimConfig(duration=2.0, warmup=1.0))
+        assert out == render_report(expected)
+        assert err == "".join(f"note: {user}: no completed cycles after warmup\n"
+                              for user in ("wAgg", "opsA", "opsB", "opsC"))
+        assert run_cli(capsys, "report", report4)[2] == ""
+
     def test_sim_flags_checked_with_analytic_solver(self, capsys, report4):
         code, _, err = run_cli(capsys, "report", report4, "--quantum", "nan")
         assert code == 1
@@ -418,6 +434,8 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
                                               reason="no /dev/full")),
         ("simulate", "event_in_last_window", *SHORT_RUN),
         ("simulate", "good", "--epsilon", "nan", *SHORT_RUN),
+        ("simulate", "report4", "--epsilon", "-1", *SHORT_RUN),
+        ("simulate", "report4", "--duration", "5", "--window", "10", "--warmup", "0"),
         ("simulate", "procs_huge", *SHORT_RUN),
         ("simulate", "good", "--duration", "1e9"),
         ("simulate", "good", "--quantum", "1e-7"),
@@ -430,6 +448,7 @@ SHORT_RUN = ("--duration", "20", "--warmup", "5")
         ("report", "procs_one_deep_class"),
         ("monitor", "log", "good", "--window", "nan"),
         ("monitor", "log", "good", "--threshold", "nan"),
+        ("monitor", "log", "good", "--threshold=-1"),
         ("entitle", "fsp_not_utf8"),
         ("advise", "slo_not_utf8", "--total-shares", "100"),
         ("advise", "slo_duplicate_key", "--total-shares", "100"),

@@ -555,7 +555,8 @@ class TestGoalDeviation:
         assert "*" in text
 
     @pytest.mark.parametrize("window, threshold", [(math.nan, 0.05), (math.inf, 0.05),
-                                                   (100.0, math.nan), (100.0, math.inf)])
+                                                   (100.0, math.nan), (100.0, math.inf),
+                                                   (100.0, -0.01)])
     def test_window_and_threshold_must_be_finite(self, window, threshold):
         log = parse_ps_log(synth_log([(0, "a", 1, 0), (100, "a", 1, 60)]))
         with pytest.raises(ValidationError, match="must be finite"):

@@ -349,8 +349,14 @@ class TestConvergenceTime:
         events = (TimelineEvent(119.5, "activate", "b"),)
         trace = self._trace(events)
         table = compute_entitlements(pool(("a", 50, True), ("b", 50, True)))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^trace has no windows after the last"):
             convergence_time(trace, table, 0.05)
+
+    @pytest.mark.parametrize("mode", SIM_MODES)
+    def test_a_run_without_a_whole_window_names_the_window_and_the_duration(self, mode):
+        trace = run_sim(TWO_EQUAL, TWO_EQUAL_W, (), SimConfig(duration=5.0, window=10.0, mode=mode))
+        with pytest.raises(ValidationError, match="^the 5s run has no whole 10s window$"):
+            convergence_time(trace, compute_entitlements(TWO_EQUAL), 0.05)
 
 
 class TestTimelineHandling:
@@ -760,6 +766,14 @@ class TestModelValues:
         with pytest.raises(ValidationError, match="epsilon"):
             convergence_time(trace, compute_entitlements(TWO_EQUAL), math.nan)
 
+    def test_convergence_epsilon_must_not_be_negative(self):
+        # A negative epsilon could never be met; zero can.
+        trace = run_sim(TWO_EQUAL, TWO_EQUAL_W, (), SimConfig(duration=3.0, warmup=0.0))
+        table = compute_entitlements(TWO_EQUAL)
+        with pytest.raises(ValidationError, match="^epsilon must be finite and >= 0, got -1.0$"):
+            convergence_time(trace, table, -1.0)
+        assert convergence_time(trace, table, 0.0) == 0.0
+
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), jitter=st.booleans(), half_life=st.sampled_from((5.0, 0.05)))
@@ -790,12 +804,41 @@ def test_one_group_hierarchy_dispatches_as_the_flat_pool(data, jitter, half_life
     assert hier == flat
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), jitter=st.booleans(), quantum=st.sampled_from((0.01, 0.1)),
+       half_life=st.sampled_from((5.0, 0.05)))
+def test_fair_share_with_one_user_is_round_robin(data, jitter, quantum, half_life):
+    # A user's processes share one FIFO in every quantized mode, and usage
+    # only orders users, so with one user fair share must dispatch exactly
+    # as round robin, bit for bit, through any churn of that user.
+    user = UserAlloc("u", data.draw(st.integers(1, 9)), data.draw(st.booleans()))
+    h = ShareHierarchy(user.shares, (GroupAlloc("G", user.shares, (user,)),))
+    w = WorkloadSpec((ClassLoad("u", data.draw(st.integers(1, 5)),
+                                data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.001, 1.0))),))
+    times = sorted(data.draw(st.lists(st.sampled_from((0.0, 1.0, 2.5, 3.0, 4.05)), max_size=4)))
+    timeline = tuple(
+        TimelineEvent(t, data.draw(st.sampled_from(("activate", "deactivate"))), "u")
+        for t in times
+    )
+    traces = [
+        run_sim(h, w, timeline, SimConfig(duration=6.0, warmup=1.0, quantum=quantum, mode=mode,
+                                          seed=3, usage_half_life=half_life, think_jitter=jitter))
+        for mode in (sim.TS_ROUNDROBIN, FAIRSHARE_FLAT, FAIRSHARE_HIERARCHICAL)
+    ]
+    rr, flat, hier = ((tr.cycles, tr.fractions, tr.busy, tr.perf.rows, tr.perf.notes)
+                      for tr in traces)
+    assert flat == rr
+    assert hier == rr
+
+
 def reference_run_fluid_ps(h, w, timeline, config):
     """The fluid engine as it was before processor sharing moved to virtual
     time: every step scans every ready process.  Kept as an oracle."""
     duration = config.duration
     window_seconds = config.window
-    core = sim._Core(h, w, timeline, config, lambda t: t)
+    # Every ready process sits in the core's run_queue, which the core itself
+    # clears of a user who leaves, so the oracle has nothing to drop then.
+    core = sim._Core(h, w, timeline, config, lambda t: t, lambda user: None)
     ready = core.run_queue
     window_busy = core.window_busy
     post_busy = core.post_busy
