@@ -18,6 +18,7 @@ import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -35,11 +36,11 @@ _QUOTA_EPS = 1e-9
 UNALLOCATED = "unallocated"
 
 # Most windows one monitor run may ask for.  A window that holds no samples
-# costs about 3 us to compute and 1 us to render; one that does costs about
-# 2 us more to compute and 1.5 us more to render per user row.  Sorting the
-# samples costs about 0.5 us each, once, however many processes they hold
-# (2-CPU x86-64 host).  So the budget is about 0.4 s of idle windows; a
-# week of 10 s windows is 60,480.
+# costs about 1.3 us to compute and 1.1 us to render; one that does costs
+# about 1.2 us more to compute and 0.8 us more to render per user row.
+# Sorting the samples costs about 0.4 us each, once, however many processes
+# they hold (2-CPU x86-64 host).  So the budget is about 0.3 s of idle
+# windows; a week of 10 s windows is 60,480.
 MAX_WINDOWS = 100_000
 
 
@@ -256,16 +257,14 @@ def parse_ps_log(stream) -> PsLog:
     return PsLog(samples=samples, skipped=skipped)
 
 
-@dataclass(frozen=True)
-class DeviationRow:
+class DeviationRow(NamedTuple):
     achieved: float
     entitled: float
     deviation: float
     flagged: bool
 
 
-@dataclass(frozen=True)
-class DeviationWindow:
+class DeviationWindow(NamedTuple):
     start: float
     end: float
     rows: dict[str, DeviationRow]
@@ -297,9 +296,14 @@ def goal_deviation(
     pid whose cumulative TIME falls starts a new run.  A run's value at a
     window edge is its last sample at or before the edge, or its first
     sample if the edge comes before it, so a run changes only in the
-    windows that hold its samples, and only those windows read it.  The
-    cost is O(samples log samples + windows), whatever the number of
-    processes the log has held.
+    windows that hold its samples, and only those windows read it.
+
+    The changes are then added up as arrays, one cell for each window and
+    user that changed: a cell's busy time in process order, and a window's
+    total and entitlement sum left to right, in the order its users first
+    change there.  The cost is O(samples log samples + windows), whatever
+    the number of processes or users the log has held; no array has a slot
+    for every window and user.
     """
     import numpy as np  # here, not at module top, so commands that window nothing never load it
 
@@ -334,7 +338,7 @@ def goal_deviation(
         raise ValidationError(f"window {window}s exceeds the log span {span}s")
     check_budget(span // window, MAX_WINDOWS,  # whole windows, or past the float range
                  f"windows of {window:g}s in the log span {t_min:g}s to {t_max:g}s",
-                 "about 0.4 s", "use a larger --window")
+                 "about 0.3 s", "use a larger --window")
     # Window edges are found by adding `window` to the previous edge, so it
     # must be at least the spacing of floats at the log's timestamps.
     farthest = max(abs(t_min), abs(t_max))
@@ -386,47 +390,73 @@ def goal_deviation(
         deltas = values[highs] - values[np.where(run_start[lows], lows, lows - 1)]
     in_window = first_edge[lows] - 1
     del values, run_start, group_start, first_edge
-    # Changes of zero or less add nothing and are dropped.  The rest are
-    # added up window by window, in process order; changes before the first
-    # edge (window -1) or past the last fall outside `bounds`.
-    keep = deltas > 0
-    in_window = in_window[keep]
-    by_window = np.argsort(in_window, kind="stable")
-    event_process = process[lows[keep][by_window]]
-    event_delta = deltas[keep][by_window]
-    bounds = np.searchsorted(in_window[by_window], np.arange(len(edges))).tolist()
-    del process, lows, highs, deltas, in_window, keep, by_window
+    # Changes of zero or less add nothing and are dropped, and so are those
+    # before the first edge (window -1) or past the last.  The rest stay in
+    # process order.
+    n_windows = len(edges) - 1
+    keep = (deltas > 0) & (in_window >= 0) & (in_window < n_windows)
+    names = sorted(set(labels))
+    position = {name: i for i, name in enumerate(names)}
+    label_of = np.array([position[label] for label in labels], dtype=np.intp)
+    cell_key = in_window[keep] * len(names) + label_of[process[lows[keep]]]
+    deltas = deltas[keep]
+    del process, lows, highs, in_window, keep, label_of
+
+    # One cell per (window, label) that changed, in window and then name
+    # order, the order of the report's rows.  A cell's busy time adds its
+    # changes in process order (bincount adds left to right).  A window's
+    # total and entitlement sum add its labels in the order they first
+    # change there, the order of a dict of them, which Python 3.11's sum
+    # adds left to right: one vectorized add for each window's first label,
+    # then one for its second, and so on.  Never np.sum or np.add.reduceat,
+    # which add pairwise.  Every array is sized by changes, cells or windows.
+    cells, first_change, cell_of = np.unique(cell_key, return_index=True, return_inverse=True)
+    busy = np.bincount(cell_of, weights=deltas, minlength=len(cells))
+    cell_window, cell_label = np.divmod(cells, len(names))
+    # A cell's rank is its place among its window's cells by first change.
+    by_first = np.lexsort((first_change, cell_window))
+    rank = np.empty(len(cells), dtype=np.intp)
+    rank[by_first] = np.arange(len(cells)) - np.searchsorted(cell_window, cell_window[by_first])
+    by_rank = np.argsort(rank, kind="stable")
+    rank_bounds = np.searchsorted(rank[by_rank], np.arange(rank.max(initial=-1) + 2)).tolist()
+    del cell_key, deltas, cells, first_change, cell_of, by_first, rank
 
     known_active = set(e.active_users)
-    windows: list[DeviationWindow] = []
-    max_abs = 0.0
-    for w in range(len(edges) - 1):
-        lo, hi = bounds[w], bounds[w + 1]
-        busy: dict[str, float] = {}
-        for k, delta in zip(event_process[lo:hi].tolist(), event_delta[lo:hi].tolist()):
-            label = labels[k]
-            busy[label] = busy.get(label, 0.0) + delta
-        total = sum(busy.values())
-        if not math.isfinite(total):  # every change is above zero, so only overflow
-            raise ValidationError(
-                f"window {edges[w]:.1f}-{edges[w + 1]:.1f}s: busy time {total} is past the "
-                f"float range; check the log's TIME column"
-            )
-        rows: dict[str, DeviationRow] = {}
-        if total > 0:
-            observed_known = [u for u in busy if u != UNALLOCATED and u in known_active]
-            entitled_sum = sum(e.entitlements[u] for u in observed_known)
-            for label in sorted(busy):
-                achieved = busy[label] / total
-                if label in known_active and entitled_sum > 0:
-                    entitled = e.entitlements[label] / entitled_sum
-                else:
-                    entitled = 0.0
-                deviation = achieved - entitled
-                flagged = abs(deviation) > threshold
-                max_abs = max(max_abs, abs(deviation))
-                rows[label] = DeviationRow(achieved, entitled, deviation, flagged)
-        windows.append(DeviationWindow(start=edges[w], end=edges[w + 1], rows=rows))
+    # A label's entitlement if it is an active user, else 0; the sums that
+    # entitlements are renormalized over leave out `unallocated`.
+    share = np.array([e.entitlements[name] if name in known_active else 0.0 for name in names])
+    counted = share.copy()
+    if UNALLOCATED in position:
+        counted[position[UNALLOCATED]] = 0.0
+    total = np.zeros(n_windows)
+    entitled_sum = np.zeros(n_windows)
+    with np.errstate(over="ignore"):
+        for lo, hi in zip(rank_bounds, rank_bounds[1:]):
+            at = by_rank[lo:hi]
+            total[cell_window[at]] += busy[at]
+            entitled_sum[cell_window[at]] += counted[cell_label[at]]
+    overflowed = np.flatnonzero(~np.isfinite(total))  # every change is above zero
+    if overflowed.size:
+        w = int(overflowed[0])
+        raise ValidationError(
+            f"window {edges[w]:.1f}-{edges[w + 1]:.1f}s: busy time {float(total[w])} is past "
+            f"the float range; check the log's TIME column"
+        )
+    achieved = busy / total[cell_window]
+    cell_sum = entitled_sum[cell_window]
+    entitled = np.divide(share[cell_label], cell_sum, out=np.zeros(len(cell_sum)),
+                         where=cell_sum > 0)
+    deviation = achieved - entitled
+    flagged = np.abs(deviation) > threshold
+    max_abs = float(np.abs(deviation).max(initial=0.0))
+
+    new = tuple.__new__  # positional, skipping the NamedTuple's keyword __new__
+    rows = map(new, repeat(DeviationRow), zip(achieved.tolist(), entitled.tolist(),
+                                               deviation.tolist(), flagged.tolist()))
+    labelled = zip(map(names.__getitem__, cell_label.tolist()), rows)
+    windows = [new(DeviationWindow, (start, end, dict(islice(labelled, count))))
+               for start, end, count in zip(edges, edges[1:],
+                                            np.bincount(cell_window, minlength=n_windows).tolist())]
 
     return DeviationReport(
         windows=windows,
@@ -443,17 +473,15 @@ def render_deviation(report: DeviationReport) -> str:
         "",
         f"{'window':>18}  {'user':<12} {'achieved':>9} {'entitled':>9} {'deviation':>10}",
     ]
-    for w in report.windows:
-        span = f"{w.start:.1f}-{w.end:.1f}"
-        if not w.rows:
-            lines.append(f"{span:>18}  {'(idle)':<12}")
+    append = lines.append
+    for start, end, rows in report.windows:
+        span = "%.1f-%.1f" % (start, end)
+        if not rows:
+            append("%18s  %-12s" % (span, "(idle)"))
             continue
-        for user, row in w.rows.items():
-            flag = " *" if row.flagged else ""
-            lines.append(
-                f"{span:>18}  {user:<12} {row.achieved:>9.4f} {row.entitled:>9.4f} "
-                f"{row.deviation:>+10.4f}{flag}"
-            )
+        for user, (achieved, entitled, deviation, flagged) in rows.items():
+            append("%18s  %-12s %9.4f %9.4f %+10.4f%s"
+                   % (span, user, achieved, entitled, deviation, " *" if flagged else ""))
     verdict = "EXCEEDED" if report.exceeded else "OK"
     lines.append("")
     lines.append(f"max |deviation| {report.max_abs_deviation:.4f} -> {verdict}")

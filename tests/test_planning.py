@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -632,6 +633,32 @@ def quadratic_deviation(samples, e, window, threshold):
     return DeviationReport(windows, window, threshold, max_abs, max_abs > threshold)
 
 
+
+def reference_render_deviation(report):
+    """The monitor's table as it was rendered with format-spec f-strings,
+    kept as a reference for the printf-style renderer."""
+    lines = [
+        f"Goal deviation (window {report.window_seconds:g}s, threshold {report.threshold:.3f})",
+        "",
+        f"{'window':>18}  {'user':<12} {'achieved':>9} {'entitled':>9} {'deviation':>10}",
+    ]
+    for w in report.windows:
+        span = f"{w.start:.1f}-{w.end:.1f}"
+        if not w.rows:
+            lines.append(f"{span:>18}  {'(idle)':<12}")
+            continue
+        for user, row in w.rows.items():
+            flag = " *" if row.flagged else ""
+            lines.append(
+                f"{span:>18}  {user:<12} {row.achieved:>9.4f} {row.entitled:>9.4f} "
+                f"{row.deviation:>+10.4f}{flag}"
+            )
+    verdict = "EXCEEDED" if report.exceeded else "OK"
+    lines.append("")
+    lines.append(f"max |deviation| {report.max_abs_deviation:.4f} -> {verdict}")
+    return "\n".join(lines) + "\n"
+
+
 # Users a and b are active, c is inactive and zz is in no table.
 ORACLE_TABLE = compute_entitlements(ShareHierarchy(9, (
     GroupAlloc("G", 5, (UserAlloc("a", 3, True), UserAlloc("c", 2, False))),
@@ -706,6 +733,7 @@ def test_sweep_matches_the_quadratic_windowing(log, threshold):
     expected = quadratic_deviation(samples, ORACLE_TABLE, window, threshold)
     assert report == expected
     assert render_deviation(report) == render_deviation(expected)
+    assert render_deviation(report) == reference_render_deviation(report)
 
 
 @pytest.mark.parametrize("listed", [(3, 1, 2, 9), (9, 2, 1, 3)])
@@ -719,6 +747,52 @@ def test_busy_time_adds_processes_in_order_of_first_sample(listed):
     report = goal_deviation(samples, equal_table("a", "b"), window=10.0)
     assert report == quadratic_deviation(samples, equal_table("a", "b"), 10.0, 0.05)
     assert report.windows[0].rows["a"].achieved == (1e16 + 2) / (2e16 + 2)
+
+
+@pytest.mark.parametrize("listed", [("a", "c", "b"), ("b", "c", "a")])
+def test_window_total_adds_labels_in_order_of_first_change(listed):
+    # a's and c's processes are first seen before b's, so the window's busy
+    # time adds a, c and then b: 1 + 1 + 1e16 = 1e16 + 2.  In name order, a
+    # then b then c, each 1 s would be lost in b's 1e16 s.
+    first_seen = {"a": 0.0, "c": 0.0, "b": 1.0}
+    delta = {"a": 1.0, "c": 1.0, "b": 1e16}
+    samples = [UsageSample(t if t else first_seen[user], user, pid, delta[user] * (t > 0))
+               for t in (0.0, 10.0) for pid, user in enumerate(listed)]
+    report = goal_deviation(samples, equal_table("a", "b", "c"), window=10.0)
+    assert report == quadratic_deviation(samples, equal_table("a", "b", "c"), 10.0, 0.05)
+    assert report.windows[0].rows["b"].achieved == 1e16 / (1e16 + 2)
+
+
+def test_busy_time_overflow_names_the_first_window_past_the_float_range():
+    # Processes 1 and 2 each go from -1e308 to 1e308, an inf change, in the
+    # first and the second window.
+    samples = [UsageSample(0.0, "a", 1, -1e308), UsageSample(10.0, "a", 1, 1e308),
+               UsageSample(10.0, "b", 2, -1e308), UsageSample(20.0, "b", 2, 1e308)]
+    for listed in (samples, samples[::-1]):
+        with pytest.raises(ValidationError, match=r"^window 0\.0-10\.0s: busy time inf is past"):
+            goal_deviation(listed, equal_table("a", "b"), window=10.0)
+
+
+def test_windowing_memory_grows_with_samples_and_windows_not_their_product():
+    # 400 users each change once, 50 windows apart, over 20,000 windows.  A
+    # windows x labels array of floats would alone take 64 MB; the report
+    # holds a tuple, a dict and an edge for each window, about 200 B.
+    n_users, n_windows, window = 400, 20_000, 10.0
+    users = [f"u{i:03d}" for i in range(n_users)]
+    samples = [UsageSample(0.0, user, 1, 0.0) for user in users]
+    samples += [UsageSample((50 * i + 0.5) * window, user, 1, 1.0) for i, user in enumerate(users)]
+    samples.append(UsageSample(n_windows * window, users[0], 1, 1.0))
+    table = equal_table(*users)
+    goal_deviation(samples[:1] + samples[-1:], table, n_windows * window)  # lazy imports
+    tracemalloc.start()
+    try:
+        report = goal_deviation(samples, table, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.windows) == n_windows
+    assert sum(len(w.rows) for w in report.windows) == n_users
+    assert peak < 500 * n_windows + 4096 * len(samples)  # about 13 MB
 
 
 @pytest.mark.parametrize("listed", [("b", "a"), ("a", "b")])
