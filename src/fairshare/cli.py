@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import errno
 import functools
 import os
@@ -164,7 +163,7 @@ def _cmd_entitle(args) -> int:
 def _cmd_report(args) -> int:
     scenario = _load_scenario(args.scenario)
     if args.solver:
-        scenario = dataclasses.replace(scenario, solver=args.solver)
+        scenario = scenario._replace(solver=args.solver)
     report = run_scenario(scenario, mode=args.mode, sim_config=_sim_config(args))
     for note in report.srm.notes:
         print(f"note: {note}", file=sys.stderr)

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the one check of every work budget."""
+"""Exception types shared across the toolkit, the one check of every work budget,
+and the mixin by which a record validates itself."""
 
 import math
 import sys
@@ -10,6 +11,29 @@ class FairshareError(Exception):
 
 class ValidationError(FairshareError):
     """An input value violates a domain invariant."""
+
+
+class Validated:
+    """Mixin that makes a ``NamedTuple`` record check itself when built.
+
+    A validated record is a ``NamedTuple`` of its fields and a subclass that
+    lists this mixin first, sets ``__slots__ = ()`` and defines ``_check``,
+    which raises ``ValidationError``.  The constructor runs the check once
+    namedtuple's own ``__new__`` has built the record, and so does ``_make``,
+    through which namedtuple's ``_replace`` builds; so every value of the
+    type that exists is valid.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        self._check()
+
+    @classmethod
+    def _make(cls, iterable):
+        self = super()._make(iterable)
+        self._check()
+        return self
 
 
 class EmptyPoolError(ValidationError):

@@ -19,9 +19,9 @@ Utilization is always reported against the physical CPU (U = X * D).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ValidationError, ZeroEntitlementError, check_budget
+from .errors import Validated, ValidationError, ZeroEntitlementError, check_budget
 from .shares import EntitlementTable
 
 # Largest population-vector space the exact recursion will attempt.  At the
@@ -43,16 +43,19 @@ _LEVEL_CELLS = 1 << 20
 _SATURATION_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ClassLoad:
-    """One user's closed workload: procs cycling through demand and think."""
-
+class _ClassLoad(NamedTuple):
     user: str
     procs: int
     think: float
     demand: float
 
-    def __post_init__(self):
+
+class ClassLoad(Validated, _ClassLoad):
+    """One user's closed workload: procs cycling through demand and think."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not isinstance(self.procs, int) or self.procs < 1:
             raise ValidationError(f"user {self.user}: procs must be an integer >= 1")
         if not (math.isfinite(self.think) and self.think >= 0):
@@ -61,11 +64,14 @@ class ClassLoad:
             raise ValidationError(f"user {self.user}: CPU demand must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class _WorkloadSpec(NamedTuple):
     classes: tuple[ClassLoad, ...]
 
-    def __post_init__(self):
+
+class WorkloadSpec(Validated, _WorkloadSpec):
+    __slots__ = ()
+
+    def _check(self):
         if not self.classes:
             raise ValidationError("workload is empty")
         seen = set()
@@ -75,19 +81,21 @@ class WorkloadSpec:
             seen.add(c.user)
 
 
-@dataclass(frozen=True)
-class PerfRow:
+class _PerfRow(NamedTuple):
     throughput: float
     response: float
     utilization: float
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.throughput, self.response, self.utilization))):
+
+class PerfRow(Validated, _PerfRow):
+    __slots__ = ()
+
+    def _check(self):
+        if not all(map(math.isfinite, self)):
             raise ValidationError(f"non-finite model estimate {self}: the workload overflows floats")
 
 
-@dataclass(frozen=True)
-class PerfTable:
+class PerfTable(NamedTuple):
     """Per-user steady-state results plus the model that produced them."""
 
     solver: str
@@ -230,9 +238,15 @@ def solve_srm_conserving(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:
         still = {u for u in saturated if speeds[u] - used[u] <= _SATURATION_TOL}
         new_speeds = dict(base)  # nobody can absorb the slack when still is empty
         if still:
-            # Sum in workload order: set order depends on the string hash seed.
-            lendable = 1.0 - sum(used[u] for u in base if u not in still)
-            weight = sum(base[u] for u in base if u in still)
+            # Sum in workload order, left to right: set order depends on the
+            # string hash seed, and from Python 3.12 sum() compensates its rounding.
+            lent = weight = 0.0
+            for u in base:
+                if u in still:
+                    weight += base[u]
+                else:
+                    lent += used[u]
+            lendable = 1.0 - lent
             for u in still:
                 new_speeds[u] = lendable * base[u] / weight
         if still == saturated and new_speeds == speeds:

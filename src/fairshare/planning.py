@@ -17,13 +17,12 @@ from __future__ import annotations
 import io
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import (InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError,
-                     check_budget)
+from .errors import (InfeasiblePlanError, PsLogError, ScenarioParseError, Validated,
+                     ValidationError, check_budget)
 from .scenario import _build, _lines
 from .shares import EntitlementTable
 
@@ -44,14 +43,17 @@ UNALLOCATED = "unallocated"
 MAX_WINDOWS = 100_000
 
 
-@dataclass(frozen=True)
-class SLOTarget:
+class _SLOTarget(NamedTuple):
     name: str
     u_max: float
     demand: float | None = None
     r_slo: float | None = None
 
-    def __post_init__(self):
+
+class SLOTarget(Validated, _SLOTarget):
+    __slots__ = ()
+
+    def _check(self):
         if not 0.0 < self.u_max <= 1.0:
             raise ValidationError(f"target {self.name}: u_max must be in (0, 1], got {self.u_max}")
         if self.demand is not None and not (math.isfinite(self.demand) and self.demand > 0):
@@ -73,8 +75,7 @@ class SLOTarget:
         return required
 
 
-@dataclass(frozen=True)
-class SharePlan:
+class SharePlan(NamedTuple):
     shares: dict[str, int]
     total_shares: int
     residual: int
@@ -270,8 +271,7 @@ class DeviationWindow(NamedTuple):
     rows: dict[str, DeviationRow]
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     windows: list[DeviationWindow]
     window_seconds: float
     threshold: float

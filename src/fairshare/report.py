@@ -8,7 +8,7 @@ rounded when printed.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .mva import (
@@ -23,8 +23,7 @@ from .shares import FLAT_POOL, EntitlementTable, ShareHierarchy, compute_entitle
 from .sim import SimConfig, run_sim
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(NamedTuple):
     label: str
     hierarchy: ShareHierarchy
     entitlements: EntitlementTable

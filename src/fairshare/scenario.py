@@ -15,7 +15,6 @@ given once; the solver line at most once, and it defaults to partition.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ScenarioParseError, ValidationError
@@ -25,8 +24,7 @@ from .shares import GroupAlloc, ShareHierarchy, TimelineEvent, UserAlloc, valida
 SOLVERS = ("partition", "conserving", "simulate")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     label: str
     hierarchy: ShareHierarchy
     workload: WorkloadSpec

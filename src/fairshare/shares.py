@@ -10,33 +10,39 @@ events switch users on and off; ``apply_events`` folds them into a hierarchy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .errors import EmptyPoolError, UnknownUserError, ValidationError
+from .errors import EmptyPoolError, UnknownUserError, Validated, ValidationError
 
 FLAT_POOL = "flat-pool"
 HIERARCHICAL = "hierarchical"
 ENTITLEMENT_MODES = (FLAT_POOL, HIERARCHICAL)
 
 
-@dataclass(frozen=True)
-class UserAlloc:
+class _UserAlloc(NamedTuple):
     name: str
     shares: int
     active: bool = True
 
-    def __post_init__(self):
+
+class UserAlloc(Validated, _UserAlloc):
+    __slots__ = ()
+
+    def _check(self):
         if not isinstance(self.shares, int) or self.shares <= 0:
             raise ValidationError(f"user {self.name}: shares must be a positive integer")
 
 
-@dataclass(frozen=True)
-class GroupAlloc:
+class _GroupAlloc(NamedTuple):
     name: str
     shares: int
     users: tuple[UserAlloc, ...]
 
-    def __post_init__(self):
+
+class GroupAlloc(Validated, _GroupAlloc):
+    __slots__ = ()
+
+    def _check(self):
         if not isinstance(self.shares, int) or self.shares <= 0:
             raise ValidationError(f"group {self.name}: shares must be a positive integer")
         user_sum = sum(u.shares for u in self.users)
@@ -46,8 +52,12 @@ class GroupAlloc:
             )
 
 
-@dataclass(frozen=True)
-class ShareHierarchy:
+class _ShareHierarchy(NamedTuple):
+    total_allocated_shares: int
+    groups: tuple[GroupAlloc, ...]
+
+
+class ShareHierarchy(Validated, _ShareHierarchy):
     """Immutable allocation universe: groups of users holding integer shares.
 
     Invariants (checked on construction): ``total_allocated_shares`` is a
@@ -55,10 +65,9 @@ class ShareHierarchy:
     names are unique.  Each group and user checks its own shares.
     """
 
-    total_allocated_shares: int
-    groups: tuple[GroupAlloc, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.total_allocated_shares, int) or self.total_allocated_shares <= 0:
             raise ValidationError(
                 f"total allocated shares must be a positive integer, got {self.total_allocated_shares!r}"
@@ -90,8 +99,7 @@ class ShareHierarchy:
         return tuple(u.name for u in self.users())
 
 
-@dataclass(frozen=True)
-class EntitlementTable:
+class EntitlementTable(NamedTuple):
     """Per-user CPU entitlements for one activity pattern.
 
     ``entitlements`` maps every user to its global CPU fraction (exactly 0.0
@@ -160,13 +168,16 @@ def least_upper_bounds(h: ShareHierarchy) -> EntitlementTable:
     return compute_entitlements(_with_active(h, dict.fromkeys(h.user_names(), True)), FLAT_POOL)
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
+class _TimelineEvent(NamedTuple):
     time: float
     action: str
     user: str
 
-    def __post_init__(self):
+
+class TimelineEvent(Validated, _TimelineEvent):
+    __slots__ = ()
+
+    def _check(self):
         if self.action not in ("activate", "deactivate"):
             raise ValidationError(f"unknown timeline action {self.action!r}")
         if not (math.isfinite(self.time) and self.time >= 0):
@@ -213,9 +224,9 @@ def _with_active(h: ShareHierarchy, flags: dict[str, bool]) -> ShareHierarchy:
     Every name in ``flags`` must be a user.  Only the groups holding a
     named user are rebuilt.
     """
-    return replace(h, groups=tuple(
-        replace(g, users=tuple(
-            replace(u, active=flags[u.name]) if u.name in flags else u for u in g.users))
+    return h._replace(groups=tuple(
+        g._replace(users=tuple(
+            u._replace(active=flags[u.name]) if u.name in flags else u for u in g.users))
         if any(u.name in flags for u in g.users) else g
         for g in h.groups
     ))

@@ -63,11 +63,11 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from operator import itemgetter
+from typing import NamedTuple
 
-from .errors import ValidationError, check_budget
+from .errors import Validated, ValidationError, check_budget
 from .mva import PerfRow, PerfTable, WorkloadSpec
 from .shares import EntitlementTable, ShareHierarchy, TimelineEvent, validate_timeline
 
@@ -103,8 +103,7 @@ _TIME_EPS = 1e-9
 _SCALE_LIMIT = 2.0 ** 64
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _SimConfig(NamedTuple):
     duration: float
     warmup: float = 0.0
     quantum: float = 0.01
@@ -114,7 +113,11 @@ class SimConfig:
     mode: str = FAIRSHARE_FLAT
     think_jitter: bool = False
 
-    def __post_init__(self):
+
+class SimConfig(Validated, _SimConfig):
+    __slots__ = ()
+
+    def _check(self):
         if not (math.isfinite(self.quantum) and self.quantum > 0):
             raise ValidationError("quantum must be finite and > 0")
         if not (math.isfinite(self.window) and self.window >= self.quantum):
@@ -132,8 +135,7 @@ class SimConfig:
             raise ValidationError(f"unknown mode {self.mode!r}; expected one of {SIM_MODES}")
 
 
-@dataclass
-class SimTrace:
+class SimTrace(NamedTuple):
     """Everything observed during one run.
 
     ``fractions`` holds per-window busy fractions for every user (whole
@@ -348,8 +350,7 @@ class _Core:
             events_applied=tuple(self.applied),
             warnings=warnings,
         )
-        trace.perf = trace_perf(trace)
-        return trace
+        return trace._replace(perf=trace_perf(trace))
 
 
 def _run_quantized(h, w, timeline, config) -> SimTrace:
@@ -644,15 +645,15 @@ def trace_perf(tr: SimTrace) -> PerfTable:
             by_proc.setdefault(rec[0], []).append(rec)
         throughput = 0.0
         utilization = 0.0
-        residences: list[float] = []
+        residence = 0.0  # added left to right: from Python 3.12 sum() compensates its rounding
         for recs in by_proc.values():
             span = (recs[-1][2] - recs[0][1]) + c.think
             count = len(recs)
             throughput += count / span
             utilization += count * c.demand / span
-            residences.extend(rec[2] - rec[1] for rec in recs)
-        response = sum(residences) / len(residences)
-        rows[c.user] = PerfRow(throughput, response, utilization)
+            for rec in recs:
+                residence += rec[2] - rec[1]
+        rows[c.user] = PerfRow(throughput, residence / len(completed), utilization)
     return PerfTable(solver="simulated", rows=rows, notes=tuple(notes))
 
 
@@ -666,16 +667,18 @@ def convergence_time(tr: SimTrace, e: EntitlementTable, epsilon: float):
         raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     last_event = max((ev.time for ev in tr.events_applied), default=0.0)
     window = tr.window_seconds
-    if not tr.fractions:
+    windows = tr.fractions
+    if not windows:
         raise ValidationError(f"the {tr.config.duration:g}s run has no whole {window:g}s window")
-    start = len(tr.fractions)  # the converged suffix is tr.fractions[start:]
+    entitled = e.entitlements  # read once: a record field is read through a descriptor
+    start = len(windows)  # the converged suffix is windows[start:]
     while start and (start - 1) * window >= last_event - _TIME_EPS:
-        fractions = tr.fractions[start - 1]
-        if not all(abs(fractions.get(u, 0.0) - e.entitlements[u]) <= epsilon + _TIME_EPS
+        fractions = windows[start - 1]
+        if not all(abs(fractions.get(u, 0.0) - entitled[u]) <= epsilon + _TIME_EPS
                    for u in e.active_users):
-            return start * window if start < len(tr.fractions) else None
+            return start * window if start < len(windows) else None
         start -= 1
-    if start == len(tr.fractions):
+    if start == len(windows):
         raise ValidationError("trace has no windows after the last timeline event")
     return last_event
 

@@ -1,6 +1,5 @@
 """Command-line surface: output, exit codes, determinism."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -187,7 +186,7 @@ class TestReport:
         )
         assert code == 0
         expected = run_scenario(
-            dataclasses.replace(load_scenario("report4"), solver="simulate"),
+            load_scenario("report4")._replace(solver="simulate"),
             mode="hierarchical",
             sim_config=SimConfig(duration=30.0, warmup=5.0, mode="ts-roundrobin"),
         )
@@ -202,7 +201,7 @@ class TestReport:
         code, out, err = run_cli(capsys, "report", report4, "--solver", "simulate",
                                  "--duration", "2", "--warmup", "1")
         assert code == 0
-        expected = run_scenario(dataclasses.replace(load_scenario("report4"), solver="simulate"),
+        expected = run_scenario(load_scenario("report4")._replace(solver="simulate"),
                                 sim_config=SimConfig(duration=2.0, warmup=1.0))
         assert out == render_report(expected)
         assert err == "".join(f"note: {user}: no completed cycles after warmup\n"
@@ -597,6 +596,7 @@ class TestSharedParser:
 # Runs in a fresh interpreter: argv is the scenario directory, then SHORT_RUN.
 COLD_START = """
 import contextlib, io, sys
+started = set(sys.modules)  # what site set-up imported: a .pth file may import inspect
 from fairshare import cli
 
 scenarios, short_run = sys.argv[1], sys.argv[2:]
@@ -608,6 +608,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     )]
 assert codes == [0, 0, 0], codes
 assert "numpy" not in sys.modules, "numpy loaded without a solve"
+for heavy in ("dataclasses", "inspect"):
+    assert heavy in started or heavy not in sys.modules, f"{heavy} loaded by a command"
 assert cli.main(["report", f"{scenarios}/report1.fsp"]) == 0
 assert "numpy" in sys.modules
 """
@@ -615,7 +617,8 @@ assert "numpy" in sys.modules
 
 def test_entitle_advise_and_simulate_never_load_numpy(scenario_dir, golden_dir):
     # numpy is about half of a small command's start-up; only solve_ts and
-    # goal_deviation use it.
+    # goal_deviation use it.  The records are NamedTuples, so dataclasses
+    # and the inspect, ast and dis it pulls in are never imported either.
     src_dir = str(Path(fairshare.__file__).resolve().parents[1])
     child = subprocess.run([sys.executable, "-c", COLD_START, str(scenario_dir), *SHORT_RUN],
                            env=dict(os.environ, PYTHONPATH=src_dir),

@@ -4,6 +4,8 @@ import io
 import math
 import random
 import tracemalloc
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -613,11 +615,12 @@ def quadratic_deviation(samples, e, window, threshold):
                     continue
                 label = user if user in e.entitlements else UNALLOCATED
                 busy[label] = busy.get(label, 0.0) + delta
-        total = sum(busy.values())
+        # Both sums add left to right: from Python 3.12 sum() compensates its rounding.
+        total = reduce(add, busy.values(), 0.0)
         rows = {}
         if total > 0:
             observed_known = [u for u in busy if u != UNALLOCATED and u in known_active]
-            entitled_sum = sum(e.entitlements[u] for u in observed_known)
+            entitled_sum = reduce(add, (e.entitlements[u] for u in observed_known), 0.0)
             for label in sorted(busy):
                 achieved = busy[label] / total
                 if label in known_active and entitled_sum > 0:

@@ -1,6 +1,5 @@
 """Capacity report rendering: golden sections, determinism, comparisons."""
 
-import dataclasses
 import math
 
 import pytest
@@ -193,7 +192,7 @@ def test_accepted_scenarios_give_finite_rows_or_a_toolkit_error(text, solver):
     except ScenarioParseError:
         return
     try:
-        report = run_scenario(dataclasses.replace(scenario, solver=solver))
+        report = run_scenario(scenario._replace(solver=solver))
     except FairshareError:
         return
     for table in (report.srm, report.ts):

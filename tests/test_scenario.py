@@ -1,6 +1,5 @@
 """Scenario grammar: parsing, diagnostics, and round-tripping."""
 
-import dataclasses
 import random
 
 import pytest
@@ -334,9 +333,8 @@ class TestRoundTrip:
     def test_render_keeps_every_float(self, think, demand, when):
         base = parse_scenario(GOOD, label="demo")
         classes = list(base.workload.classes)
-        classes[0] = dataclasses.replace(classes[0], think=think, demand=demand)
-        scenario = dataclasses.replace(
-            base,
+        classes[0] = classes[0]._replace(think=think, demand=demand)
+        scenario = base._replace(
             workload=WorkloadSpec(tuple(classes)),
             timeline=(TimelineEvent(when, "deactivate", "opsC"),),
         )
@@ -344,7 +342,7 @@ class TestRoundTrip:
 
     def test_render_names_a_user_without_a_workload(self):
         base = parse_scenario(GOOD, label="demo")
-        scenario = dataclasses.replace(base, workload=WorkloadSpec(base.workload.classes[:4]))
+        scenario = base._replace(workload=WorkloadSpec(base.workload.classes[:4]))
         with pytest.raises(ValidationError, match="user 'opsC' not in workload"):
             render_scenario(scenario)
 

@@ -338,9 +338,8 @@ def test_apply_events_validates_the_hierarchy_once(monkeypatch):
               for k in range(30)]
     want = reference_apply_events(h, events)
     validations = []
-    post_init = ShareHierarchy.__post_init__
-    monkeypatch.setattr(ShareHierarchy, "__post_init__",
-                        lambda self: validations.append(post_init(self)))
+    check = ShareHierarchy._check
+    monkeypatch.setattr(ShareHierarchy, "_check", lambda self: validations.append(check(self)))
     assert apply_events(h, events) == want
     assert len(validations) <= 1
 

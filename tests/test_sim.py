@@ -1,6 +1,5 @@
 """Scheduler simulator behavior: fairness limits, dynamics, and estimates."""
 
-import dataclasses
 import gc
 import hashlib
 import io
@@ -1026,6 +1025,6 @@ def test_completed_cycles_stay_within_the_cycle_bound(run, mode, quantum):
     # At 0.1 s quanta a process of demand 0.013 thinking 0.05 s completes
     # one cycle a quantum when it runs alone, so procs x quanta binds.
     h, w, timeline, config = run
-    config = dataclasses.replace(config, mode=mode, quantum=quantum)
+    config = config._replace(mode=mode, quantum=quantum)
     trace = run_sim(h, w, timeline, config)
     assert sum(len(c) for c in trace.cycles.values()) <= cycle_bound(w, config)
