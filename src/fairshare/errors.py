@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, the one check of every work budget,
-and the mixin by which a record validates itself."""
+and the decorator by which a record validates itself."""
 
 import math
 import sys
@@ -13,27 +13,28 @@ class ValidationError(FairshareError):
     """An input value violates a domain invariant."""
 
 
-class Validated:
-    """Mixin that makes a ``NamedTuple`` record check itself when built.
+def validated(record):
+    """Class decorator that makes a ``NamedTuple`` record check itself when built.
 
-    A validated record is a ``NamedTuple`` of its fields and a subclass that
-    lists this mixin first, sets ``__slots__ = ()`` and defines ``_check``,
-    which raises ``ValidationError``.  The constructor runs the check once
-    namedtuple's own ``__new__`` has built the record, and so does ``_make``,
-    through which namedtuple's ``_replace`` builds; so every value of the
-    type that exists is valid.
+    The record defines ``_check``, which raises ``ValidationError``.  The
+    constructor runs it once namedtuple's own ``__new__`` has built the
+    record, and so does ``_make``, through which namedtuple's ``_replace``
+    builds; so every value of the type that exists is valid.  ``NamedTuple``
+    refuses ``__init__`` and ``_make`` in a class body, not set afterwards.
     """
-
-    __slots__ = ()
+    make = record._make.__func__
 
     def __init__(self, *args, **kwargs):
         self._check()
 
-    @classmethod
     def _make(cls, iterable):
-        self = super()._make(iterable)
+        self = make(cls, iterable)
         self._check()
         return self
+
+    record.__init__ = __init__
+    record._make = classmethod(_make)
+    return record
 
 
 class EmptyPoolError(ValidationError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import Validated, ValidationError, ZeroEntitlementError, check_budget
+from .errors import ValidationError, ZeroEntitlementError, check_budget, validated
 from .shares import EntitlementTable
 
 # Largest population-vector space the exact recursion will attempt.  At the
@@ -43,17 +43,14 @@ _LEVEL_CELLS = 1 << 20
 _SATURATION_TOL = 1e-6
 
 
-class _ClassLoad(NamedTuple):
+@validated
+class ClassLoad(NamedTuple):
+    """One user's closed workload: procs cycling through demand and think."""
+
     user: str
     procs: int
     think: float
     demand: float
-
-
-class ClassLoad(Validated, _ClassLoad):
-    """One user's closed workload: procs cycling through demand and think."""
-
-    __slots__ = ()
 
     def _check(self):
         if not isinstance(self.procs, int) or self.procs < 1:
@@ -64,12 +61,9 @@ class ClassLoad(Validated, _ClassLoad):
             raise ValidationError(f"user {self.user}: CPU demand must be finite and > 0")
 
 
-class _WorkloadSpec(NamedTuple):
+@validated
+class WorkloadSpec(NamedTuple):
     classes: tuple[ClassLoad, ...]
-
-
-class WorkloadSpec(Validated, _WorkloadSpec):
-    __slots__ = ()
 
     def _check(self):
         if not self.classes:
@@ -81,14 +75,11 @@ class WorkloadSpec(Validated, _WorkloadSpec):
             seen.add(c.user)
 
 
-class _PerfRow(NamedTuple):
+@validated
+class PerfRow(NamedTuple):
     throughput: float
     response: float
     utilization: float
-
-
-class PerfRow(Validated, _PerfRow):
-    __slots__ = ()
 
     def _check(self):
         if not all(map(math.isfinite, self)):

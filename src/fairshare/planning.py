@@ -21,8 +21,8 @@ from itertools import islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import (InfeasiblePlanError, PsLogError, ScenarioParseError, Validated,
-                     ValidationError, check_budget)
+from .errors import (InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError,
+                     check_budget, validated)
 from .scenario import _build, _lines
 from .shares import EntitlementTable
 
@@ -43,15 +43,12 @@ UNALLOCATED = "unallocated"
 MAX_WINDOWS = 100_000
 
 
-class _SLOTarget(NamedTuple):
+@validated
+class SLOTarget(NamedTuple):
     name: str
     u_max: float
     demand: float | None = None
     r_slo: float | None = None
-
-
-class SLOTarget(Validated, _SLOTarget):
-    __slots__ = ()
 
     def _check(self):
         if not 0.0 < self.u_max <= 1.0:
@@ -404,22 +401,17 @@ def goal_deviation(
 
     # One cell per (window, label) that changed, in window and then name
     # order, the order of the report's rows.  A cell's busy time adds its
-    # changes in process order (bincount adds left to right).  A window's
-    # total and entitlement sum add its labels in the order they first
-    # change there, the order of a dict of them, which Python 3.11's sum
-    # adds left to right: one vectorized add for each window's first label,
-    # then one for its second, and so on.  Never np.sum or np.add.reduceat,
-    # which add pairwise.  Every array is sized by changes, cells or windows.
+    # changes in process order.  A window's total and entitlement sum add
+    # its labels in the order they first change there, the order of a dict
+    # of them, which Python 3.11's sum adds left to right.  bincount adds
+    # each bin left to right from 0.0, so it gives those sums bit for bit;
+    # never np.sum or np.add.reduceat, which add pairwise.  Every array is
+    # sized by changes, cells or windows.
     cells, first_change, cell_of = np.unique(cell_key, return_index=True, return_inverse=True)
     busy = np.bincount(cell_of, weights=deltas, minlength=len(cells))
     cell_window, cell_label = np.divmod(cells, len(names))
-    # A cell's rank is its place among its window's cells by first change.
     by_first = np.lexsort((first_change, cell_window))
-    rank = np.empty(len(cells), dtype=np.intp)
-    rank[by_first] = np.arange(len(cells)) - np.searchsorted(cell_window, cell_window[by_first])
-    by_rank = np.argsort(rank, kind="stable")
-    rank_bounds = np.searchsorted(rank[by_rank], np.arange(rank.max(initial=-1) + 2)).tolist()
-    del cell_key, deltas, cells, first_change, cell_of, by_first, rank
+    del cell_key, deltas, cells, first_change, cell_of
 
     known_active = set(e.active_users)
     # A label's entitlement if it is an active user, else 0; the sums that
@@ -428,13 +420,11 @@ def goal_deviation(
     counted = share.copy()
     if UNALLOCATED in position:
         counted[position[UNALLOCATED]] = 0.0
-    total = np.zeros(n_windows)
-    entitled_sum = np.zeros(n_windows)
-    with np.errstate(over="ignore"):
-        for lo, hi in zip(rank_bounds, rank_bounds[1:]):
-            at = by_rank[lo:hi]
-            total[cell_window[at]] += busy[at]
-            entitled_sum[cell_window[at]] += counted[cell_label[at]]
+    window_of = cell_window[by_first]
+    total = np.bincount(window_of, weights=busy[by_first], minlength=n_windows)
+    entitled_sum = np.bincount(window_of, weights=counted[cell_label[by_first]], minlength=n_windows)
+    del window_of, by_first
+    # A total past the float range is inf, and bincount does not warn of it.
     overflowed = np.flatnonzero(~np.isfinite(total))  # every change is above zero
     if overflowed.size:
         w = int(overflowed[0])

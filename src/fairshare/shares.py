@@ -12,35 +12,29 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import EmptyPoolError, UnknownUserError, Validated, ValidationError
+from .errors import EmptyPoolError, UnknownUserError, ValidationError, validated
 
 FLAT_POOL = "flat-pool"
 HIERARCHICAL = "hierarchical"
 ENTITLEMENT_MODES = (FLAT_POOL, HIERARCHICAL)
 
 
-class _UserAlloc(NamedTuple):
+@validated
+class UserAlloc(NamedTuple):
     name: str
     shares: int
     active: bool = True
-
-
-class UserAlloc(Validated, _UserAlloc):
-    __slots__ = ()
 
     def _check(self):
         if not isinstance(self.shares, int) or self.shares <= 0:
             raise ValidationError(f"user {self.name}: shares must be a positive integer")
 
 
-class _GroupAlloc(NamedTuple):
+@validated
+class GroupAlloc(NamedTuple):
     name: str
     shares: int
     users: tuple[UserAlloc, ...]
-
-
-class GroupAlloc(Validated, _GroupAlloc):
-    __slots__ = ()
 
     def _check(self):
         if not isinstance(self.shares, int) or self.shares <= 0:
@@ -52,12 +46,8 @@ class GroupAlloc(Validated, _GroupAlloc):
             )
 
 
-class _ShareHierarchy(NamedTuple):
-    total_allocated_shares: int
-    groups: tuple[GroupAlloc, ...]
-
-
-class ShareHierarchy(Validated, _ShareHierarchy):
+@validated
+class ShareHierarchy(NamedTuple):
     """Immutable allocation universe: groups of users holding integer shares.
 
     Invariants (checked on construction): ``total_allocated_shares`` is a
@@ -65,7 +55,8 @@ class ShareHierarchy(Validated, _ShareHierarchy):
     names are unique.  Each group and user checks its own shares.
     """
 
-    __slots__ = ()
+    total_allocated_shares: int
+    groups: tuple[GroupAlloc, ...]
 
     def _check(self):
         if not isinstance(self.total_allocated_shares, int) or self.total_allocated_shares <= 0:
@@ -124,38 +115,35 @@ def compute_entitlements(h: ShareHierarchy, mode: str = FLAT_POOL) -> Entitlemen
     """
     if mode not in ENTITLEMENT_MODES:
         raise ValidationError(f"unknown entitlement mode {mode!r}; expected one of {ENTITLEMENT_MODES}")
-    active = [u for u in h.users() if u.active]
-    if not active:
+    # Each group's active shares, summed once.  Unpacking a user costs less
+    # than reading its three fields by name.
+    group_active = [sum(shares for _, shares, active in users if active) for _, _, users in h.groups]
+    active_pool = sum(group_active)
+    if not active_pool:
         raise EmptyPoolError("empty pool: no active users in hierarchy")
 
-    active_pool = sum(u.shares for u in active)
     entitlements: dict[str, float] = {}
     group_fractions: dict[str, float] = {}
 
     if mode == FLAT_POOL:
-        for group in h.groups:
-            group_active = sum(u.shares for u in group.users if u.active)
-            group_fractions[group.name] = group_active / active_pool
-            for user in group.users:
-                entitlements[user.name] = user.shares / active_pool if user.active else 0.0
+        for (group, _, users), live in zip(h.groups, group_active):
+            group_fractions[group] = live / active_pool
+            for name, shares, active in users:
+                entitlements[name] = shares / active_pool if active else 0.0
     else:
-        live_groups = [g for g in h.groups if any(u.active for u in g.users)]
-        group_pool = sum(g.shares for g in live_groups)
-        for group in h.groups:
-            group_active = sum(u.shares for u in group.users if u.active)
-            fraction = group.shares / group_pool if group_active else 0.0
-            group_fractions[group.name] = fraction
-            for user in group.users:
-                entitlements[user.name] = (
-                    fraction * user.shares / group_active if user.active else 0.0
-                )
+        group_pool = sum(shares for (_, shares, _), live in zip(h.groups, group_active) if live)
+        for (group, group_shares, users), live in zip(h.groups, group_active):
+            fraction = group_shares / group_pool if live else 0.0
+            group_fractions[group] = fraction
+            for name, shares, active in users:
+                entitlements[name] = fraction * shares / live if active else 0.0
 
     return EntitlementTable(
         mode=mode,
         active_user_shares=active_pool,
         entitlements=entitlements,
         group_fractions=group_fractions,
-        active_users=frozenset(u.name for u in active),
+        active_users=frozenset(name for _, _, users in h.groups for name, _, active in users if active),
     )
 
 
@@ -168,14 +156,11 @@ def least_upper_bounds(h: ShareHierarchy) -> EntitlementTable:
     return compute_entitlements(_with_active(h, dict.fromkeys(h.user_names(), True)), FLAT_POOL)
 
 
-class _TimelineEvent(NamedTuple):
+@validated
+class TimelineEvent(NamedTuple):
     time: float
     action: str
     user: str
-
-
-class TimelineEvent(Validated, _TimelineEvent):
-    __slots__ = ()
 
     def _check(self):
         if self.action not in ("activate", "deactivate"):

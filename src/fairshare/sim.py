@@ -67,7 +67,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import Validated, ValidationError, check_budget
+from .errors import ValidationError, check_budget, validated
 from .mva import PerfRow, PerfTable, WorkloadSpec
 from .shares import EntitlementTable, ShareHierarchy, TimelineEvent, validate_timeline
 
@@ -103,7 +103,8 @@ _TIME_EPS = 1e-9
 _SCALE_LIMIT = 2.0 ** 64
 
 
-class _SimConfig(NamedTuple):
+@validated
+class SimConfig(NamedTuple):
     duration: float
     warmup: float = 0.0
     quantum: float = 0.01
@@ -112,10 +113,6 @@ class _SimConfig(NamedTuple):
     seed: int = 0
     mode: str = FAIRSHARE_FLAT
     think_jitter: bool = False
-
-
-class SimConfig(Validated, _SimConfig):
-    __slots__ = ()
 
     def _check(self):
         if not (math.isfinite(self.quantum) and self.quantum > 0):

@@ -1,4 +1,4 @@
-"""Validated records: every way of building one runs its check."""
+"""Validated records: every way of building one runs its check, once."""
 
 import pytest
 
@@ -31,7 +31,7 @@ CASES = [
 
 @pytest.mark.parametrize("record, bad, message", CASES,
                          ids=[type(record).__name__ for record, _, _ in CASES])
-def test_constructor_make_and_replace_all_validate(record, bad, message):
+def test_constructor_make_and_replace_all_validate(record, bad, message, monkeypatch):
     kind = type(record)
     values = {**record._asdict(), **bad}
     builds = {
@@ -45,6 +45,14 @@ def test_constructor_make_and_replace_all_validate(record, bad, message):
         assert str(got.value) == message, how
     with pytest.raises(ValueError, match="unexpected field names"):
         record._replace(bogus=1)
-    for copy in (kind._make(record), record._replace()):
-        assert type(copy) is kind and copy == record
     assert not hasattr(record, "__dict__")
+    # A valid build checks once, however it is made: a _make that built
+    # through the constructor would check twice.
+    check = kind._check
+    for how, build in {"constructor": lambda: kind(*record), "_make": lambda: kind._make(record),
+                       "_replace": lambda: record._replace()}.items():
+        checks = []
+        monkeypatch.setattr(kind, "_check", lambda self: checks.append(check(self)))
+        copy = build()
+        assert type(copy) is kind and copy == record, how
+        assert len(checks) == 1, how

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairshare import sim
@@ -907,17 +907,6 @@ def ps_runs(draw, thinks=PS_THINKS, events=True):
     ))
     duration = draw(st.sampled_from((3.0, 20.0, 45.5, 100.0)))
     warmup = draw(st.sampled_from((0.0, 1.0, 2.25)))
-    jitter = draw(st.booleans())
-    draws_per_s = sum(c.procs / (c.think + c.demand) for c in w.classes if c.think)
-    if jitter and draws_per_s:
-        # A think draw carries the two engines' rounding differences into
-        # the cycles after it, where they grow chaotically, about twofold
-        # every 15-20 cycles: drawn jittered runs were seen to part after
-        # 300 completions.  So a jittered run stops after about 60 expected
-        # draws; longer ones are checked statistically (criterion 08 and
-        # TestPsReference).
-        duration = min(duration, max(0.5, 60.0 / draws_per_s))
-        warmup = min(warmup, duration / 2)
     # Events both on window edges and between them.
     times = draw(st.lists(st.one_of(st.integers(0, int(duration)).map(float),
                                     st.floats(0.0, duration)), max_size=4 if events else 0))
@@ -932,9 +921,30 @@ def ps_runs(draw, thinks=PS_THINKS, events=True):
         window=draw(st.sampled_from((0.5, 1.0, 2.5, 10.0))),
         mode=sim.TS_PS_REFERENCE,
         seed=draw(st.integers(0, 9)),
-        think_jitter=jitter,
+        think_jitter=draw(st.booleans()),
     )
     return h, w, timeline, config
+
+
+# A closed processor-sharing system with thinkers amplifies a rounding gap
+# from cycle to cycle, so the engine and its reference, which add in
+# different orders, part in the end, with think jitter or without.  Over
+# 20,000 drawn runs with thinkers, timed by the thinkers' expected
+# completions (procs / (think + demand) a second, summed), the first
+# completion more than PS_TOLERANCE apart came after 304 of them with
+# jitter and 1,126 without, and no gap passed 1e-10 s within 100.  So runs
+# with thinkers are compared over their first 100 expected completions;
+# longer ones are checked statistically (criterion 08 and TestPsReference).
+FLUID_HORIZON = 100.0
+
+
+def within_fluid_horizon(w, config):
+    """config cut to the first FLUID_HORIZON expected think completions."""
+    per_s = sum(c.procs / (c.think + c.demand) for c in w.classes if c.think)
+    duration = min(config.duration, max(0.5, FLUID_HORIZON / per_s)) if per_s else config.duration
+    if duration == config.duration:
+        return config
+    return config._replace(duration=duration, warmup=min(config.warmup, duration / 2))
 
 
 def per_process_cycles(trace):
@@ -967,8 +977,16 @@ def assert_same_fluid_run(h, w, timeline, config):
 
 @settings(max_examples=60, deadline=None)
 @given(run=ps_runs())
+# Drawn once in a full test run: uncut, u0's process completes 1.36e-9 s
+# apart at 39.476 s.  u1's class was not recorded; u1 is inactive, so it does not
+# change the run.
+@example(run=(pool(("u0", 1, True), ("u1", 1, False), ("u2", 1, True), ("u3", 1, True)),
+              WorkloadSpec((ClassLoad("u0", 1, 0.05, 0.013), ClassLoad("u1", 1, 0.0, 0.013),
+                            ClassLoad("u2", 3, 0.05, 0.1), ClassLoad("u3", 2, 1.0, 0.013))),
+              (), SimConfig(duration=45.5, window=0.5, mode=sim.TS_PS_REFERENCE)))
 def test_fluid_engine_matches_the_reference_engine(run):
-    assert_same_fluid_run(*run)
+    h, w, timeline, config = run
+    assert_same_fluid_run(h, w, timeline, within_fluid_horizon(w, config))
 
 
 @pytest.mark.parametrize("jitter", [False, True])
