@@ -115,9 +115,8 @@ def compute_entitlements(h: ShareHierarchy, mode: str = FLAT_POOL) -> Entitlemen
     """
     if mode not in ENTITLEMENT_MODES:
         raise ValidationError(f"unknown entitlement mode {mode!r}; expected one of {ENTITLEMENT_MODES}")
-    # Each group's active shares, summed once.  Unpacking a user costs less
-    # than reading its three fields by name.
-    group_active = [sum(shares for _, shares, active in users if active) for _, _, users in h.groups]
+    # Each group's active shares, summed once.
+    group_active = [sum(u.shares for u in g.users if u.active) for g in h.groups]
     active_pool = sum(group_active)
     if not active_pool:
         raise EmptyPoolError("empty pool: no active users in hierarchy")
@@ -126,24 +125,24 @@ def compute_entitlements(h: ShareHierarchy, mode: str = FLAT_POOL) -> Entitlemen
     group_fractions: dict[str, float] = {}
 
     if mode == FLAT_POOL:
-        for (group, _, users), live in zip(h.groups, group_active):
-            group_fractions[group] = live / active_pool
-            for name, shares, active in users:
-                entitlements[name] = shares / active_pool if active else 0.0
+        for group, live in zip(h.groups, group_active):
+            group_fractions[group.name] = live / active_pool
+            for user in group.users:
+                entitlements[user.name] = user.shares / active_pool if user.active else 0.0
     else:
-        group_pool = sum(shares for (_, shares, _), live in zip(h.groups, group_active) if live)
-        for (group, group_shares, users), live in zip(h.groups, group_active):
-            fraction = group_shares / group_pool if live else 0.0
-            group_fractions[group] = fraction
-            for name, shares, active in users:
-                entitlements[name] = fraction * shares / live if active else 0.0
+        group_pool = sum(g.shares for g, live in zip(h.groups, group_active) if live)
+        for group, live in zip(h.groups, group_active):
+            fraction = group.shares / group_pool if live else 0.0
+            group_fractions[group.name] = fraction
+            for user in group.users:
+                entitlements[user.name] = fraction * user.shares / live if user.active else 0.0
 
     return EntitlementTable(
         mode=mode,
         active_user_shares=active_pool,
         entitlements=entitlements,
         group_fractions=group_fractions,
-        active_users=frozenset(name for _, _, users in h.groups for name, _, active in users if active),
+        active_users=frozenset(u.name for u in h.users() if u.active),
     )
 
 

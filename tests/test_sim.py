@@ -894,6 +894,25 @@ PS_THINKS = (0.0, 0.05, 1.0, 2.5)
 PS_TOLERANCE = 1e-9
 
 
+# A closed processor-sharing system with thinkers amplifies a rounding gap
+# from cycle to cycle, so the engine and its reference, which add in
+# different orders, part in the end, with think jitter or without.  Over
+# 20,000 drawn runs with thinkers, timed by the thinkers' expected
+# completions (procs / (think + demand) a second, summed), the first
+# completion more than PS_TOLERANCE apart came after 304 of them with
+# jitter and 1,126 without, and no gap passed 1e-10 s within 100.  So runs
+# with thinkers are compared over their first 100 expected completions;
+# longer ones are checked statistically (criterion 08 and TestPsReference).
+FLUID_HORIZON = 100.0
+
+
+def fluid_span(w, duration):
+    """The first seconds of a run of w that hold FLUID_HORIZON expected
+    think completions, at least 0.5 s and at most duration."""
+    per_s = sum(c.procs / (c.think + c.demand) for c in w.classes if c.think)
+    return min(duration, max(0.5, FLUID_HORIZON / per_s)) if per_s else duration
+
+
 @st.composite
 def ps_runs(draw, thinks=PS_THINKS, events=True):
     """(hierarchy, workload, timeline, config) of a drawn ts-ps-reference
@@ -907,9 +926,11 @@ def ps_runs(draw, thinks=PS_THINKS, events=True):
     ))
     duration = draw(st.sampled_from((3.0, 20.0, 45.5, 100.0)))
     warmup = draw(st.sampled_from((0.0, 1.0, 2.25)))
-    # Events both on window edges and between them.
-    times = draw(st.lists(st.one_of(st.integers(0, int(duration)).map(float),
-                                    st.floats(0.0, duration)), max_size=4 if events else 0))
+    # Events both on window edges and between them, within the span that
+    # test_fluid_engine_matches_the_reference_engine compares.
+    span = fluid_span(w, duration)
+    times = draw(st.lists(st.one_of(st.integers(0, int(span)).map(float),
+                                    st.floats(0.0, span)), max_size=4 if events else 0))
     timeline = tuple(
         TimelineEvent(t, draw(st.sampled_from(("activate", "deactivate"))),
                       draw(st.sampled_from(names)))
@@ -926,22 +947,9 @@ def ps_runs(draw, thinks=PS_THINKS, events=True):
     return h, w, timeline, config
 
 
-# A closed processor-sharing system with thinkers amplifies a rounding gap
-# from cycle to cycle, so the engine and its reference, which add in
-# different orders, part in the end, with think jitter or without.  Over
-# 20,000 drawn runs with thinkers, timed by the thinkers' expected
-# completions (procs / (think + demand) a second, summed), the first
-# completion more than PS_TOLERANCE apart came after 304 of them with
-# jitter and 1,126 without, and no gap passed 1e-10 s within 100.  So runs
-# with thinkers are compared over their first 100 expected completions;
-# longer ones are checked statistically (criterion 08 and TestPsReference).
-FLUID_HORIZON = 100.0
-
-
 def within_fluid_horizon(w, config):
     """config cut to the first FLUID_HORIZON expected think completions."""
-    per_s = sum(c.procs / (c.think + c.demand) for c in w.classes if c.think)
-    duration = min(config.duration, max(0.5, FLUID_HORIZON / per_s)) if per_s else config.duration
+    duration = fluid_span(w, config.duration)
     if duration == config.duration:
         return config
     return config._replace(duration=duration, warmup=min(config.warmup, duration / 2))
@@ -986,7 +994,9 @@ def assert_same_fluid_run(h, w, timeline, config):
               (), SimConfig(duration=45.5, window=0.5, mode=sim.TS_PS_REFERENCE)))
 def test_fluid_engine_matches_the_reference_engine(run):
     h, w, timeline, config = run
-    assert_same_fluid_run(h, w, timeline, within_fluid_horizon(w, config))
+    config = within_fluid_horizon(w, config)
+    assert all(ev.time <= config.duration for ev in timeline)
+    assert_same_fluid_run(h, w, timeline, config)
 
 
 @pytest.mark.parametrize("jitter", [False, True])
