@@ -530,19 +530,12 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
                     heap[:] = [e for e in heap if e[2].user != u]
                     heapify(heap)
             left.clear()
-        # Starts and completions credit their user with _credit's body,
-        # inline: these run once per cycle, where a call costs 5-15%.
         while inbox:
             p = inbox.popleft()
             u = p.user
-            n = ready[u]
-            if n:
-                amount = n * (v - since[u])
-                busy[u] += amount
-                if post is not None:
-                    post[u] += amount
-            since[u] = v
-            ready[u] = n + 1
+            _credit(((u, ready[u]),), since, v, busy, post)
+            since[u] = v  # _credit skips a user with nothing ready
+            ready[u] += 1
             seq += 1
             heappush(heap, (v + demand[u], seq, p))
 
@@ -591,13 +584,8 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
             for entry in finished:
                 p = entry[2]
                 u = p.user
-                n = ready[u]
-                amount = n * (v - since[u])
-                busy[u] += amount
-                if post is not None:
-                    post[u] += amount
-                since[u] = v
-                ready[u] = n - 1
+                _credit(((u, ready[u]),), since, v, busy, post)
+                ready[u] -= 1
                 wake = core.finish_cycle(p, now, now)
                 if wake < next_due:
                     next_due = wake
