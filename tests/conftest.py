@@ -9,6 +9,8 @@ import pytest
 from fairshare.report import run_scenario
 from fairshare.scenario import parse_scenario
 
+pytest.register_assert_rewrite("builders")  # the shared law checks report values, as tests do
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

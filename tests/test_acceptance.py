@@ -16,13 +16,7 @@ import time
 
 import pytest
 
-from fairshare.mva import (
-    ClassLoad,
-    WorkloadSpec,
-    solve_srm_conserving,
-    solve_srm_partition,
-    solve_ts,
-)
+from fairshare.mva import ClassLoad, WorkloadSpec, solve_srm_conserving, solve_ts
 from fairshare.planning import SLOTarget, allocate_topdown, goal_deviation, parse_ps_log
 from fairshare.report import extract_section, render_report
 from fairshare.shares import (
@@ -33,6 +27,8 @@ from fairshare.shares import (
     compute_entitlements,
 )
 from fairshare.sim import SimConfig, convergence_time, run_sim
+
+from builders import assert_operational_laws
 
 REPORT_USERS = ("fAgg", "wAgg", "opsA", "opsB", "opsC")
 REPORT4_ENTITLEMENTS = {"fAgg": 0.60, "wAgg": 0.10, "opsA": 0.06, "opsB": 0.05, "opsC": 0.19}
@@ -240,27 +236,13 @@ def test_criterion_09_consistency_laws(reports, load_scenario, report4_trace,
         report = reports[n]
         conserving = solve_srm_conserving(report.workload, report.entitlements)
         for table in (report.ts, report.srm, conserving):
-            total = 0.0
-            for c in report.workload.classes:
-                row = table.rows[c.user]
-                assert row.throughput * (row.response + c.think) == pytest.approx(
-                    c.procs, rel=1e-9
-                )
-                assert row.utilization == pytest.approx(row.throughput * c.demand, rel=1e-9)
-                total += row.utilization
-            assert total <= 1.0 + 1e-9
+            assert assert_operational_laws(table, report.workload.classes, 1e-9) <= 1.0 + 1e-9
 
     # simulator estimates: within 1%
     sim_traces = [report4_trace[0], *scenario_traces.values(), *loophole_traces.values()]
     for trace in sim_traces:
-        for c in trace.workload.classes:
-            row = trace.perf.rows.get(c.user)
-            if row is None:
-                continue
-            assert row.throughput * (row.response + c.think) == pytest.approx(
-                c.procs, rel=0.01
-            )
-            assert row.utilization == pytest.approx(row.throughput * c.demand, rel=0.01)
+        rows = trace.perf.rows
+        assert_operational_laws(trace.perf, [c for c in trace.workload.classes if c.user in rows], 0.01)
 
 
 def test_criterion_10_share_advisor():

@@ -23,28 +23,17 @@ from fairshare.mva import (
     solve_srm_partition,
     solve_ts,
 )
-from fairshare.shares import GroupAlloc, ShareHierarchy, UserAlloc, compute_entitlements
+from fairshare.shares import compute_entitlements
+
+from builders import (
+    assert_operational_laws,
+    cpu_bound,
+    equal_table,
+    standard_hierarchy,
+    standard_workload,
+)
 
 REL = 1e-9
-
-
-def equal_pool(*names, shares=1):
-    return compute_entitlements(
-        ShareHierarchy(
-            shares * len(names),
-            (
-                GroupAlloc(
-                    "G",
-                    shares * len(names),
-                    tuple(UserAlloc(n, shares, True) for n in names),
-                ),
-            ),
-        )
-    )
-
-
-def cpu_bound(*names, demand=1.0):
-    return WorkloadSpec(tuple(ClassLoad(n, 1, 0.0, demand) for n in names))
 
 
 class TestSolveTs:
@@ -219,39 +208,39 @@ def test_solve_ts_rows_match_pinned_values(golden_dir):
 
 class TestSolveSrmPartition:
     def test_report4_fagg_row(self):
-        e = compute_entitlements(_report_hierarchy())
-        table = solve_srm_partition(_report_workload(), e)
+        e = compute_entitlements(standard_hierarchy())
+        table = solve_srm_partition(standard_workload(), e)
         row = table.rows["fAgg"]
         assert row.throughput == pytest.approx(0.60, rel=REL)
         assert row.response == pytest.approx(1 / 0.6, rel=REL)
         assert row.utilization == pytest.approx(0.60, rel=REL)
 
     def test_report5_wagg_row(self):
-        e = compute_entitlements(_report_hierarchy(ops_c=False))
-        table = solve_srm_partition(_report_workload(ops_c=False), e)
+        e = compute_entitlements(standard_hierarchy(ops_c=False))
+        table = solve_srm_partition(standard_workload(ops_c=False), e)
         row = table.rows["wAgg"]
         assert row.response == pytest.approx(8.10, rel=REL)
         assert row.utilization == pytest.approx(10 / 81, rel=REL)
 
     def test_full_entitlement_means_raw_demand(self):
-        e = equal_pool("only")
+        e = equal_table("only")
         table = solve_srm_partition(WorkloadSpec((ClassLoad("only", 1, 0.0, 2.5),)), e)
         assert table.rows["only"].response == pytest.approx(2.5, rel=REL)
 
     def test_report3_opsc_row(self):
-        e = compute_entitlements(_report_hierarchy(fin=False))
-        table = solve_srm_partition(_report_workload(fin=False), e)
+        e = compute_entitlements(standard_hierarchy(fin=False))
+        table = solve_srm_partition(standard_workload(fin=False), e)
         assert e.entitlements["opsC"] == pytest.approx(0.475, abs=1e-12)
         assert table.rows["opsC"].response == pytest.approx(1 / 0.475, rel=REL)
 
     def test_zero_entitlement_names_user(self):
-        e = equal_pool("a", "b")
+        e = equal_table("a", "b")
         w = WorkloadSpec((ClassLoad("ghost", 1, 0.0, 1.0),))
         with pytest.raises(ZeroEntitlementError, match="ghost"):
             solve_srm_partition(w, e)
 
     def test_utilization_capped_by_entitlement(self):
-        e = equal_pool("a", "b")
+        e = equal_table("a", "b")
         w = WorkloadSpec((ClassLoad("a", 1, 2.0, 1.0), ClassLoad("b", 3, 0.0, 0.5)))
         table = solve_srm_partition(w, e)
         for user, row in table.rows.items():
@@ -262,8 +251,8 @@ class TestSolveSrmPartition:
 
 class TestSolveSrmConserving:
     def test_reduces_to_partition_when_cpu_bound(self):
-        e = compute_entitlements(_report_hierarchy())
-        w = _report_workload()
+        e = compute_entitlements(standard_hierarchy())
+        w = standard_workload()
         conserving = solve_srm_conserving(w, e)
         partition = solve_srm_partition(w, e)
         for user in tuple(c.user for c in w.classes):
@@ -301,7 +290,7 @@ class TestSolveSrmConserving:
     def test_idle_capacity_flows_to_the_saturated_user(self):
         # Fixed point by hand: the thinker demands 1/(9+2) = 1/11 of the
         # CPU at its 0.5 entitlement, so the busy user ends up with 10/11.
-        e = equal_pool("thinker", "cruncher")
+        e = equal_table("thinker", "cruncher")
         w = WorkloadSpec(
             (ClassLoad("thinker", 1, 9.0, 1.0), ClassLoad("cruncher", 1, 0.0, 1.0))
         )
@@ -312,14 +301,14 @@ class TestSolveSrmConserving:
         assert table.rows["cruncher"].response == pytest.approx(1.1, rel=REL)
 
     def test_single_user_gets_the_whole_machine(self):
-        e = equal_pool("only")
+        e = equal_table("only")
         w = WorkloadSpec((ClassLoad("only", 1, 4.0, 1.0),))
         table = solve_srm_conserving(w, e)
         # speed 1.0: response is the raw demand
         assert table.rows["only"].response == pytest.approx(1.0, rel=REL)
 
     def test_redistribution_never_harms(self):
-        e = compute_entitlements(_report_hierarchy())
+        e = compute_entitlements(standard_hierarchy())
         w = WorkloadSpec(
             (
                 ClassLoad("fAgg", 1, 5.0, 1.0),
@@ -343,7 +332,7 @@ def test_repairman_budget_counts_the_levels_of_every_pass(monkeypatch):
     # Partition runs each class's process levels once, conserving up to
     # 2 x users + 2 passes of them: 6 passes of 5 levels for two users.
     monkeypatch.setattr(mva, "POPULATION_GUARD", 30)
-    e = equal_pool("a", "b")
+    e = equal_table("a", "b")
     solve_srm_conserving(WorkloadSpec((ClassLoad("a", 3, 1.0, 0.5), ClassLoad("b", 2, 0.0, 1.0))), e)
     w = WorkloadSpec((ClassLoad("a", 4, 1.0, 0.5), ClassLoad("b", 2, 0.0, 1.0)))
     solve_srm_partition(w, e)
@@ -364,8 +353,8 @@ class TestCompareTables:
             assert a.rows[user].response / b.rows[user].response == pytest.approx(1.0, rel=REL)
 
     def test_report2_opsc_against_ts(self):
-        e = compute_entitlements(_report_hierarchy(fin=False, web=False))
-        w = _report_workload(fin=False, web=False)
+        e = compute_entitlements(standard_hierarchy(fin=False, web=False))
+        w = standard_workload(fin=False, web=False)
         srm = solve_srm_partition(w, e)
         ts = solve_ts(w)
         ratio = srm.rows["opsC"].response / ts.rows["opsC"].response
@@ -373,10 +362,10 @@ class TestCompareTables:
         assert round(ratio, 2) == 0.53
 
     def test_report5_over_report4(self):
-        e4 = compute_entitlements(_report_hierarchy())
-        e5 = compute_entitlements(_report_hierarchy(ops_c=False))
-        srm4 = solve_srm_partition(_report_workload(), e4)
-        srm5 = solve_srm_partition(_report_workload(ops_c=False), e5)
+        e4 = compute_entitlements(standard_hierarchy())
+        e5 = compute_entitlements(standard_hierarchy(ops_c=False))
+        srm4 = solve_srm_partition(standard_workload(), e4)
+        srm5 = solve_srm_partition(standard_workload(ops_c=False), e5)
         for user in ("fAgg", "wAgg"):
             ratio = srm5.rows[user].response / srm4.rows[user].response
             assert ratio == pytest.approx(0.81, abs=1e-12)
@@ -419,51 +408,9 @@ workload_strategy = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(workload_strategy)
 def test_solver_outputs_satisfy_the_consistency_laws(w):
-    e = equal_pool(*tuple(c.user for c in w.classes))
+    e = equal_table(*tuple(c.user for c in w.classes))
     for table in (solve_ts(w), solve_srm_partition(w, e), solve_srm_conserving(w, e)):
-        total = 0.0
-        for c in w.classes:
-            row = table.rows[c.user]
-            assert row.throughput * (row.response + c.think) == pytest.approx(
-                c.procs, rel=1e-9
-            )
-            assert row.utilization == pytest.approx(row.throughput * c.demand, rel=1e-9)
-            total += row.utilization
-        assert total <= 1.0 + 1e-9
-
-
-def _report_hierarchy(fin=True, web=True, ops_a=True, ops_b=True, ops_c=True):
-    return ShareHierarchy(
-        100,
-        (
-            GroupAlloc("FIN", 60, (UserAlloc("fAgg", 60, fin),)),
-            GroupAlloc("WEB", 10, (UserAlloc("wAgg", 10, web),)),
-            GroupAlloc(
-                "OPS",
-                30,
-                (
-                    UserAlloc("opsA", 6, ops_a),
-                    UserAlloc("opsB", 5, ops_b),
-                    UserAlloc("opsC", 19, ops_c),
-                ),
-            ),
-        ),
-    )
-
-
-def _report_workload(fin=True, web=True, ops_a=True, ops_b=True, ops_c=True):
-    names = []
-    if fin:
-        names.append("fAgg")
-    if web:
-        names.append("wAgg")
-    if ops_a:
-        names.append("opsA")
-    if ops_b:
-        names.append("opsB")
-    if ops_c:
-        names.append("opsC")
-    return cpu_bound(*names)
+        assert assert_operational_laws(table, w.classes, 1e-9) <= 1.0 + 1e-9
 
 
 class TestModelValues:
@@ -495,4 +442,4 @@ class TestModelValues:
         with pytest.raises(ValidationError, match="non-finite"):
             solve_ts(w)
         with pytest.raises(ValidationError, match="non-finite"):
-            solve_srm_partition(w, equal_pool("a", "b"))
+            solve_srm_partition(w, equal_table("a", "b"))

@@ -31,6 +31,8 @@ from fairshare.planning import (
 )
 from fairshare.shares import GroupAlloc, ShareHierarchy, UserAlloc, compute_entitlements
 
+from builders import equal_table
+
 
 class TestAllocateTopdown:
     def test_two_targets_leave_residual(self):
@@ -409,14 +411,6 @@ def test_parse_matches_the_reference_parser(text):
     expected = parse_outcome(reference_parse_ps_log, text)
     assert parse_outcome(parse_ps_log, text) == expected
     assert parse_outcome(parse_ps_log, io.StringIO(text)) == expected
-
-
-def equal_table(*names):
-    total = len(names)
-    h = ShareHierarchy(
-        total, (GroupAlloc("G", total, tuple(UserAlloc(n, 1, True) for n in names)),)
-    )
-    return compute_entitlements(h)
 
 
 def synth_log(rows):

@@ -19,25 +19,7 @@ from fairshare.shares import (
     least_upper_bounds,
 )
 
-
-def standard_hierarchy(fin=True, web=True, ops_a=True, ops_b=True, ops_c=True):
-    """The 100-share FIN/WEB/OPS allocation used by the bundled scenarios."""
-    return ShareHierarchy(
-        total_allocated_shares=100,
-        groups=(
-            GroupAlloc("FIN", 60, (UserAlloc("fAgg", 60, fin),)),
-            GroupAlloc("WEB", 10, (UserAlloc("wAgg", 10, web),)),
-            GroupAlloc(
-                "OPS",
-                30,
-                (
-                    UserAlloc("opsA", 6, ops_a),
-                    UserAlloc("opsB", 5, ops_b),
-                    UserAlloc("opsC", 19, ops_c),
-                ),
-            ),
-        ),
-    )
+from builders import standard_hierarchy
 
 
 class TestComputeEntitlements:

@@ -33,17 +33,7 @@ from fairshare.sim import (
     trace_perf,
 )
 
-
-def pool(*specs):
-    """specs: (name, shares, active) triples in one group."""
-    users = tuple(UserAlloc(n, s, a) for n, s, a in specs)
-    total = sum(u.shares for u in users)
-    return ShareHierarchy(total, (GroupAlloc("G", total, users),))
-
-
-def cpu_bound(*names, procs=1, demand=1.0):
-    return WorkloadSpec(tuple(ClassLoad(n, procs, 0.0, demand) for n in names))
-
+from builders import assert_operational_laws, cpu_bound, pool
 
 TWO_EQUAL = pool(("a", 50, True), ("b", 50, True))
 TWO_EQUAL_W = cpu_bound("a", "b")
@@ -207,12 +197,7 @@ class TestPsReference:
         w = WorkloadSpec((ClassLoad("a", 2, 1.0, 1.0), ClassLoad("b", 1, 0.0, 0.5)))
         h = pool(("a", 1, True), ("b", 1, True))
         trace = run_sim(h, w, (), SimConfig(duration=400.0, warmup=40.0, mode="ts-ps-reference"))
-        for c in w.classes:
-            row = trace.perf.rows[c.user]
-            assert row.throughput * (row.response + c.think) == pytest.approx(
-                c.procs, rel=0.01
-            )
-            assert row.utilization == pytest.approx(row.throughput * c.demand, rel=0.01)
+        assert_operational_laws(trace.perf, w.classes, 0.01)
 
     def test_matches_exact_mva_with_jittered_think(self):
         w = WorkloadSpec((ClassLoad("a", 2, 1.0, 1.0), ClassLoad("b", 1, 1.0, 0.5)))
@@ -247,12 +232,7 @@ class TestTraceEstimates:
         h = pool(("a", 30, True), ("b", 70, True))
         w = WorkloadSpec((ClassLoad("a", 2, 1.0, 0.5), ClassLoad("b", 1, 0.0, 1.0)))
         trace = run_sim(h, w, (), SimConfig(duration=400.0, warmup=40.0))
-        for c in w.classes:
-            row = trace.perf.rows[c.user]
-            assert row.throughput * (row.response + c.think) == pytest.approx(
-                c.procs, rel=0.01
-            )
-            assert row.utilization == pytest.approx(row.throughput * c.demand, rel=0.01)
+        assert_operational_laws(trace.perf, w.classes, 0.01)
 
     def test_user_with_no_completions_is_flagged(self):
         h = pool(("fast", 50, True), ("slow", 50, True))
