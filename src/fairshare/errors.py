@@ -1,7 +1,6 @@
 """Exception types shared across the toolkit, the one check of every work budget,
 and the decorator by which a record validates itself."""
 
-import math
 import sys
 
 
@@ -53,13 +52,21 @@ class PopulationGuardError(FairshareError):
     """A workload or run exceeds a solver's, the simulator's or the monitor's work budget."""
 
 
+def count_text(count) -> str:
+    """A count as an error message shows it: below 10**15 an int in full and a
+    float with ``g``, above that three digits, past the float range as "more
+    than 1.8e+308" (never inf, and ``format`` refuses an int that large)."""
+    if count < 10**15:
+        return str(count) if isinstance(count, int) else f"{count:g}"
+    return f"{count:.3g}" if count <= sys.float_info.max else f"more than {sys.float_info.max:.1e}"
+
+
 def check_budget(count, limit, counted: str, cost: str, advice: str) -> None:
     """Refuse a predicted ``count`` of ``counted`` over ``limit``, whose measured
-    cost is ``cost``; ``advice`` says how to ask for less.  No count reads inf."""
+    cost is ``cost``; ``advice`` says how to ask for less."""
     if count > limit:
-        shown = (count if isinstance(count, int) else f"{count:g}" if count < math.inf
-                 else f"more than {sys.float_info.max:.1e}")
-        raise PopulationGuardError(f"{shown} {counted} exceed {limit}, the budget of {cost}; {advice}")
+        raise PopulationGuardError(
+            f"{count_text(count)} {counted} exceed {limit}, the budget of {cost}; {advice}")
 
 
 class ScenarioParseError(ValidationError):

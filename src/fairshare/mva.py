@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ValidationError, ZeroEntitlementError, check_budget, validated
+from .errors import ValidationError, ZeroEntitlementError, check_budget, count_text, validated
 from .shares import EntitlementTable
 
 # Largest population-vector space the exact recursion will attempt.  At the
@@ -110,8 +110,8 @@ def solve_ts(w: WorkloadSpec) -> PerfTable:
     dims = [c.procs + 1 for c in w.classes]
     size = math.prod(dims)
     levels = sum(c.procs for c in w.classes)
-    check_budget(size + levels * _LEVEL_VECTORS, POPULATION_GUARD,
-                 f"vectors ({size} states and {levels} levels of {_LEVEL_VECTORS})",
+    check_budget(size + levels * _LEVEL_VECTORS, POPULATION_GUARD, f"vectors ({count_text(size)} states"
+                 f" and {count_text(levels)} levels of {_LEVEL_VECTORS})",
                  "an 80 MB queue table and a few seconds",
                  "use the simulator (`fairshare simulate`) for this workload")
 
@@ -180,8 +180,9 @@ def _check_workload(w: WorkloadSpec, e: EntitlementTable, passes: int) -> None:
                 f"user {c.user!r} has zero entitlement but a nonzero workload"
             )
     procs = sum(c.procs for c in w.classes)
-    check_budget(passes * procs, POPULATION_GUARD, f"process levels ({passes} x {procs} processes)",
-                 "about 1 s", "use fewer procs")
+    check_budget(passes * procs, POPULATION_GUARD,
+                 f"process levels ({passes} x {count_text(procs)} processes)", "about 1 s",
+                 "use fewer procs")
 
 
 def solve_srm_partition(w: WorkloadSpec, e: EntitlementTable) -> PerfTable:

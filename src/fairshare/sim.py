@@ -67,7 +67,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import ValidationError, check_budget, validated
+from .errors import ValidationError, check_budget, count_text, validated
 from .mva import PerfRow, PerfTable, WorkloadSpec
 from .shares import EntitlementTable, ShareHierarchy, TimelineEvent, validate_timeline
 
@@ -92,7 +92,7 @@ TICK_GUARD = 1_000_000
 # windows reaches it at 5,000 s.
 WINDOW_GUARD = 1_000_000
 # Most demand cycles a run may complete, bounded before the run (run_sim).
-# A cycle costs 2.7-6.8 us in the processor-sharing engine, 0.8-3.4 us in
+# A cycle costs 3.7-6.3 us in the processor-sharing engine, 0.8-3.4 us in
 # the quantized ones, and 96-154 B of peak RSS with its SimTrace.cycles
 # record, so at the limit a run takes up to 7 s and 155 MB (2-CPU x86-64).
 CYCLE_GUARD = 1_000_000
@@ -208,7 +208,7 @@ def run_sim(
          f"quanta of {config.quantum:g}s in {config.duration:g}s", "a few seconds",
          "use a shorter --duration or a larger --quantum"),
         (windows * len(w.classes), WINDOW_GUARD,
-         f"busy-time cells in {windows} windows of {len(w.classes)} users", "about 125 MB",
+         f"busy-time cells in {count_text(windows)} windows of {len(w.classes)} users", "about 125 MB",
          "use a larger --window or a shorter --duration"),
         (cycles, CYCLE_GUARD, f"demand cycles in {seconds:g}s", "about 155 MB and 7 s",
          "use a shorter --duration or a larger demand"),

@@ -93,6 +93,9 @@ def two_user_files(tmp_path):
         # budget, but 9.9e6 levels.
         "procs_one_deep_class": "total_shares 10\ngroup G shares=10\nuser alice group=G "
                                 "shares=10 procs=9900000 think=1 demand=0.5 active=yes\n",
+        # bob runs 1e400 processes, a count past the float range.
+        "procs_past_float_range": TWO_USERS.format(think="1", demand="0.5", event="")
+                                  .replace("procs=1", "procs=1" + "0" * 400),
     }.items():
         path = tmp_path / role
         path.write_text(text)
@@ -468,6 +471,24 @@ def test_bad_input_exits_one(capsys, two_user_files, argv):
     assert code == 1
     assert err.startswith("error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "procs_past_float_range"),
+        ("simulate", "report4", "--duration", "10", "--warmup", "0", "--quantum", "1e-300"),
+        ("simulate", "report4", "--sim-mode", "ts-ps-reference", "--duration", "1e300",
+         "--window", "1"),
+    ],
+    ids=["report-procs", "simulate-quanta", "simulate-windows"],
+)
+def test_budget_errors_print_huge_counts_briefly(capsys, two_user_files, argv):
+    # Each count here has 300 to 400 digits in full.
+    code, out, err = run_cli(capsys, *[two_user_files.get(a, a) for a in argv])
+    assert code == 1
+    assert err.startswith("error: ") and "exceed" in err
+    assert len(err) < 300 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [("report", "big", "--solver", "simulate"),
