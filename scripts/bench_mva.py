@@ -1,5 +1,6 @@
 """Summarize ``bench/run.py`` results of one or more checkouts as BENCH records.
 
+    python3 -m compileall -q PARENT_CHECKOUT/src src    # the same bytecode state in both trees
     for seed in 1 2 3; do
         trees="PARENT_CHECKOUT ."    # the other tree runs first on even seeds
         [ $((seed % 2)) = 0 ] && trees=". PARENT_CHECKOUT"
@@ -11,6 +12,11 @@
     done
     python3 scripts/bench_mva.py --tree parent=PARENT_CHECKOUT --tree change=. \\
         --workload sim-crowd --out BENCH_N.json
+
+Before the pairs run, both checkouts hold the same bytecode state: both
+compiled, as above, or both cleaned of ``__pycache__``.  A run imports
+the toolkit several times faster from bytecode, so ``setup_s`` of trees
+in different states compares their caches, not their code.
 
 This script times nothing.  It reads the results that ``bench/run.py``
 left in each ``--tree LABEL=PATH`` checkout's ``.bench_work/results``, and
@@ -52,9 +58,16 @@ from pathlib import Path
 
 
 def describe(tree: Path) -> str:
-    out = subprocess.run(["git", "-C", str(tree), "describe", "--always", "--dirty"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() or "unknown"
+    """``tree``'s commit, with ``-dirty`` only when ``src/`` has uncommitted edits:
+    the records are of ``src/fairshare``, so an edit elsewhere does not change them."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(tree), *args],
+                              capture_output=True, text=True).stdout.strip()
+
+    commit = git("rev-parse", "--short", "HEAD")
+    if not commit:
+        return "unknown"
+    return commit + ("-dirty" if git("status", "--porcelain", "--", "src") else "")
 
 
 def src_digest(tree: Path) -> str:

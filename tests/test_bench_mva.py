@@ -176,3 +176,22 @@ def test_main_writes_records_of_the_bench_schema(tree, tmp_path):
     assert all(list(r) == schema for r in records)
     assert {r["work_counters"]["unit"] for r in records if r["layer"] != "end-to-end"} == {"s"}
     assert len(printed.getvalue().splitlines()) == len(records)
+
+
+def test_describe_marks_only_source_edits_dirty(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                               "-c", "commit.gpgsign=false", *args],
+                              check=True, capture_output=True, text=True).stdout.strip()
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    (tmp_path / "README").write_text("one\n")
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "one")
+    commit = git("rev-parse", "--short", "HEAD")
+    (tmp_path / "README").write_text("two\n")
+    assert bench_mva.describe(tmp_path) == commit
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    assert bench_mva.describe(tmp_path) == f"{commit}-dirty"
