@@ -53,9 +53,12 @@ kept incrementally so that a dispatch costs O(log users):
   run, then by name, and runs are reproducible bit for bit.  A heap of
   groups holds exactly the groups with a runnable user, and each group a
   heap of exactly its runnable users.  A dispatch runs the top user of the
-  top group and replaces both tops with their new keys, and a user who is
-  deactivated leaves its heap at once.  A group's usage is the sum of its
+  top group and replaces that user's entry with its new key, and a user
+  who is deactivated leaves its heap at once.  With more than one group,
+  the group's entry is replaced too, and a group's usage is the sum of its
   members' charges, kept as they are made and decayed and renormalized.
+  With one group, as in flat mode, its key is never compared, so it is
+  neither kept nor replaced: the group only enters and leaves its heap.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ SIM_MODES = (FAIRSHARE_FLAT, FAIRSHARE_HIERARCHICAL, TS_ROUNDROBIN, TS_PS_REFERE
 # 1.1-2.2 s and 107-137 MB depending on the mode (2-CPU x86-64 host).
 PROCESS_GUARD = 1_000_000
 # Most quanta one quantized run may step through.  A busy quantum costs
-# 2-3 us (5 users to 200) and an idle one 0.26 us, so at the limit the
-# loop takes up to 2-3 s; 10 ms quanta reach it at 10,000 simulated s.
+# 0.4-1.7 us (round robin with 5 users to fair share with 200) and an idle
+# one 0.15 us, so at the limit the loop takes up to 2 s; 10 ms quanta
+# reach it at 10,000 simulated s.
 TICK_GUARD = 1_000_000
 # Most (window, user) busy-time cells one run may record.  Each costs
 # 106-125 B of peak RSS, so the limit is about 125 MB, and 0.15-0.5 us in
@@ -92,7 +96,7 @@ TICK_GUARD = 1_000_000
 # windows reaches it at 5,000 s.
 WINDOW_GUARD = 1_000_000
 # Most demand cycles a run may complete, bounded before the run (run_sim).
-# A cycle costs 3.7-6.3 us in the processor-sharing engine, 0.8-3.4 us in
+# A cycle costs 3.7-6.3 us in the processor-sharing engine, 0.8-2.7 us in
 # the quantized ones, and 96-154 B of peak RSS with its SimTrace.cycles
 # record, so at the limit a run takes up to 7 s and 155 MB (2-CPU x86-64).
 CYCLE_GUARD = 1_000_000
@@ -428,65 +432,83 @@ def _run_quantized(h, w, timeline, config) -> SimTrace:
         group_heap[:] = [group_key[g] for g in heaps if heaps[g]]
         heapify(group_heap)
 
+    # With one group, group_heap holds at most that group, so its key is
+    # never compared and is left as it is: only its presence is kept.
+    one_group = len(groups) == 1
+    time_eps, scale_limit = _TIME_EPS, _SCALE_LIMIT
     next_due = 0
-    for tick in range(n_ticks):
-        tick_time = tick * q
-        if tick >= next_due:
-            next_due = core.release(tick, tick_time)
+    # Window by window, each split at the warmup, so a quantum looks up
+    # neither its window's busy time nor whether it is past the warmup.
+    for index, busy in enumerate(window_busy):
+        start = index * window_ticks
+        end = min(start + window_ticks, n_ticks)
+        edge = min(max(start, warmup_ticks), end)
+        for post, ticks in ((False, range(start, edge)), (True, range(edge, end))):
+            for tick in ticks:
+                tick_time = tick * q
+                if tick >= next_due:
+                    next_due = core.release(tick, tick_time)
 
-        busy = window_busy[tick // window_ticks]
-        post = tick >= warmup_ticks
-        time_left = q
-        sub = tick_time
-        while time_left > _TIME_EPS:
-            if round_robin:
-                if not run_queue:
-                    break
-                proc = run_queue.popleft()
-            else:
-                # The top group, then the top user in its heap.  Both
-                # entries stay on top until the charge.
-                if not group_heap:
-                    break
-                g = group_heap[0][2]
-                heap = heaps[g]
-                proc = queues[heap[0][2]].popleft()
-            run = proc.remaining if proc.remaining < time_left else time_left
-            proc.remaining -= run
-            sub += run
-            time_left -= run
-            u = proc.user
-            busy[u] += run
-            if post:
-                post_busy[u] += run
-            finished = proc.remaining <= _TIME_EPS
-            if not finished:
-                queues[u].append(proc)
-            if not round_robin:
-                # Replace the picked entries with the new keys, or drop them
-                # when their owner has nothing left to run.
-                charged = run * scale
-                usage[u] += charged
-                key[u] = (usage[u] / shares[u], tick, u)
-                if queues[u]:
-                    heapreplace(heap, key[u])
-                else:
-                    heappop(heap)
-                group_usage[g] += charged
-                group_key[g] = (group_usage[g] / group_shares[g], tick, g)
-                if heap:
-                    heapreplace(group_heap, group_key[g])
-                else:
-                    heappop(group_heap)
-            if finished:
-                # Wakeups are released at the start of a quantum, so a
-                # process parked now wakes in the next one at the earliest.
-                wake = core.finish_cycle(proc, sub, tick + 1)
-                if wake < next_due:
-                    next_due = wake
-        scale *= growth
-        if scale > _SCALE_LIMIT:
-            renormalize()
+                time_left = q
+                sub = tick_time
+                while time_left > time_eps:
+                    if round_robin:
+                        if not run_queue:
+                            break
+                        queue = run_queue
+                    else:
+                        # The top group, then the top user in its heap.  Both
+                        # entries stay on top until the charge.
+                        if not group_heap:
+                            break
+                        g = group_heap[0][2]
+                        heap = heaps[g]
+                        queue = queues[heap[0][2]]
+                    proc = queue.popleft()
+                    remaining = proc.remaining
+                    run = remaining if remaining < time_left else time_left
+                    remaining -= run
+                    proc.remaining = remaining
+                    sub += run
+                    time_left -= run
+                    u = proc.user
+                    busy[u] += run
+                    if post:
+                        post_busy[u] += run
+                    finished = remaining <= time_eps
+                    if not finished:
+                        queue.append(proc)
+                    if not round_robin:
+                        # Replace the picked user's entry with its new key, or
+                        # drop it when the user has nothing left to run; then
+                        # the group's, which one group only drops.
+                        charged = run * scale
+                        used = usage[u] + charged
+                        usage[u] = used
+                        key[u] = entry = (used / shares[u], tick, u)
+                        if queue:
+                            heapreplace(heap, entry)
+                        else:
+                            heappop(heap)
+                        if one_group:
+                            if not heap:
+                                heappop(group_heap)
+                        else:
+                            group_usage[g] += charged
+                            group_key[g] = (group_usage[g] / group_shares[g], tick, g)
+                            if heap:
+                                heapreplace(group_heap, group_key[g])
+                            else:
+                                heappop(group_heap)
+                    if finished:
+                        # Wakeups are released at the start of a quantum, so a
+                        # process parked now wakes in the next one at the earliest.
+                        wake = core.finish_cycle(proc, sub, tick + 1)
+                        if wake < next_due:
+                            next_due = wake
+                scale *= growth
+                if scale > scale_limit:
+                    renormalize()
 
     return core.trace(window_ticks * q, n_ticks * q - warmup_ticks * q)
 

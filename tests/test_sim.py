@@ -637,6 +637,39 @@ def test_many_user_traces_match_pinned_digests(golden_dir):
     assert crowd_digest_lines() == expected
 
 
+# Grids whose warmup and last window fall inside a window: a 0.7 s window
+# of 70 quanta, a warmup at quantum 527 of window 7 and a partial window of
+# 55 quanta; then 30 ms quanta in 2.49 s windows of 83 quanta, a warmup at
+# quantum 167 of window 2, a partial window of 11 quanta and usage halving
+# every 0.05 s.
+OFFGRID_CONFIGS = {
+    "w0.7": dict(duration=80.35, warmup=5.27, window=0.7),
+    "q0.03": dict(duration=80.0, warmup=5.0, quantum=0.03, window=2.5, usage_half_life=0.05),
+}
+
+
+def offgrid_digest_lines(scenario_dir):
+    """One ``case mode jitter grid sha256`` line per quantized run on an off-grid config."""
+    cases = [(name, (scenario_dir / f"{name}.fsp").read_text())
+             for name in ("report4", "example-2-2")]
+    cases += [("mixed", MIXED_SCENARIO), ("crowd40", crowd_scenario())]
+    lines = []
+    for name, text in cases:
+        s = parse_scenario(text, label=name)
+        for mode in SIM_MODES[:3]:  # the quantized ones
+            for jitter in (False, True):
+                for grid, fields in OFFGRID_CONFIGS.items():
+                    config = SimConfig(mode=mode, seed=7, think_jitter=jitter, **fields)
+                    tr = run_sim(s.hierarchy, s.workload, s.timeline, config)
+                    lines.append(f"{name} {mode} {int(jitter)} {grid} {trace_digest(tr)}")
+    return lines
+
+
+def test_offgrid_traces_match_pinned_digests(scenario_dir, golden_dir):
+    expected = (golden_dir / "sim_offgrid_digests.txt").read_text().splitlines()
+    assert offgrid_digest_lines(scenario_dir) == expected
+
+
 @pytest.mark.parametrize("mode", SIM_MODES)
 def test_a_run_leaves_no_reference_cycles(mode):
     # The engines' state is freed by reference counting when run_sim
