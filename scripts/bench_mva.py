@@ -44,6 +44,14 @@ the unit.  Its ``size`` is the number of calls over the seeds, or None for a
 
 Every record has the fields ``case, layer, size, repeats, median_s, min_s,
 per_unit, work_counters, python, numpy, commit``.
+
+Given two ``--tree``s, the first the base, it also prints a pair summary
+for each workload and each end-to-end metric that ``BENCHMARK.json``
+names, over the ``--trace 0`` results of the two trees that share a
+``meta.seed``: the second tree's wins in the metric's ``better`` direction,
+where a tie counts for neither; both medians; and the first tree's q3 - q1,
+with whether the medians are more than that apart.  It only reads
+``BENCHMARK.json``, and the records are the same with one tree or two.
 """
 
 from __future__ import annotations
@@ -87,10 +95,16 @@ def own_runs(tree: Path, workload: str, trace: int) -> tuple[list[dict], int]:
     return runs, len(found) - len(runs)
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """(q1, q3) of ``values``; both are the value itself when there is one."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return q1, q3
+
+
 def record(case: str, layer: str, size, values: list[float], unit: str, per_unit,
            runs: list[dict], skipped: int, commit: str) -> dict:
     """One BENCH record of ``values``, one per run, in ``unit``."""
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, q3 = quartiles(values)
     return {
         "case": case,
         "layer": layer,
@@ -151,6 +165,40 @@ def layer_records(label: str, tree: Path, workload: str) -> list[dict]:
     return records
 
 
+def directions() -> dict[str, str]:
+    """Each end-to-end metric's better direction, ``lower`` or ``higher``, from BENCHMARK.json."""
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def pair_summary(base: list[dict], change: list[dict], better: dict[str, str]) -> list[dict]:
+    """Per end-to-end metric, how the ``change`` runs fare against the ``base`` runs
+    of the same ``meta.seed``: wins in the ``better`` direction (a tie counts for
+    neither), both medians, and whether they differ by more than the base's q3 - q1."""
+    by_seed = [{run["meta"]["seed"]: run["result"]["metrics"] for run in runs}
+               for runs in (base, change)]
+    seeds = sorted(by_seed[0].keys() & by_seed[1].keys())
+    rows = []
+    for metric, direction in better.items():
+        if not seeds or metric not in by_seed[0][seeds[0]]:
+            continue
+        before, after = ([tree[seed][metric]["value"] for seed in seeds] for tree in by_seed)
+        sign = 1 if direction == "higher" else -1
+        median_base, median_change = statistics.median(before), statistics.median(after)
+        q1, q3 = quartiles(before)
+        rows.append({
+            "metric": metric,
+            "pairs": len(seeds),
+            "wins": sum(sign * (b - a) > 0 for a, b in zip(before, after)),
+            "ties": sum(a == b for a, b in zip(before, after)),
+            "median_base": median_base,
+            "median_change": median_change,
+            "spread": q3 - q1,
+            "beyond": abs(median_change - median_base) > q3 - q1,
+        })
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH")
@@ -158,9 +206,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
+    trees = [(label, Path(path).resolve())
+             for label, _, path in (spec.partition("=") for spec in args.tree)]
     records = []
-    for label, _, path in (spec.partition("=") for spec in args.tree):
-        tree = Path(path).resolve()
+    for label, tree in trees:
         for workload in args.workload:
             records += e2e_records(label, tree, workload) + layer_records(label, tree, workload)
     Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
@@ -169,6 +218,15 @@ def main(argv=None) -> int:
                 else f"  {r['per_unit']:.3f} us/{r['work_counters']['per']}")
         print(f"{r['case']:56s} {r['median_s']:.6g} {r['work_counters']['unit']} "
               f"(min {r['min_s']:.6g}, n={r['repeats']}){cost}")
+    if len(trees) == 2:
+        (base, base_tree), (change, change_tree) = trees
+        for workload in args.workload:
+            for p in pair_summary(own_runs(base_tree, workload, 0)[0],
+                                  own_runs(change_tree, workload, 0)[0], directions()):
+                print(f"{workload} {p['metric']}: {change} wins {p['wins']} of {p['pairs']} pairs "
+                      f"({p['ties']} tied), median {p['median_base']:.6g} -> {p['median_change']:.6g}, "
+                      f"{base} q3-q1 {p['spread']:.3g}, "
+                      f"{'more' if p['beyond'] else 'not more'} than that apart")
     return 0
 
 

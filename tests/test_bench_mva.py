@@ -175,7 +175,8 @@ def test_main_writes_records_of_the_bench_schema(tree, tmp_path):
               "work_counters", "python", "numpy", "commit"]
     assert all(list(r) == schema for r in records)
     assert {r["work_counters"]["unit"] for r in records if r["layer"] != "end-to-end"} == {"s"}
-    assert len(printed.getvalue().splitlines()) == len(records)
+    # A line per record, then a pair-summary line per end-to-end metric.
+    assert len(printed.getvalue().splitlines()) == len(records) + len(E2E_UNITS)
 
 
 def test_describe_marks_only_source_edits_dirty(tmp_path):
@@ -195,3 +196,45 @@ def test_describe_marks_only_source_edits_dirty(tmp_path):
     assert bench_mva.describe(tmp_path) == commit
     (tmp_path / "src" / "a.py").write_text("x = 2\n")
     assert bench_mva.describe(tmp_path) == f"{commit}-dirty"
+
+
+def test_pair_summary_counts_wins_by_seed_in_each_metrics_direction(tmp_path):
+    # op_p50_s is better lower: seed 1 wins, seed 2 ties and seed 3 wins.
+    # ops_per_s is better higher: seeds 1 and 3 win, seed 2 loses.  Every
+    # peak_rss_mb pair wins, with no spread in the base.  Seed 4 ran on one
+    # tree only, so it makes no pair.
+    base, change = tmp_path / "base", tmp_path / "change"
+    fake = {base: {1: (0.010, 100.0, 40.0), 2: (0.020, 90.0, 40.0), 3: (0.030, 80.0, 40.0)},
+            change: {1: (0.008, 110.0, 30.0), 2: (0.020, 85.0, 31.0), 3: (0.025, 95.0, 30.0),
+                     4: (9.9, 1.0, 99.0)}}
+    for tree, runs in fake.items():
+        (tree / "src" / "fairshare").mkdir(parents=True)
+        (tree / ".bench_work" / "results").mkdir(parents=True)
+        for seed, (p50, rate, rss) in runs.items():
+            result = _result(seed, bench_mva.src_digest(tree), p50)
+            result["result"]["metrics"]["ops_per_s"]["value"] = rate
+            result["result"]["metrics"]["peak_rss_mb"]["value"] = rss
+            _write(tree, seed, result)
+    better = bench_mva.directions()
+    assert (better["op_p50_s"], better["ops_per_s"]) == ("lower", "higher")
+    runs = [bench_mva.own_runs(tree, "sim-crowd", 0)[0] for tree in (base, change)]
+    rows = {p["metric"]: p for p in bench_mva.pair_summary(*runs, better)}
+    assert set(rows) == set(E2E_UNITS)
+    p50 = rows["op_p50_s"]
+    assert (p50["pairs"], p50["wins"], p50["ties"]) == (3, 2, 1)
+    assert (p50["median_base"], p50["median_change"]) == (0.020, 0.020)
+    assert p50["spread"] == pytest.approx(0.020)  # exclusive quartiles of three: 0.010 and 0.030
+    assert not p50["beyond"]
+    rate = rows["ops_per_s"]
+    assert (rate["pairs"], rate["wins"], rate["ties"]) == (3, 2, 0)
+    assert (rate["median_base"], rate["median_change"]) == (90.0, 95.0)
+    assert rate["spread"] == pytest.approx(20.0)
+    assert not rate["beyond"]
+    rss = rows["peak_rss_mb"]
+    assert (rss["wins"], rss["median_change"], rss["spread"], rss["beyond"]) == (3, 30.0, 0.0, True)
+    out = tmp_path / "bench.json"
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        bench_mva.main(["--tree", f"parent={base}", "--tree", f"change={change}",
+                        "--workload", "sim-crowd", "--out", str(out)])
+    assert ("sim-crowd ops_per_s: change wins 2 of 3 pairs (0 tied), median 90 -> 95, "
+            "parent q3-q1 20, not more than that apart") in printed.getvalue().splitlines()
