@@ -180,13 +180,16 @@ def test_wide_and_blocked_levels_equal_the_textbook_recursion(monkeypatch, cells
         assert solve_ts(w).rows == reference_ts(w)
 
 
-# Mid-size workloads (1e4 to 2e5 population vectors) whose rows are pinned in
-# golden/mva_rows.txt, as (procs, think, demand) per class.
+# Workloads whose rows are pinned in golden/mva_rows.txt, as (procs, think,
+# demand) per class: 1e4 to 2e5 population vectors, one class of 3,000
+# one-vector levels, and 1e6 vectors in the shape of the benchmark's top op.
 PINNED_WORKLOADS = {
     "three-classes": ((21, 0.0, 1.0), (21, 2.5, 0.7), (21, 0.0, 1.3)),
     "four-classes": ((15, 1.7, 0.37), (12, 0.0, 1.9), (10, 4.0, 0.05), (9, 0.25, 2.2)),
     "five-classes": ((10, 0.0, 0.6), (9, 3.3, 1.1), (8, 0.0, 0.45), (7, 12.0, 2.0), (6, 0.8, 0.9)),
     "two-classes": ((499, 10.0, 0.3), (399, 0.0, 0.11)),
+    "one-class": ((3000, 0.5, 0.02),),
+    "million": ((99, 0.0, 0.31), (99, 1.9, 0.07), (99, 0.0, 0.55)),
 }
 
 
