@@ -50,7 +50,11 @@ for each workload and each end-to-end metric that ``BENCHMARK.json``
 names, over the ``--trace 0`` results of the two trees that share a
 ``meta.seed``: the second tree's wins in the metric's ``better`` direction,
 where a tie counts for neither; both medians; and the first tree's q3 - q1,
-with whether the medians are more than that apart.  It only reads
+with whether the medians are more than that apart.  It also prints, for
+each workload and each layer that ran in the ``--trace 1`` results of the
+two trees that share a ``meta.seed``, the second tree's wins on self time
+per op, where a tie counts for neither; both medians of it; and both
+medians of the layer's cost per unit of work.  It only reads
 ``BENCHMARK.json``, and the records are the same with one tree or two.
 """
 
@@ -155,14 +159,22 @@ def layer_records(label: str, tree: Path, workload: str) -> list[dict]:
             continue
         per_op = [m[key] / m["cli.main.calls"] for m in metrics]
         calls = sum(m[f"{name}.calls"] for m in metrics) if f"{name}.calls" in metrics[0] else None
-        unit = next((k for k in metrics[0] if k.startswith(f"{name}.us_per_")), None)
-        per = unit.partition(".us_per_")[2] if unit else "call"
-        per_unit = (statistics.median(m[unit] for m in metrics) if unit
-                    else 1e6 * sum(m[key] for m in metrics) / calls)
+        per_unit, per = unit_cost(metrics, name)
         records.append(record(f"{workload} {name} {label}", name, calls, per_op, "s", per_unit,
                               runs, skipped, commit))
         records[-1]["work_counters"]["per"] = per
     return records
+
+
+def unit_cost(metrics: list[dict], name: str) -> tuple[float, str]:
+    """Layer ``name``'s cost per unit of work over ``metrics``, one dict per traced
+    run, and the unit: the median of the tracer's ``us_per_*`` metric where it
+    reports one, and otherwise µs per call."""
+    unit = next((k for k in metrics[0] if k.startswith(f"{name}.us_per_")), None)
+    if unit:
+        return statistics.median(m[unit] for m in metrics), unit.partition(".us_per_")[2]
+    calls = sum(m[f"{name}.calls"] for m in metrics)
+    return 1e6 * sum(m[f"{name}.self_s"] for m in metrics) / calls, "call"
 
 
 def directions() -> dict[str, str]:
@@ -199,6 +211,39 @@ def pair_summary(base: list[dict], change: list[dict], better: dict[str, str]) -
     return rows
 
 
+def layer_pair_summary(base: list[dict], change: list[dict]) -> list[dict]:
+    """Per traced layer that ran in the ``base`` or the ``change`` runs, how the
+    ``change`` runs fare against the ``base`` runs of the same ``meta.seed``: wins
+    on self time per op (lower is better; a tie counts for neither), both medians
+    of it, and both medians of the layer's cost per unit of work."""
+    by_seed = [{run["meta"]["seed"]: {key: m["value"]
+                                      for key, m in run["result"]["metrics"].items()}
+                for run in runs} for runs in (base, change)]
+    seeds = sorted(by_seed[0].keys() & by_seed[1].keys())
+    if not seeds:
+        return []
+    trees = [[tree[seed] for seed in seeds] for tree in by_seed]
+    rows = []
+    for key in trees[0][0].keys() & trees[1][0].keys():
+        name, _, stat = key.rpartition(".")
+        if stat != "self_s" or not any(m[key] for tree in trees for m in tree):
+            continue
+        before, after = ([m[key] / m["cli.main.calls"] for m in tree] for tree in trees)
+        (unit_base, per), (unit_change, _) = (unit_cost(tree, name) for tree in trees)
+        rows.append({
+            "layer": name,
+            "pairs": len(seeds),
+            "wins": sum(new < old for old, new in zip(before, after)),
+            "ties": sum(new == old for old, new in zip(before, after)),
+            "median_base": statistics.median(before),
+            "median_change": statistics.median(after),
+            "per": per,
+            "per_unit_base": unit_base,
+            "per_unit_change": unit_change,
+        })
+    return sorted(rows, key=lambda row: row["layer"])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH")
@@ -227,6 +272,12 @@ def main(argv=None) -> int:
                       f"({p['ties']} tied), median {p['median_base']:.6g} -> {p['median_change']:.6g}, "
                       f"{base} q3-q1 {p['spread']:.3g}, "
                       f"{'more' if p['beyond'] else 'not more'} than that apart")
+            for p in layer_pair_summary(own_runs(base_tree, workload, 1)[0],
+                                        own_runs(change_tree, workload, 1)[0]):
+                print(f"{workload} {p['layer']} self s/op: {change} wins {p['wins']} of "
+                      f"{p['pairs']} pairs ({p['ties']} tied), median {p['median_base']:.6g} -> "
+                      f"{p['median_change']:.6g}, us/{p['per']} {p['per_unit_base']:.4g} -> "
+                      f"{p['per_unit_change']:.4g}")
     return 0
 
 

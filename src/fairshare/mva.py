@@ -25,14 +25,16 @@ from .errors import ValidationError, ZeroEntitlementError, check_budget, count_t
 from .shares import EntitlementTable
 
 # Largest population-vector space the exact recursion will attempt.  At the
-# limit the queue table takes 8 bytes per vector, 80 MB, and solving 2 to 23
-# classes measured 0.4-3.5 s at 106-167 MB peak RSS (2-CPU x86-64 host).
-# The repairman solvers' process levels count against it at 0.09 us each: 1 s.
+# limit the table of 1 + Q takes 8 bytes per vector, 80 MB, and solving 2 to
+# 23 classes measured 0.5-4.0 s at 100-167 MB peak RSS (2-CPU x86-64 host).
+# It keeps every flat vector index below 2**31, as solve_ts's int32 class
+# counts need.  The repairman solvers' process levels count against it at
+# 0.09 us each: 1 s.
 POPULATION_GUARD = 10_000_000
-# Each population level also costs 14-35 us however few vectors it holds,
-# against 0.05-0.38 us per vector, so a level counts as 100 vectors against
-# the guard and a thin space stays within the same few seconds: one class
-# of 1e5 processes (1.6-1.9 s) is just over it.
+# Each population level also costs 12-17 us however few vectors it holds,
+# against 0.05-0.48 us per vector (2 to 23 classes), so a level counts as
+# 100 vectors against the guard and a thin space stays within the same few
+# seconds: one class of 1e5 processes (1.4-1.5 s) is just over it.
 _LEVEL_VECTORS = 100
 
 # Most (class, vector) cells one block of a level holds, 8 MB per array, so
@@ -101,9 +103,11 @@ def solve_ts(w: WorkloadSpec) -> PerfTable:
     class also has a think (delay) station.  The mean CPU queue at a
     population vector depends only on the vectors with one process fewer,
     so the solver sweeps the population levels (total processes) upward and
-    solves each level as one batch of array operations.  Every vector and
-    every level is visited once, so the product of (N_c + 1) plus the
-    levels, each counted as ``_LEVEL_VECTORS`` vectors, is guarded.
+    solves each level as one batch of array operations.  The table holds
+    1 + Q per vector, the factor by which a response time there multiplies
+    a class's demand.  Every vector and every level is visited once, so the
+    product of (N_c + 1) plus the levels, each counted as
+    ``_LEVEL_VECTORS`` vectors, is guarded.
     """
     import numpy as np  # here, not at module top, so commands that solve nothing never load it
 
@@ -126,35 +130,44 @@ def solve_ts(w: WorkloadSpec) -> PerfTable:
     strides = np.array([math.prod(dims[i + 1:]) for i in range(len(dims))])[:, None]
     dim = np.array(dims)[:, None]
     room = (dim - 1) * strides
+    # check_budget holds size to POPULATION_GUARD, below 2**31, so every flat
+    # index fits int32, where the class counts' divide and modulo run faster.
+    # The indices that gather and scatter stay intp: int32 ones are cast back.
+    strides32, dim32 = strides.astype(np.int32), dim.astype(np.int32)
     think = np.array([c.think for c in w.classes])[:, None]
     demand = np.array([c.demand for c in w.classes])[:, None]
     block = max(2, _LEVEL_CELLS // len(dims))
 
-    queue = np.zeros(size)  # total mean CPU queue length per population vector
-    level = strides[:, 0]  # level 1: one process of any one class; level 0 is 0.0
-    for _ in range(1, levels):  # levels 1 .. N-1
-        solved = np.empty(len(level))
-        children = []
-        # A wide level is solved in blocks of vectors.  A single leftover
-        # vector joins the block before it: numpy sums a one-column (k, 1)
-        # array pairwise once k >= 8, not row by row.
-        starts = range(0, max(len(level) - 1, 1), block)
-        for lo, hi in zip(starts, [*starts[1:], len(level)]):
-            idx = level[lo:hi]
-            counts = idx // strides % dim
-            # An empty class reads a vector at this level or above, none of
-            # them solved yet (0.0), so it adds an exact 0.0.
-            resp = demand * (1.0 + queue[idx - strides])
-            (counts / (think + resp) * resp).sum(axis=0, out=solved[lo:hi])
-            children.append((idx + strides)[idx < room])
-        # Written after the whole level, so no block reads a vector of its own level.
-        queue[level] = solved
-        level = np.concatenate(children)
+    # 1 + the total mean CPU queue length per population vector: the add runs
+    # once per vector, not once per (class, vector), and gives the same float.
+    factor = np.ones(size)
+    level = strides[:, 0]  # level 1: one process of any one class; level 0 is 1.0
+    # Overflow to inf or nan is left to PerfRow to refuse: it reaches the full
+    # vector's rows, and numpy's warnings would only add noise to stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(1, levels):  # levels 1 .. N-1
+            solved = np.empty(len(level))
+            children = []
+            # A wide level is solved in blocks of vectors.  A single leftover
+            # vector joins the block before it: numpy sums a one-column (k, 1)
+            # array pairwise once k >= 8, not row by row.
+            starts = range(0, max(len(level) - 1, 1), block)
+            for lo, hi in zip(starts, [*starts[1:], len(level)]):
+                idx = level[lo:hi]
+                counts = idx.astype(np.int32) // strides32 % dim32
+                # An empty class reads a vector at this level or above, none
+                # of them solved yet (1.0), so it adds an exact 0.0.
+                resp = demand * factor[idx - strides]
+                (counts / (think + resp) * resp).sum(axis=0, out=solved[lo:hi])
+                children.append((idx + strides)[idx < room])
+            # Written after the whole level, so no block reads a vector of its own level.
+            factor[level] = 1.0 + solved
+            level = children[0] if len(children) == 1 else np.concatenate(children)
 
-    # The full vector's rows, from the queue one process below it per class.
+    # The full vector's rows, from 1 + Q one process below it per class.
     rows = {}
-    for c, below in zip(w.classes, queue[size - 1 - strides[:, 0]].tolist()):
-        r = c.demand * (1.0 + below)
+    for c, below in zip(w.classes, factor[size - 1 - strides[:, 0]].tolist()):
+        r = c.demand * below
         x = c.procs / (c.think + r)
         rows[c.user] = PerfRow(x, r, x * c.demand)
     return PerfTable(solver="ts", rows=rows)

@@ -175,8 +175,8 @@ def test_main_writes_records_of_the_bench_schema(tree, tmp_path):
               "work_counters", "python", "numpy", "commit"]
     assert all(list(r) == schema for r in records)
     assert {r["work_counters"]["unit"] for r in records if r["layer"] != "end-to-end"} == {"s"}
-    # A line per record, then a pair-summary line per end-to-end metric.
-    assert len(printed.getvalue().splitlines()) == len(records) + len(E2E_UNITS)
+    # A line per record, then a pair-summary line per end-to-end metric and traced layer.
+    assert len(printed.getvalue().splitlines()) == len(records) + len(E2E_UNITS) + 4
 
 
 def test_describe_marks_only_source_edits_dirty(tmp_path):
@@ -238,3 +238,37 @@ def test_pair_summary_counts_wins_by_seed_in_each_metrics_direction(tmp_path):
                         "--workload", "sim-crowd", "--out", str(out)])
     assert ("sim-crowd ops_per_s: change wins 2 of 3 pairs (0 tied), median 90 -> 95, "
             "parent q3-q1 20, not more than that apart") in printed.getvalue().splitlines()
+
+
+def test_layer_pair_summary_counts_self_time_wins_by_seed(tmp_path):
+    # solve_ts self time per op: seed 1 wins (0.010 -> 0.008 s), seed 2 ties
+    # (0.020 s) and seed 3 loses (0.030 -> 0.035 s).  Seed 4 ran on one tree
+    # only, so it makes no pair.
+    base, change = tmp_path / "base", tmp_path / "change"
+    fake = {base: {1: (0.10, 0.5), 2: (0.20, 0.6), 3: (0.30, 0.7)},
+            change: {1: (0.08, 0.4), 2: (0.20, 0.6), 3: (0.35, 0.8), 4: (9.9, 9.9)}}
+    for tree, runs in fake.items():
+        (tree / "src" / "fairshare").mkdir(parents=True)
+        (tree / ".bench_work" / "results").mkdir(parents=True)
+        for seed, (solve_ts_s, us_per_state) in runs.items():
+            _write(tree, seed, _result(seed, bench_mva.src_digest(tree), 0.01))
+            _write(tree, seed, _traced(seed, bench_mva.src_digest(tree), 10, solve_ts_s,
+                                       us_per_state), trace=1)
+    runs = [bench_mva.own_runs(tree, "sim-crowd", 1)[0] for tree in (base, change)]
+    rows = {p["layer"]: p for p in bench_mva.layer_pair_summary(*runs)}
+    assert sorted(rows) == ["cli.main", "mva.solve_ts", "report.render_report",
+                            "sim.run_sim.fairshare-flat"]
+    ts = rows["mva.solve_ts"]
+    assert (ts["pairs"], ts["wins"], ts["ties"]) == (3, 1, 1)
+    assert (ts["median_base"], ts["median_change"]) == (pytest.approx(0.02), pytest.approx(0.02))
+    assert (ts["per"], ts["per_unit_base"], ts["per_unit_change"]) == ("state", 0.6, 0.6)
+    # Equal self times on every seed: three ties and no win.
+    render = rows["report.render_report"]
+    assert (render["wins"], render["ties"], render["per"]) == (0, 3, "call")
+    assert render["per_unit_base"] == pytest.approx(2000.0)
+    out = tmp_path / "bench.json"
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        bench_mva.main(["--tree", f"parent={base}", "--tree", f"change={change}",
+                        "--workload", "sim-crowd", "--out", str(out)])
+    assert ("sim-crowd mva.solve_ts self s/op: change wins 1 of 3 pairs (1 tied), "
+            "median 0.02 -> 0.02, us/state 0.6 -> 0.6") in printed.getvalue().splitlines()

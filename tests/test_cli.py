@@ -505,6 +505,26 @@ def test_population_guard_names_a_command_that_works(capsys, tmp_path, argv):
     assert "use the simulator (`fairshare simulate`)" in err
 
 
+@pytest.mark.parametrize("argv", [("report", "over"), ("compare", "over", "over")],
+                         ids=["report", "compare"])
+def test_overflowing_workload_prints_only_the_error(tmp_path, argv):
+    # Demands of 1e308 overflow the time-share queue to inf, then nan.  A
+    # fresh process, so that a numpy warning would reach stderr as a user sees it.
+    path = tmp_path / "over.fsp"
+    path.write_text("total_shares 2\ngroup G shares=2\n"
+                    "user a group=G shares=1 procs=3 think=0 demand=1e308 active=yes\n"
+                    "user b group=G shares=1 procs=2 think=1 demand=1e308 active=yes\n")
+    src_dir = str(Path(fairshare.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-m", "fairshare.cli",
+                             *(str(path) if a == "over" else a for a in argv)],
+                            env=dict(os.environ, PYTHONPATH=src_dir),
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: non-finite model estimate")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
 # A small valid grid per flag, and the values a numeric flag must reject.
 # The grid stays at or below 500 quanta per run: longer runs are valid, only
 # slow.

@@ -109,6 +109,11 @@ class TestSolveTs:
                                  r"use the simulator \(`fairshare simulate`\) for this workload$"):
             solve_ts(WorkloadSpec((ClassLoad("a", 10, 1.0, 0.5),)))
 
+    def test_population_guard_keeps_flat_indices_in_int32(self):
+        assert mva.POPULATION_GUARD <= np.iinfo(np.int32).max, (
+            "solve_ts finds class counts from flat vector indices in int32, "
+            "so the guard must not pass 2**31 - 1")
+
     def test_empty_workload(self):
         with pytest.raises(ValidationError):
             solve_ts(WorkloadSpec(()))
@@ -439,10 +444,14 @@ class TestModelValues:
             with pytest.raises(ValidationError, match="non-finite"):
                 PerfRow(*fields)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_workload_is_rejected_not_answered(self):
         w = WorkloadSpec((ClassLoad("a", 2, 0.0, 1e308),))
         with pytest.raises(ValidationError, match="non-finite"):
             solve_ts(w)
         with pytest.raises(ValidationError, match="non-finite"):
             solve_srm_partition(w, equal_table("a", "b"))
+        # Two classes overflow inside the level sweep, not only in the full vector's rows.
+        w = WorkloadSpec((ClassLoad("a", 3, 0.0, 1e308), ClassLoad("b", 2, 1.0, 1e308)))
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_ts(w)

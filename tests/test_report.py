@@ -182,8 +182,8 @@ def scenario_texts(draw):
     return "\n".join(lines) + "\n"
 
 
-# numpy warns while 1e308 overflows to the inf or nan that PerfRow then rejects
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# 1e308 overflows to the inf or nan that PerfRow then rejects, without a numpy warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(text=scenario_texts(), solver=st.sampled_from(("partition", "conserving")))
 def test_accepted_scenarios_give_finite_rows_or_a_toolkit_error(text, solver):
