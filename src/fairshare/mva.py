@@ -34,7 +34,7 @@ POPULATION_GUARD = 10_000_000
 # Each population level also costs 12-17 us however few vectors it holds,
 # against 0.05-0.48 us per vector (2 to 23 classes), so a level counts as
 # 100 vectors against the guard and a thin space stays within the same few
-# seconds: one class of 1e5 processes (1.4-1.5 s) is just over it.
+# seconds: one class of 1e5 processes (1.1-1.5 s) is just over it.
 _LEVEL_VECTORS = 100
 
 # Most (class, vector) cells one block of a level holds, 8 MB per array, so
