@@ -2,9 +2,11 @@
 
 Three steady-state models share one workload description:
 
-* ``solve_ts``: exact multiclass mean value analysis of one processor-
-  sharing CPU plus per-class think stations.  This is the conventional
-  round-robin time-share baseline: every process gets an equal slice.
+* ``solve_ts``: the round-robin time-share baseline, where every process
+  gets an equal slice of one processor-sharing CPU, plus per-class think
+  stations.  By product form, X_c = (N_c/D_c) E[1/(Z_c/D_c + T)] for T of
+  density proportional to exp(-t) prod_j (Z_j/D_j + t)**N_j: a trapezoid
+  sum in log t, within 1e-12 relative at any population.
 * ``solve_srm_partition``: each user owns a dedicated virtual CPU whose
   speed equals its entitlement, so its demand inflates to D/E.  This is the
   guaranteed-minimum reading of fair-share scheduling: capacity is never
@@ -19,27 +21,18 @@ Utilization is always reported against the physical CPU (U = X * D).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import ValidationError, ZeroEntitlementError, check_budget, count_text, validated
 from .shares import EntitlementTable
 
-# Largest population-vector space the exact recursion will attempt.  At the
-# limit the table of 1 + Q takes 8 bytes per vector, 80 MB, and solving 2 to
-# 23 classes measured 0.5-4.0 s at 100-167 MB peak RSS (2-CPU x86-64 host).
-# It keeps every flat vector index below 2**31, as solve_ts's int32 class
-# counts need.  The repairman solvers' process levels count against it at
-# 0.09 us each: 1 s.
+# Most process levels the repairman solvers run: 0.09 us each, about 1 s.
 POPULATION_GUARD = 10_000_000
-# Each population level also costs 12-17 us however few vectors it holds,
-# against 0.05-0.48 us per vector (2 to 23 classes), so a level counts as
-# 100 vectors against the guard and a thin space stays within the same few
-# seconds: one class of 1e5 processes (1.1-1.5 s) is just over it.
-_LEVEL_VECTORS = 100
 
-# Most (class, vector) cells one block of a level holds, 8 MB per array, so
-# a wide level of many classes is not materialised k times over at once.
-_LEVEL_CELLS = 1 << 20
+# Relative error each solve_ts quadrature sum may take from its step, and
+# again from its support: its rows are within 4.1 times it plus rounding.
+_QUADRATURE_ERROR = 1e-13
 
 # Virtual-CPU slack below which a user counts as saturated (CPU bound).
 _SATURATION_TOL = 1e-6
@@ -97,77 +90,83 @@ class PerfTable(NamedTuple):
 
 
 def solve_ts(w: WorkloadSpec) -> PerfTable:
-    """Exact multiclass MVA for the round-robin time-share scheduler.
+    """The round-robin time-share baseline, exact to 1e-12, by one quadrature.
 
-    The CPU is one processor-sharing center with per-class demand; each
-    class also has a think (delay) station.  The mean CPU queue at a
-    population vector depends only on the vectors with one process fewer,
-    so the solver sweeps the population levels (total processes) upward and
-    solves each level as one batch of array operations.  The table holds
-    1 + Q per vector, the factor by which a response time there multiplies
-    a class's demand.  Every vector and every level is visited once, so the
-    product of (N_c + 1) plus the levels, each counted as
-    ``_LEVEL_VECTORS`` vectors, is guarded.
+    The CPU is one processor-sharing center with per-class demand D; each
+    class also has a think (delay) station, Z.  The network has product
+    form, so with zeta_c = Z_c/D_c and T of density proportional to
+    exp(-t) prod_j (zeta_j + t)**N_j (McKenna & Mitra, BSTJ 1982),
+    X_c = (N_c/D_c) E_c and R_c = D_c rho_c, with E_c = E[1/(zeta_c + T)]
+    and rho_c = E[T/(zeta_c + T)] / E_c.  If zeta_c = 0, the density
+    vanishes at 0 and its derivative integrates to 0: sum_j N_j E_j = 1, so
+    rho_c = N0 + sum over zeta_j > 0 of N_j E_j/E_c, with N0 the processes
+    of the classes with zeta = 0, and it is exactly N0 when no class thinks.
+    The rows are R = D rho, X = N/(Z + R) and U = X D, in Python floats.
+    Each expectation is a trapezoid sum in delta = log(T/c), about the mode
+    c, at the nodes delta = j/nu for j from -left nu to 4 nu.  Each sum is
+    within 2.01 eps (``_QUADRATURE_ERROR``) of its integral, so rho, X, R
+    and U are within 4.1 eps plus rounding, below 1e-12 relative:
+
+    (a) Step.  Every integrand is entire in delta, and with n = 1 + sum N,
+        int |f(x + iy)| dx <= (cos y)**-n int f for |y| < pi/2 (put
+        s = t cos y and use zeta + s/cos y <= (zeta + s)/cos y).  For
+        a**2 = m/n <= 1, -log cos a <= a**2/2 + a**4/6 bounds (cos a)**-n
+        by E = exp(m/2 + m**2/(6n)).  By Trefethen & Weideman (SIAM Review
+        2014, Theorem 5.1) the infinite sum is then within
+        2E/(exp(2 pi a nu) - 1) of the integral relative, at most eps once
+        nu >= lam/(2 pi a), lam = log(1 + 2E/eps): nu is that bound rounded
+        up in integers.  m = min(n, 2 log(2/eps)) nearly minimizes it, to
+        about 1.25 sqrt(n) for large n.
+    (b) Support.  Newton from t = n, above the mode, stops where the mode
+        equation's residual r = 1 + sum N_j c/(zeta_j + c) - c is in
+        [-1/2, 0].  Then log1p(x) <= x bounds every integrand, 1 at the
+        node delta = 0, by exp(delta + 2.5) to its left and by
+        exp(2 delta + 1 - e**delta) to its right.  The nodes left of -left
+        add at most exp(2.5 - left) <= eps/nu, and those right of 4 at
+        most 3e-22 < 0.01 eps/nu for the nu < 3e5 that the budget allows.
+        The node at delta = 0 makes each sum at least 1/nu.
+    (c) Rounding.  Each log-factor log((zeta + t)/(zeta + c)) is a log1p
+        of a positive argument, or of one above -1/2, and vanishes at the
+        mode.  The same sums in 40 digits differed by at most 6.3e-16 (48
+        workloads up to 1e6 processes), and the rows from exact rational
+        MVA or a 40-digit repairman by at most 1e-14, mostly the step's.
+
+    Its cost, classes x (nu (left + 4) + 1) grid cells, is counted in
+    integers before any float, so a population past floats is refused.
     """
     import numpy as np  # here, not at module top, so commands that solve nothing never load it
 
-    dims = [c.procs + 1 for c in w.classes]
-    size = math.prod(dims)
-    levels = sum(c.procs for c in w.classes)
-    check_budget(size + levels * _LEVEL_VECTORS, POPULATION_GUARD, f"vectors ({count_text(size)} states"
-                 f" and {count_text(levels)} levels of {_LEVEL_VECTORS})",
-                 "an 80 MB queue table and a few seconds",
-                 "use the simulator (`fairshare simulate`) for this workload")
+    n = 1 + sum(c.procs for c in w.classes)
+    m = min(n, math.ceil(2 * math.log(2 / _QUADRATURE_ERROR)))
+    lam = math.log1p(2 / _QUADRATURE_ERROR * math.exp(m / 2 + m * m / (6 * n)))
+    nu = math.isqrt(math.ceil(16 * lam * lam / (math.pi ** 2 * m)) * n) // 8 + 1
+    left = math.ceil(math.log(nu) - math.log(_QUADRATURE_ERROR) + 2.5)
+    points = nu * (left + 4) + 1
+    check_budget(len(w.classes) * points, 10**7,
+                 f"grid cells ({len(w.classes)} x {count_text(points)} points)",
+                 "about 1 s and 330 MB", "use fewer users or procs")
 
-    # Per-class constants as (k, 1) columns.  Every per-level array is
-    # class-major, (k, vectors), so a sum over axis 0 adds the classes row by
-    # row, in workload order, as the textbook recursion does.
-    #
-    # A vector at flat index i may gain a process of class j when every class
-    # before j is empty and class j has room: exactly when i < room_j, with
-    # room_j = procs_j * stride_j.  So each vector is generated once, from the
-    # parent that lacks one process of its first non-empty class.
-    strides = np.array([math.prod(dims[i + 1:]) for i in range(len(dims))])[:, None]
-    dim = np.array(dims)[:, None]
-    room = (dim - 1) * strides
-    # check_budget holds size to POPULATION_GUARD, below 2**31, so every flat
-    # index fits int32, where the class counts' divide and modulo run faster.
-    # The indices that gather and scatter stay intp: int32 ones are cast back.
-    strides32, dim32 = strides.astype(np.int32), dim.astype(np.int32)
-    think = np.array([c.think for c in w.classes])[:, None]
-    demand = np.array([c.demand for c in w.classes])[:, None]
-    block = max(2, _LEVEL_CELLS // len(dims))
+    procs = np.array([c.procs for c in w.classes], dtype=float)
+    zeta = np.array([min(c.think / c.demand, sys.float_info.max) for c in w.classes])
+    mode = float(n)
+    while (r := 1.0 + procs @ (g := mode / (zeta + mode)) - mode) < -0.5:
+        mode -= r / (procs @ (g - g * g) / mode - 1.0)
+    d = np.arange(-left * nu, 4 * nu + 1) / nu
+    # log((zeta + t)/(zeta + c)) per class and node: log1p(g expm1(delta)), or, where that would
+    # cancel (left of the mode, zeta < c), delta + log1p(zeta/(zeta + c) expm1(-delta)).
+    factor = np.multiply.outer(g, np.expm1(d))
+    low, below = zeta < mode, slice(0, left * nu)
+    factor[low, below] = np.multiply.outer(zeta[low] / (zeta[low] + mode), np.expm1(-d[below]))
+    np.log1p(factor, out=factor)
+    factor[low, below] += d[below]
+    # Weight of 1/(zeta_c + T) at each node, relative to the mode; times t/c for T/(zeta_c + T).
+    weight = np.exp(np.subtract(d - mode * np.expm1(d) + procs @ factor, factor, out=factor), out=factor)
+    s, zero = weight.sum(axis=1), zeta == 0
+    rho = np.where(zero, procs @ zero + (procs * g * ~zero) @ s / s, mode * (weight @ np.exp(d)) / s)
 
-    # 1 + the total mean CPU queue length per population vector: the add runs
-    # once per vector, not once per (class, vector), and gives the same float.
-    factor = np.ones(size)
-    level = strides[:, 0]  # level 1: one process of any one class; level 0 is 1.0
-    # Overflow to inf or nan is left to PerfRow to refuse: it reaches the full
-    # vector's rows, and numpy's warnings would only add noise to stderr.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(1, levels):  # levels 1 .. N-1
-            solved = np.empty(len(level))
-            children = []
-            # A wide level is solved in blocks of vectors.  A single leftover
-            # vector joins the block before it: numpy sums a one-column (k, 1)
-            # array pairwise once k >= 8, not row by row.
-            starts = range(0, max(len(level) - 1, 1), block)
-            for lo, hi in zip(starts, [*starts[1:], len(level)]):
-                idx = level[lo:hi]
-                counts = idx.astype(np.int32) // strides32 % dim32
-                # An empty class reads a vector at this level or above, none
-                # of them solved yet (1.0), so it adds an exact 0.0.
-                resp = demand * factor[idx - strides]
-                (counts / (think + resp) * resp).sum(axis=0, out=solved[lo:hi])
-                children.append((idx + strides)[idx < room])
-            # Written after the whole level, so no block reads a vector of its own level.
-            factor[level] = 1.0 + solved
-            level = children[0] if len(children) == 1 else np.concatenate(children)
-
-    # The full vector's rows, from 1 + Q one process below it per class.
     rows = {}
-    for c, below in zip(w.classes, factor[size - 1 - strides[:, 0]].tolist()):
-        r = c.demand * below
+    for c, q in zip(w.classes, rho.tolist()):
+        r = c.demand * q
         x = c.procs / (c.think + r)
         rows[c.user] = PerfRow(x, r, x * c.demand)
     return PerfTable(solver="ts", rows=rows)

@@ -89,10 +89,10 @@ def two_user_files(tmp_path):
         # A hundred times the simulator's process budget.
         "procs_huge": TWO_USERS.format(think="1", demand="0.5", event="")
                       .replace("procs=2", "procs=100000000"),
-        # One class of 9.9e6 processes: within the exact solver's vector
-        # budget, but 9.9e6 levels.
+        # One class of 1e7 + 1 processes: the time-share baseline answers,
+        # but the partition repairman's budget of 1e7 process levels refuses it.
         "procs_one_deep_class": "total_shares 10\ngroup G shares=10\nuser alice group=G "
-                                "shares=10 procs=9900000 think=1 demand=0.5 active=yes\n",
+                                "shares=10 procs=10000001 think=1 demand=0.5 active=yes\n",
         # bob runs 1e400 processes, a count past the float range.
         "procs_past_float_range": TWO_USERS.format(think="1", demand="0.5", event="")
                                   .replace("procs=1", "procs=1" + "0" * 400),
@@ -235,6 +235,14 @@ class TestCompare:
         assert code == 0
         opsc = next(l for l in out.splitlines() if l.startswith("opsC"))
         assert opsc.split()[-1] == "N/A"
+
+    def test_shipped_reports_match_the_pinned_table(self, capsys, scenario_dir, golden_dir):
+        # Pinned from the exact MVA solver.  Every class in these reports is CPU
+        # bound, so R_ts is D sum N exactly, and a ratio such as 13.50/4.00 =
+        # 3.375 sits on a rounding tie that one ulp of R_ts would flip.
+        reports = [str(scenario_dir / f"report{n}.fsp") for n in range(1, 6)]
+        code, out, _ = run_cli(capsys, "compare", *reports)
+        assert (code, out) == (0, (golden_dir / "compare_reports.txt").read_text())
 
     def test_single_argument_is_usage_error(self, capsys, report4):
         code, _, err = run_cli(capsys, "compare", report4)
@@ -491,18 +499,16 @@ def test_budget_errors_print_huge_counts_briefly(capsys, two_user_files, argv):
     assert len(err) < 300 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [("report", "big", "--solver", "simulate"),
-                                  ("compare", "big", "big")],
-                         ids=["report-simulate", "compare"])
+@pytest.mark.parametrize("argv", [("compare", "big", "big")], ids=["compare"])
 def test_population_guard_names_a_command_that_works(capsys, tmp_path, argv):
-    # Two classes of 4000 processes: about 1.6e7 population vectors.
+    # Two classes of 4000 processes, about 1.6e7 population vectors: the exact
+    # wavefront refused them, and the quadrature answers on 2 x 4,705 grid points.
     path = tmp_path / "big.fsp"
     path.write_text(TWO_USERS.format(think="1", demand="0.5", event="")
                     .replace("procs=2", "procs=4000").replace("procs=1", "procs=4000"))
     code, out, err = run_cli(capsys, *(str(path) if a == "big" else a for a in argv))
-    assert code == 1
-    assert out == ""
-    assert "use the simulator (`fairshare simulate`)" in err
+    assert (code, err) == (0, "")
+    assert "alice 3999.00 3999.50 1.00\nbob 8000.00 7999.00 1.00\n" in out
 
 
 @pytest.mark.parametrize("argv", [("report", "over"), ("compare", "over", "over")],

@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,8 @@ from builders import (
 )
 
 REL = 1e-9
+# solve_ts's derived bound on the relative error of each field of its rows.
+BOUND = 1e-12
 
 
 class TestSolveTs:
@@ -47,7 +50,17 @@ class TestSolveTs:
     def test_single_user_owns_the_machine(self):
         table = solve_ts(cpu_bound("only"))
         row = table.rows["only"]
-        assert (row.response, row.throughput, row.utilization) == (1.0, 1.0, 1.0)
+        for value in (row.response, row.throughput, row.utilization):
+            assert value == pytest.approx(1.0, rel=BOUND, abs=0)
+
+    def test_cpu_bound_classes_are_exact(self):
+        # With no think time every process is at the CPU, so R_c = D_c sum N.
+        for procs in ((1, 1, 1, 1), (3, 1), (7,), (2, 5, 1)):
+            w = WorkloadSpec(tuple(ClassLoad(f"u{i}", n, 0.0, 0.5 + i) for i, n in enumerate(procs)))
+            rows = solve_ts(w).rows
+            for c in w.classes:
+                r = c.demand * sum(procs)
+                assert rows[c.user] == PerfRow(c.procs / r, r, c.procs / r * c.demand)
 
     def test_two_classes_unequal_demand(self):
         # Hand-unrolled recursion: populations (1,0) and (0,1) give total
@@ -95,24 +108,26 @@ class TestSolveTs:
         assert table.rows["b"].throughput == pytest.approx(x_b, rel=1e-10)
         assert table.rows["a"].response == pytest.approx(1.0 / x_a - 1.0, rel=1e-10)
 
-    def test_population_guard(self):
-        w = WorkloadSpec(tuple(ClassLoad(f"u{i}", 100, 0.0, 1.0) for i in range(4)))
-        with pytest.raises(PopulationGuardError, match="80 MB .* use the simulator"):
-            solve_ts(w)
+    def test_formerly_refused_workloads_give_rows(self):
+        # Each of these exceeded the exact wavefront's budget of 1e7
+        # population vectors: 4 x 100 processes, 2 x 4000, a 30-user pool
+        # (4.5e14 vectors) and one class of 1e6 processes (1e6 levels).
+        rng = random.Random(17)
+        pool30 = [(rng.randint(1, 3), round(rng.uniform(0, 5), 2), round(rng.uniform(0.1, 1), 3))
+                  for _ in range(30)]
+        for classes in ([(100, 0.0, 1.0)] * 4, [(4000, 1.0, 0.5)] * 2, pool30, [(10**6, 1.0, 0.5)]):
+            w = WorkloadSpec(tuple(ClassLoad(f"u{i}", *c) for i, c in enumerate(classes)))
+            table = solve_ts(w)
+            assert all(math.isfinite(v) for row in table.rows.values() for v in row)
+            assert assert_operational_laws(table, w.classes, BOUND) <= 1.0 + BOUND
 
-    def test_population_guard_counts_levels(self, monkeypatch):
-        # One class of n processes: n + 1 vectors and n levels of 100 vectors each.
-        monkeypatch.setattr(mva, "POPULATION_GUARD", 910)
-        solve_ts(WorkloadSpec((ClassLoad("a", 9, 1.0, 0.5),)))
+    def test_budget_counts_grid_cells(self):
+        # 1000 classes of 400 processes: 1000 x 34,805 grid points.
+        w = WorkloadSpec(tuple(ClassLoad(f"u{i}", 400, 1.0, 0.5) for i in range(1000)))
         with pytest.raises(PopulationGuardError,
-                           match=r"^1011 vectors \(11 states and 10 levels of 100\) exceed 910, .*; "
-                                 r"use the simulator \(`fairshare simulate`\) for this workload$"):
-            solve_ts(WorkloadSpec((ClassLoad("a", 10, 1.0, 0.5),)))
-
-    def test_population_guard_keeps_flat_indices_in_int32(self):
-        assert mva.POPULATION_GUARD <= np.iinfo(np.int32).max, (
-            "solve_ts finds class counts from flat vector indices in int32, "
-            "so the guard must not pass 2**31 - 1")
+                           match=r"^34805000 grid cells \(1000 x 34805 points\) exceed "
+                                 r"10000000, .*; use fewer users or procs$"):
+            solve_ts(w)
 
     def test_empty_workload(self):
         with pytest.raises(ValidationError):
@@ -156,33 +171,58 @@ reference_workloads = st.lists(
 ).map(lambda rows: WorkloadSpec(tuple(ClassLoad(f"u{i}", *row) for i, row in enumerate(rows))))
 
 
+def assert_rows_within_bound(rows, expected):
+    assert rows.keys() == expected.keys()
+    for user, row in rows.items():
+        for got, want in zip(row, expected[user]):
+            assert got == pytest.approx(want, rel=BOUND, abs=0), (user, row, expected[user])
+
+
+def repairman_row(c: ClassLoad) -> PerfRow:
+    r, x = mva._repairman(c.procs, c.think, c.demand)
+    return PerfRow(x, r, x * c.demand)
+
+
 @settings(max_examples=200, deadline=None)
 @given(reference_workloads)
 def test_solve_ts_equals_the_textbook_recursion(w):
     rows = solve_ts(w).rows
-    assert rows == reference_ts(w)
+    assert_rows_within_bound(rows, reference_ts(w))
     if len(w.classes) == 1:
         c = w.classes[0]
-        r, x = mva._repairman(c.procs, c.think, c.demand)
-        assert rows[c.user] == PerfRow(x, r, x * c.demand)
+        assert_rows_within_bound(rows, {c.user: repairman_row(c)})
 
 
-@pytest.mark.parametrize("cells", [mva._LEVEL_CELLS, 3])
-def test_wide_and_blocked_levels_equal_the_textbook_recursion(monkeypatch, cells):
-    # A level wider than a block is solved a block of vectors at a time;
-    # three cells make every level of these workloads take that path.  Nine
-    # and ten classes are more than numpy's pairwise summation adds one by
-    # one, so a sum taken out of class order, as over a one-vector block,
-    # would show.
-    monkeypatch.setattr(mva, "_LEVEL_CELLS", cells)
-    for procs in ((1,) * 9, (4, 3, 5), (2, 1, 3, 1), (2, 1, 1, 3, 1, 1, 2, 1, 1), (1, 2, 3) * 3 + (1,)):
-        w = WorkloadSpec(
-            tuple(
-                ClassLoad(f"u{i}", n, (0.0, 0.3, 2.7)[i % 3], 0.05 + 0.37 * i)
-                for i, n in enumerate(procs)
-            )
-        )
-        assert solve_ts(w).rows == reference_ts(w)
+def gauss_laguerre_ts(w: WorkloadSpec) -> dict[str, PerfRow]:
+    """The time-share rows from G(N) = int e^-t prod_j (Z_j + D_j t)^N_j / N_j! dt.
+
+    Each integrand is e^-t times a polynomial of degree at most sum N, so
+    Gauss-Laguerre with m >= (sum N + 2)/2 nodes integrates it exactly.
+    X_c = G(N - e_c)/G(N) and R_c = D_c G'_c / G(N - e_c), where G'_c
+    integrates t in place of (Z_c + D_c t): every term is positive.
+    """
+    t, weight = np.polynomial.laguerre.laggauss((sum(c.procs for c in w.classes) + 3) // 2)
+    load = np.prod([(c.think + c.demand * t) ** c.procs for c in w.classes], axis=0) * weight
+    g = load.sum()
+    rows = {}
+    for c in w.classes:
+        below = load / (c.think + c.demand * t)
+        x = c.procs * below.sum() / g
+        rows[c.user] = PerfRow(x, c.demand * (below * t).sum() / below.sum(), x * c.demand)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(reference_workloads)
+def test_solve_ts_equals_gauss_laguerre(w):
+    assert_rows_within_bound(solve_ts(w).rows, gauss_laguerre_ts(w))
+
+
+@pytest.mark.parametrize("procs", [10**5, 10**6])
+@pytest.mark.parametrize("think, demand", [(1e9, 1.0), (0.5, 1.0)], ids=["light", "heavy"])
+def test_one_large_class_equals_the_repairman(procs, think, demand):
+    c = ClassLoad("a", procs, think, demand)
+    assert_rows_within_bound(solve_ts(WorkloadSpec((c,))).rows, {"a": repairman_row(c)})
 
 
 # Workloads whose rows are pinned in golden/mva_rows.txt, as (procs, think,
@@ -451,7 +491,7 @@ class TestModelValues:
             solve_ts(w)
         with pytest.raises(ValidationError, match="non-finite"):
             solve_srm_partition(w, equal_table("a", "b"))
-        # Two classes overflow inside the level sweep, not only in the full vector's rows.
+        # Two classes, one with think time: R = D rho overflows in both rows.
         w = WorkloadSpec((ClassLoad("a", 3, 0.0, 1e308), ClassLoad("b", 2, 1.0, 1e308)))
         with pytest.raises(ValidationError, match="non-finite"):
             solve_ts(w)

@@ -149,7 +149,7 @@ class TestSimulateSolver:
             assert float(cells[3]) == pytest.approx(100 * table.entitlements[user], abs=2.0)
 
 
-PROCS = ("1", "2", "3")
+PROCS = ("1", "2", "3", "40", "4000")
 THINK = ("0", "1e-300", "0.5", "1", "3", "1e308")
 DEMAND = THINK[1:]
 BAD = ("nan", "inf", "-inf", "-1", "0", "1.5")
