@@ -108,10 +108,10 @@ class TestSolveTs:
         assert table.rows["b"].throughput == pytest.approx(x_b, rel=1e-10)
         assert table.rows["a"].response == pytest.approx(1.0 / x_a - 1.0, rel=1e-10)
 
-    def test_formerly_refused_workloads_give_rows(self):
-        # Each of these exceeded the exact wavefront's budget of 1e7
-        # population vectors: 4 x 100 processes, 2 x 4000, a 30-user pool
-        # (4.5e14 vectors) and one class of 1e6 processes (1e6 levels).
+    def test_population_guard(self):
+        # Workloads the guard passes that a budget of 1e7 population vectors
+        # refused: 4 x 100 processes, 2 x 4000, a 30-user pool (4.5e14
+        # vectors) and one class of 1e6 processes (1e6 levels).
         rng = random.Random(17)
         pool30 = [(rng.randint(1, 3), round(rng.uniform(0, 5), 2), round(rng.uniform(0.1, 1), 3))
                   for _ in range(30)]
@@ -121,13 +121,16 @@ class TestSolveTs:
             assert all(math.isfinite(v) for row in table.rows.values() for v in row)
             assert assert_operational_laws(table, w.classes, BOUND) <= 1.0 + BOUND
 
-    def test_budget_counts_grid_cells(self):
-        # 1000 classes of 400 processes: 1000 x 34,805 grid points.
-        w = WorkloadSpec(tuple(ClassLoad(f"u{i}", 400, 1.0, 0.5) for i in range(1000)))
-        with pytest.raises(PopulationGuardError,
-                           match=r"^34805000 grid cells \(1000 x 34805 points\) exceed "
-                                 r"10000000, .*; use fewer users or procs$"):
-            solve_ts(w)
+    def test_population_guard_counts_levels(self):
+        # The grid follows the population level sum N, not the vectors: 1000
+        # classes of 400 processes (401**1000 vectors) and 999 classes of 1
+        # plus one of 399,001 (2**999 x 399,002) both cost 1000 x 34,805 points.
+        for procs in ([400] * 1000, [1] * 999 + [399_001]):
+            w = WorkloadSpec(tuple(ClassLoad(f"u{i}", n, 1.0, 0.5) for i, n in enumerate(procs)))
+            with pytest.raises(PopulationGuardError,
+                               match=r"^34805000 grid cells \(1000 x 34805 points\) exceed "
+                                     r"10000000, .*; use fewer users or procs$"):
+                solve_ts(w)
 
     def test_empty_workload(self):
         with pytest.raises(ValidationError):
