@@ -50,13 +50,15 @@ def run_scenario(
         classes=tuple(c for c in s.workload.classes if c.user in entitlements.active_users)
     )
 
-    ts = solve_ts(active)
+    # The fair-share solver's own budget refuses a workload before the
+    # baseline is paid for.
     if s.solver == "partition":
         srm = solve_srm_partition(active, entitlements)
     elif s.solver == "conserving":
         srm = solve_srm_conserving(active, entitlements)
     else:
         srm = run_sim(s.hierarchy, s.workload, s.timeline, sim_config).perf
+    ts = solve_ts(active)
 
     return CapacityReport(
         label=s.label,

@@ -631,36 +631,33 @@ def _credit(counts, since, v, busy, post) -> None:
 
 
 def trace_perf(tr: SimTrace) -> PerfTable:
-    """Estimate X, R and U per user from post-warmup cycle completions.
+    """Estimate X, R and U per user from the post-warmup part of the run.
 
-    Rates are measured over each process's own renewal span (first cycle
-    start to last completion plus the trailing think), which keeps the
-    estimates consistent with Little's law on short runs.  Raw busy-time
-    fractions remain available via ``SimTrace.utilization``.  Users with no
-    completed cycle are flagged in the table notes, never fabricated.
+    U is the user's busy-time fraction, ``SimTrace.utilization``, and X is
+    U / D, so a table's U sums to at most 1 and U = X D holds by
+    construction.  R is the mean residence, ready to completion, of the
+    cycles completed after the warmup.  A user with no such cycle has no R,
+    so it gets no row, only a note; its busy time stays in
+    ``SimTrace.utilization``.  Busy time also counts the service of cycles
+    that never complete: each deactivation drops its user's in-flight
+    cycles, whose service stays in U, and so in X, by at most D per process
+    in the post-warmup busy time.
     """
     rows: dict[str, PerfRow] = {}
     notes: list[str] = []
     warm = tr.config.warmup
     for c in tr.workload.classes:
-        completed = [rec for rec in tr.cycles.get(c.user, []) if rec[2] >= warm - _TIME_EPS]
+        residence = 0.0  # added left to right: from Python 3.12 sum() compensates its rounding
+        completed = 0
+        for _, ready, done in tr.cycles[c.user]:
+            if done >= warm - _TIME_EPS:
+                residence += done - ready
+                completed += 1
         if not completed:
             notes.append(f"{c.user}: no completed cycles after warmup")
             continue
-        by_proc: dict[int, list[tuple[int, float, float]]] = {}
-        for rec in completed:
-            by_proc.setdefault(rec[0], []).append(rec)
-        throughput = 0.0
-        utilization = 0.0
-        residence = 0.0  # added left to right: from Python 3.12 sum() compensates its rounding
-        for recs in by_proc.values():
-            span = (recs[-1][2] - recs[0][1]) + c.think
-            count = len(recs)
-            throughput += count / span
-            utilization += count * c.demand / span
-            for rec in recs:
-                residence += rec[2] - rec[1]
-        rows[c.user] = PerfRow(throughput, residence / len(completed), utilization)
+        utilization = tr.utilization(c.user)
+        rows[c.user] = PerfRow(utilization / c.demand, residence / completed, utilization)
     return PerfTable(solver="simulated", rows=rows, notes=tuple(notes))
 
 

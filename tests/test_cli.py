@@ -211,6 +211,23 @@ class TestReport:
                               for user in ("wAgg", "opsA", "opsB", "opsC"))
         assert run_cli(capsys, "report", report4)[2] == ""
 
+    def test_simulated_rows_hold_at_most_the_cpu(self, capsys, tmp_path):
+        # a's three processes each complete a 0.1 s cycle in the first 0.3 s
+        # quantum, then wait out b's two quanta: a is busy 0.3 of 0.9 s.  b
+        # completes no cycle, so it has no R and no row, only a note.
+        path = tmp_path / "t2.fsp"
+        path.write_text("total_shares 2\ngroup G shares=2\n"
+                        "user a group=G shares=1 procs=3 think=0 demand=0.1 active=yes\n"
+                        "user b group=G shares=1 procs=2 think=0 demand=1 active=yes\n")
+        code, out, err = run_cli(capsys, "report", str(path), "--solver", "simulate",
+                                 "--duration", "1", "--warmup", "0", "--quantum", "0.3",
+                                 "--sim-mode", "ts-roundrobin")
+        assert code == 0
+        rows = extract_section(out, "Estimated SRM Performance").splitlines()[3:-1]
+        assert rows == ["a 3.33 0.20 33.33"]
+        assert sum(float(row.split()[3]) for row in rows) <= 100.0
+        assert err == "note: b: no completed cycles after warmup\n"
+
     def test_sim_flags_checked_with_analytic_solver(self, capsys, report4):
         code, _, err = run_cli(capsys, "report", report4, "--quantum", "nan")
         assert code == 1
@@ -479,6 +496,27 @@ def test_bad_input_exits_one(capsys, two_user_files, argv):
     assert code == 1
     assert err.startswith("error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("solver, refusal", [
+    ("partition", "10000001 process levels (1 x 10000001 processes) exceed 10000000, "
+                  "the budget of about 1 s; use fewer procs"),
+    ("conserving", "40000004 process levels (4 x 10000001 processes) exceed 10000000, "
+                   "the budget of about 1 s; use fewer procs"),
+    ("simulate", "10000001 processes exceed 1000000, "
+                 "the budget of about 140 MB and 2 s of set-up; use fewer procs"),
+], ids=["partition", "conserving", "simulate"])
+def test_fair_share_budget_refuses_before_the_baseline_is_solved(
+        capsys, monkeypatch, two_user_files, solver, refusal):
+    # The time-share baseline answers one class of 1e7 + 1 processes, and
+    # each fair-share solver refuses it before the baseline is paid for.
+    def baseline(w):
+        raise AssertionError("solve_ts ran before the fair-share solver's budget")
+
+    monkeypatch.setattr("fairshare.report.solve_ts", baseline)
+    code, out, err = run_cli(capsys, "report", two_user_files["procs_one_deep_class"],
+                             "--solver", solver)
+    assert (code, out, err) == (1, "", f"error: {refusal}\n")
 
 
 @pytest.mark.parametrize(
