@@ -50,8 +50,7 @@ def run_scenario(
         classes=tuple(c for c in s.workload.classes if c.user in entitlements.active_users)
     )
 
-    # The fair-share solver's own budget refuses a workload before the
-    # baseline is paid for.
+    # The fair-share solver first, so its budget refuses before the baseline is paid for.
     if s.solver == "partition":
         srm = solve_srm_partition(active, entitlements)
     elif s.solver == "conserving":

@@ -638,10 +638,10 @@ def trace_perf(tr: SimTrace) -> PerfTable:
     construction.  R is the mean residence, ready to completion, of the
     cycles completed after the warmup.  A user with no such cycle has no R,
     so it gets no row, only a note; its busy time stays in
-    ``SimTrace.utilization``.  Busy time also counts the service of cycles
-    that never complete: each deactivation drops its user's in-flight
-    cycles, whose service stays in U, and so in X, by at most D per process
-    in the post-warmup busy time.
+    ``SimTrace.utilization``.  A deactivation drops its user's in-flight
+    cycles, but their service stays in the busy time: each deactivation
+    can count up to D per process in U, and so up to one cycle per process
+    in X, that no cycle completed.  Think times are not read.
     """
     rows: dict[str, PerfRow] = {}
     notes: list[str] = []
