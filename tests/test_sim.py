@@ -1078,20 +1078,20 @@ def test_completed_cycles_stay_within_the_cycle_bound(run, mode, quantum):
 
 @settings(max_examples=60, deadline=None)
 @given(run=ps_runs(), mode=st.sampled_from(SIM_MODES), quantum=st.floats(0.01, 0.3),
-       duration=st.floats(1.0, 20.0), warmup=st.sampled_from((0.0, 0.25)))
+       duration=st.floats(1.0, 20.0), warmup_share=st.sampled_from((0.0, 0.25)))
 # a's three processes each complete a cycle in the first 0.3 s quantum and
 # then wait out b's two quanta, so renewal spans that end at a process's
 # last completion once gave a a U of 1.83.
 @example(run=(pool(("a", 1, True), ("b", 1, True)),
               WorkloadSpec((ClassLoad("a", 3, 0.0, 0.1), ClassLoad("b", 2, 0.0, 1.0))),
               (), SimConfig(duration=1.0)),
-         mode=sim.TS_ROUNDROBIN, quantum=0.3, duration=1.0, warmup=0.0)
-def test_simulated_rows_hold_at_most_the_cpu(run, mode, quantum, duration, warmup):
+         mode=sim.TS_ROUNDROBIN, quantum=0.3, duration=1.0, warmup_share=0.0)
+def test_simulated_rows_hold_at_most_the_cpu(run, mode, quantum, duration, warmup_share):
     # Each row's U is its user's busy-time fraction and X is U / D, so the
     # table's U sums to at most 1 and U = X D, whatever the run.
     h, w, timeline, config = run
     config = config._replace(mode=mode, quantum=quantum, duration=duration,
-                             warmup=warmup * duration)
+                             warmup=warmup_share * duration)
     trace = run_sim(h, w, timeline, config)
     total = 0.0
     for c in w.classes:
