@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import io
 import math
-from collections import defaultdict
+from collections.abc import Sequence
 from itertools import islice, repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (InfeasiblePlanError, PsLogError, ScenarioParseError, ValidationError,
@@ -37,9 +36,10 @@ UNALLOCATED = "unallocated"
 # Most windows one monitor run may ask for.  A window that holds no samples
 # costs about 1.3 us to compute and 1.1 us to render; one that does costs
 # about 1.2 us more to compute and 0.8 us more to render per user row.
-# Sorting the samples costs about 0.4 us each, once, however many processes
-# they hold (2-CPU x86-64 host).  So the budget is about 0.3 s of idle
-# windows; a week of 10 s windows is 60,480.
+# Reading and sorting a parsed log's sample columns costs about 0.11 us a
+# sample, once, however many processes they hold; a list of records costs
+# 0.28 us, as it is first turned into columns (2-CPU x86-64 host).  So the
+# budget is about 0.3 s of idle windows; a week of 10 s windows is 60,480.
 MAX_WINDOWS = 100_000
 
 
@@ -186,8 +186,65 @@ class UsageSample(NamedTuple):
     cputime: float
 
 
+class SampleColumns(Sequence):
+    """A read-only sequence of ``UsageSample`` records, held as columns.
+
+    ``keys`` holds each process's ``(user, pid)`` once, in the order its
+    first sample was given.  ``process``, ``timestamps`` and ``cputimes``
+    hold one entry per sample: its process's index in ``keys``, its
+    timestamp and its cputime.  Records are built when they are read, and
+    the sequence equals another one, or a list, that holds equal records
+    in the same order.
+    """
+
+    __slots__ = ("keys", "process", "timestamps", "cputimes")
+
+    def __init__(self, keys: list, process: list, timestamps: list, cputimes: list):
+        self.keys = keys
+        self.process = process
+        self.timestamps = timestamps
+        self.cputimes = cputimes
+
+    @classmethod
+    def of(cls, samples) -> SampleColumns:
+        """``samples`` if it is held as columns, else the columns of its records."""
+        if isinstance(samples, cls):
+            return samples
+        number: dict[tuple[str, int], int] = {}
+        process, timestamps, cputimes = [], [], []
+        for timestamp, user, pid, cputime in samples:
+            process.append(number.setdefault((user, pid), len(number)))
+            timestamps.append(timestamp)
+            cputimes.append(cputime)
+        return cls(list(number), process, timestamps, cputimes)
+
+    def __len__(self) -> int:
+        return len(self.process)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        user, pid = self.keys[self.process[i]]
+        return UsageSample(self.timestamps[i], user, pid, self.cputimes[i])
+
+    def __iter__(self):
+        process = self.process
+        user_of = [user for user, _pid in self.keys].__getitem__
+        pid_of = [pid for _user, pid in self.keys].__getitem__
+        return map(tuple.__new__, repeat(UsageSample),  # positional, skipping the keyword __new__
+                   zip(self.timestamps, map(user_of, process), map(pid_of, process), self.cputimes))
+
+    def __eq__(self, other):
+        if isinstance(other, (SampleColumns, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SampleColumns({list(self)!r})"
+
+
 class PsLog(NamedTuple):
-    samples: list[UsageSample]
+    samples: SampleColumns
     skipped: int
 
 
@@ -201,16 +258,22 @@ def parse_ps_log(stream) -> PsLog:
     minutes are 60 or more after hours.  Malformed lines, and the ps lines
     under a malformed header, are skipped and counted.  A string is read as
     a text file is: lines end at ``\n``, ``\r\n`` or ``\r`` and nowhere else.
+
+    The samples are read into columns, with no record built per sample;
+    a process is its user and its pid as an int, so ``7``, ``+7`` and
+    ``007`` are one pid.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline=None)
-    samples: list[UsageSample] = []
-    append = samples.append
-    new_sample = tuple.__new__  # positional, skipping the NamedTuple's keyword __new__
     isfinite = math.isfinite
-    # One string per user name and one int per pid token, shared by their samples.
-    names: dict[str, str] = {}
-    pid_of: dict[str, int] = {}
+    number: dict[tuple[str, int], int] = {}  # (user, pid) -> process number
+    # user token -> pid token -> process number, so a known process costs no tuple
+    number_of: dict[str, dict[str, int]] = {}
+    process: list[int] = []
+    timestamps: list[float] = []
+    cputimes: list[float] = []
+    append_process, append_timestamp, append_cputime = (
+        process.append, timestamps.append, cputimes.append)
     skipped = 0
     timestamp = None
     for line in stream:
@@ -229,10 +292,14 @@ def parse_ps_log(stream) -> PsLog:
         if timestamp is None or len(tokens) < 10:
             skipped += 1
             continue
+        user = tokens[0]
+        of_user = number_of.get(user)
+        if of_user is None:
+            of_user = number_of[user] = {}
+        n = of_user.get(tokens[1])
         try:
-            pid = pid_of.get(tokens[1])
-            if pid is None:
-                pid = pid_of[tokens[1]] = int(tokens[1])
+            if n is None:
+                pid = int(tokens[1])
             time = tokens[9]
             parts = time.split(":")
             seconds = float(parts[-1])
@@ -248,11 +315,15 @@ def parse_ps_log(stream) -> PsLog:
         except (ValueError, OverflowError):  # OverflowError: TIME too large for a float
             skipped += 1
             continue
-        user = names.setdefault(tokens[0], tokens[0])
-        append(new_sample(UsageSample, (timestamp, user, pid, cputime)))
-    if not samples:
+        if n is None:  # the first accepted line of this pid token gives it a number
+            n = of_user[tokens[1]] = number.setdefault((user, pid), len(number))
+        append_process(n)
+        append_timestamp(timestamp)
+        append_cputime(cputime)
+    if not process:
         raise PsLogError("zero parseable samples in log")
-    return PsLog(samples=samples, skipped=skipped)
+    return PsLog(samples=SampleColumns(list(number), process, timestamps, cputimes),
+                 skipped=skipped)
 
 
 class DeviationRow(NamedTuple):
@@ -289,6 +360,10 @@ def goal_deviation(
     consuming CPU in the window; users missing from the entitlement table
     are pooled under ``unallocated`` with entitlement zero.
 
+    ``samples`` is any iterable of ``UsageSample``.  A parsed log's
+    ``SampleColumns`` are read as they are; any other iterable is read
+    into such columns once.
+
     The samples are sorted once, as columns, into one run per process; a
     pid whose cumulative TIME falls starts a new run.  A run's value at a
     window edge is its last sample at or before the edge, or its first
@@ -308,11 +383,12 @@ def goal_deviation(
         raise ValidationError(f"window must be finite and > 0, got {window!r}")
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValidationError(f"threshold must be finite and >= 0, got {threshold!r}")
-    samples = list(samples)
+    samples = SampleColumns.of(samples)
     if not samples:
         raise PsLogError("no samples")
-    times = np.fromiter(map(itemgetter(0), samples), dtype=float, count=len(samples))
-    values = np.fromiter(map(itemgetter(3), samples), dtype=float, count=len(samples))
+    keys = samples.keys
+    times = np.fromiter(samples.timestamps, dtype=float, count=len(samples))
+    values = np.fromiter(samples.cputimes, dtype=float, count=len(samples))
     for column, field in ((times, "timestamp"), (values, "cputime")):
         finite = np.isfinite(column)
         if not finite.all():
@@ -320,11 +396,12 @@ def goal_deviation(
             raise ValidationError(f"sample {field}s must be finite, got {bad!r}")
     # The first and last samples in (timestamp, user, pid) order, whose
     # timestamps (zero's sign included) bound the windows.
-    first = min(np.flatnonzero(times == times.min()).tolist(), key=lambda i: samples[i][1:3])
+    first = min(np.flatnonzero(times == times.min()).tolist(),
+                key=lambda i: keys[samples.process[i]])
     last = max(reversed(np.flatnonzero(times == times.max()).tolist()),
-               key=lambda i: samples[i][1:3])
-    t_min = samples[first].timestamp
-    t_max = samples[last].timestamp
+               key=lambda i: keys[samples.process[i]])
+    t_min = samples.timestamps[first]
+    t_max = samples.timestamps[last]
     span = t_max - t_min  # inf when two finite timestamps lie too far apart
     if span == math.inf:
         raise ValidationError(
@@ -350,11 +427,7 @@ def goal_deviation(
 
     # Processes in the order of their first sample, then user, then pid;
     # each process's samples in time order, ties in the order given.
-    index = defaultdict()
-    index.default_factory = index.__len__  # a new (user, pid) gets the next number
-    key_of = np.fromiter(map(index.__getitem__, map(itemgetter(1, 2), samples)),
-                         dtype=np.intp, count=len(samples))
-    keys = list(index)
+    key_of = np.fromiter(samples.process, dtype=np.intp, count=len(samples))
     first_seen = np.full(len(keys), np.inf)
     np.minimum.at(first_seen, key_of, times)
     first_seen = first_seen.tolist()
@@ -367,7 +440,7 @@ def goal_deviation(
     process = process[order]
     times = times[order]
     values = values[order]
-    del samples, index, key_of, order
+    del samples, key_of, order
 
     # A run starts at each process's first sample and wherever its
     # cumulative TIME goes down (the pid was reused).  A sample is counted

@@ -286,6 +286,15 @@ class TestParsePsLog:
         assert log.skipped == 0
         assert [s.cputime for s in log.samples] == [125.0, 60.0, 185.0, 100.0]
 
+    def test_samples_index_and_compare_as_a_list_does(self):
+        log = parse_ps_log(PS_LOG)
+        listed = list(log.samples)
+        assert len(log.samples) == len(listed) == 4
+        assert [log.samples[i] for i in range(-4, 4)] == listed + listed
+        assert log.samples[1:3] == listed[1:3]
+        assert log.samples == listed and listed == log.samples
+        assert log.samples != listed[:3] and log.samples != tuple(listed)
+
     @pytest.mark.parametrize("header", ["T nan", "T 10:00"])
     def test_lines_under_a_bad_header_are_skipped(self, header):
         log = parse_ps_log(PS_LOG.replace("T 1060", header))
@@ -411,6 +420,42 @@ def test_parse_matches_the_reference_parser(text):
     expected = parse_outcome(reference_parse_ps_log, text)
     assert parse_outcome(parse_ps_log, text) == expected
     assert parse_outcome(parse_ps_log, io.StringIO(text)) == expected
+
+
+def deviation_outcome(samples, window):
+    try:
+        report = goal_deviation(samples, equal_table("a", "b"), window)
+    except (PsLogError, ValidationError) as exc:
+        return str(exc)
+    return report, render_deviation(report)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ps_log_texts(), st.sampled_from((5.0, 60.0, 500.0)))
+def test_parsed_and_listed_samples_give_one_report(text, window):
+    # A parsed log's samples are read as columns, a list of them record by
+    # record; root and ü are in no table, so they pool as unallocated.
+    # Blocks at 0 and 2000 s around the soup give every log a span to window
+    # and busy time in it.
+    ps = "{} 1.0 0.4 900 300 ?? R 9:00 {}\n".format
+    text = ("T 0\n" + ps("a 7", "0:00") + ps("root 4242", "0:00") + text
+            + "\nT 2000\n" + ps("a 7", "30:00") + ps("root 4242", "9:00"))
+    log = parse_ps_log(text)
+    assert deviation_outcome(log.samples, window) == deviation_outcome(list(log.samples), window)
+
+
+def test_pid_tokens_of_one_int_are_one_process():
+    # a's pid is written 7, +7 and 007, and its TIME falls once at 120 s:
+    # one process whose reuse starts a new run there, from either entry.
+    log = parse_ps_log("T 0\na 7 0 0 1 1 ?? R 0:00 0:10 x\nb 9 0 0 1 1 ?? R 0:00 0:00 x\n"
+                       "T 60\na +7 0 0 1 1 ?? R 0:00 0:40 x\nb 9 0 0 1 1 ?? R 0:00 0:30 x\n"
+                       "T 120\na 007 0 0 1 1 ?? R 0:00 0:05 x\nb 9 0 0 1 1 ?? R 0:00 1:00 x\n"
+                       "T 180\na 7 0 0 1 1 ?? R 0:00 0:25 x\nb 9 0 0 1 1 ?? R 0:00 1:30 x\n")
+    assert {(s.user, s.pid) for s in log.samples} == {("a", 7), ("b", 9)}
+    for samples in (log.samples, list(log.samples)):
+        report = goal_deviation(samples, equal_table("a", "b"), window=60.0)
+        assert [{user: row.achieved for user, row in w.rows.items()} for w in report.windows] == [
+            {"a": 0.5, "b": 0.5}, {"b": 1.0}, {"a": 0.4, "b": 0.6}]
 
 
 def synth_log(rows):
