@@ -649,14 +649,14 @@ OFFGRID_CONFIGS = {
 
 
 def offgrid_digest_lines(scenario_dir):
-    """One ``case mode jitter grid sha256`` line per quantized run on an off-grid config."""
+    """One ``case mode jitter grid sha256`` line per run on an off-grid config."""
     cases = [(name, (scenario_dir / f"{name}.fsp").read_text())
              for name in ("report4", "example-2-2")]
     cases += [("mixed", MIXED_SCENARIO), ("crowd40", crowd_scenario())]
     lines = []
     for name, text in cases:
         s = parse_scenario(text, label=name)
-        for mode in SIM_MODES[:3]:  # the quantized ones
+        for mode in SIM_MODES:
             for jitter in (False, True):
                 for grid, fields in OFFGRID_CONFIGS.items():
                     config = SimConfig(mode=mode, seed=7, think_jitter=jitter, **fields)
