@@ -35,7 +35,9 @@ O(log k) with k processes ready:
   together, in the order the processes became ready.
 * Busy time is credited per user, not per process: a user with n ready
   processes gets n times the clock's advance since its last credit,
-  whenever n changes and at every window edge and the warmup.
+  whenever n changes and at the end of every stretch: the run is walked
+  window by window, each window split at the warmup, as in the quantized
+  modes, and a step ends at every window edge and at the warmup.
 
 Fair-share dispatch is the decay-usage policy of Kay & Lauder (CACM 1988),
 kept incrementally so that a dispatch costs O(log users):
@@ -91,9 +93,10 @@ PROCESS_GUARD = 1_000_000
 TICK_GUARD = 1_000_000
 # Most (window, user) busy-time cells one run may record.  Each costs
 # 106-125 B of peak RSS, so the limit is about 125 MB, and 0.15-0.5 us in
-# the quantized modes and 0.45-0.7 us in the fluid one, which ends a step
-# and credits every ready user at each window edge.  A 200-user run in 1 s
-# windows reaches it at 5,000 s.
+# the quantized modes.  The fluid one ends a step and credits every ready
+# user at each window edge, 0.38-0.82 us a cell: jittered runs of 4, 40
+# and 200 users in 0.1 or 1 s windows against one window, min of 5 runs
+# (2-CPU x86-64).  A 200-user run in 1 s windows reaches it at 5,000 s.
 WINDOW_GUARD = 1_000_000
 # Most demand cycles a run may complete, bounded before the run (run_sim).
 # A cycle costs 3.7-6.3 us in the processor-sharing engine, 0.8-2.7 us in
@@ -530,89 +533,83 @@ def _run_fluid_ps(h, w, timeline, config) -> SimTrace:
     heap: list[tuple[float, int, _Proc]] = []  # (tag, start seq, proc)
     seq = 0
     # A user with n ready processes is credited n * (v - since[u]) of busy
-    # time whenever n changes, and at every window edge and the warmup,
-    # into the current stretch's window (busy) and post-warmup (post) dicts.
+    # time whenever n changes and at the end of every stretch, into the
+    # stretch's window (busy) and post-warmup (post) dicts.
     ready = dict.fromkeys(core.user_names, 0)
     since = dict.fromkeys(core.user_names, 0.0)
-    stretch = None  # (window index, past the warmup) of busy and post
-    busy = core.window_busy[0]
-    post = None
 
-    next_edge = 1  # index of the next window edge; the warmup is its own boundary
     next_due = 0.0  # key of the next event or wakeup
     now = 0.0
-    while now < duration - _TIME_EPS:
-        if next_due <= now + _TIME_EPS:
-            next_due = core.release(now + _TIME_EPS, now)
-            for u in left:
-                if ready[u]:
-                    # The core dropped u's processes; drop their entries too.
+    # A step ends at its window's edge and at the warmup, so it is credited
+    # to its own stretch; an idle jump past edges leaves the walk to pass
+    # their windows with no work.  The warmup is before the end.
+    stretches = ((None, warmup - _TIME_EPS), (core.post_busy, duration - _TIME_EPS))
+    for index, busy in enumerate(core.window_busy):
+        edge = (index + 1) * window_seconds
+        for post, until in stretches:
+            start = v
+            while now < until and now + _TIME_EPS < edge:
+                if next_due <= now + _TIME_EPS:
+                    next_due = core.release(now + _TIME_EPS, now)
+                    for u in left:
+                        if ready[u]:
+                            # The core dropped u's processes; drop their entries too.
+                            _credit(((u, ready[u]),), since, v, busy, post)
+                            ready[u] = 0
+                            heap[:] = [e for e in heap if e[2].user != u]
+                            heapify(heap)
+                    left.clear()
+                while inbox:
+                    p = inbox.popleft()
+                    u = p.user
                     _credit(((u, ready[u]),), since, v, busy, post)
-                    ready[u] = 0
-                    heap[:] = [e for e in heap if e[2].user != u]
-                    heapify(heap)
-            left.clear()
-        while inbox:
-            p = inbox.popleft()
-            u = p.user
-            _credit(((u, ready[u]),), since, v, busy, post)
-            since[u] = v  # _credit skips a user with nothing ready
-            ready[u] += 1
-            seq += 1
-            heappush(heap, (v + demand[u], seq, p))
+                    since[u] = v  # _credit skips a user with nothing ready
+                    ready[u] += 1
+                    seq += 1
+                    heappush(heap, (v + demand[u], seq, p))
 
-        if not heap:
-            # On to the next event, wakeup or the end, which is past now + _TIME_EPS:
-            # release() leaves no key at or below it, and duration is past it.
-            now = min(duration, next_due)
-            continue
+                if not heap:
+                    # On to the next event, wakeup or the end, which is past now + _TIME_EPS:
+                    # release() leaves no key at or below it, and duration is past it.
+                    now = min(duration, next_due)
+                    continue
 
-        while next_edge * window_seconds <= now + _TIME_EPS:
-            next_edge += 1
-        # The stretch's window is the one that ends at the next edge, so a
-        # step never credits a window other than the one its edges bound.
-        state = (next_edge - 1, now >= warmup - _TIME_EPS)
-        if state != stretch:
-            _credit(ready.items(), since, v, busy, post)
-            stretch = state
-            busy = core.window_busy[state[0]]
-            post = core.post_busy if state[1] else None
+                k = len(heap)
+                boundary = now + (heap[0][0] - v) * k
+                if next_due < boundary:
+                    boundary = next_due
+                if duration < boundary:
+                    boundary = duration
+                if edge < boundary:
+                    boundary = edge
+                if now + _TIME_EPS < warmup < boundary:
+                    boundary = warmup
 
-        k = len(heap)
-        boundary = now + (heap[0][0] - v) * k
-        if next_due < boundary:
-            boundary = next_due
-        if duration < boundary:
-            boundary = duration
-        if next_edge * window_seconds < boundary:
-            boundary = next_edge * window_seconds
-        if now + _TIME_EPS < warmup < boundary:
-            boundary = warmup
+                delta = boundary - now
+                if delta > 0.0:
+                    v += delta / k
+                else:
+                    # The next completion is nearer than the spacing of floats at
+                    # now, so it is now; without this the run would stall.
+                    v = heap[0][0]
+                now = boundary
 
-        delta = boundary - now
-        if delta > 0.0:
-            v += delta / k
-        else:
-            # The next completion is nearer than the spacing of floats at
-            # now, so it is now; without this the run would stall.
-            v = heap[0][0]
-        now = boundary
+                if heap[0][0] - v <= _TIME_EPS:
+                    finished = [heappop(heap)]
+                    while heap and heap[0][0] - v <= _TIME_EPS:
+                        finished.append(heappop(heap))
+                    finished.sort(key=itemgetter(1))  # in the order they became ready
+                    for entry in finished:
+                        p = entry[2]
+                        u = p.user
+                        _credit(((u, ready[u]),), since, v, busy, post)
+                        ready[u] -= 1
+                        wake = core.finish_cycle(p, now, now)
+                        if wake < next_due:
+                            next_due = wake
+            if v != start:  # v never falls, so if it stayed, no user is owed
+                _credit(ready.items(), since, v, busy, post)
 
-        if heap[0][0] - v <= _TIME_EPS:
-            finished = [heappop(heap)]
-            while heap and heap[0][0] - v <= _TIME_EPS:
-                finished.append(heappop(heap))
-            finished.sort(key=itemgetter(1))  # in the order they became ready
-            for entry in finished:
-                p = entry[2]
-                u = p.user
-                _credit(((u, ready[u]),), since, v, busy, post)
-                ready[u] -= 1
-                wake = core.finish_cycle(p, now, now)
-                if wake < next_due:
-                    next_due = wake
-
-    _credit(ready.items(), since, v, busy, post)
     return core.trace(window_seconds, duration - config.warmup)
 
 
