@@ -124,8 +124,8 @@ class SimConfig(NamedTuple):
     def _check(self):
         if not (math.isfinite(self.quantum) and self.quantum > 0):
             raise ValidationError("quantum must be finite and > 0")
-        if not (math.isfinite(self.window) and self.window >= self.quantum):
-            raise ValidationError("window must be finite and >= quantum")
+        if not (self.window >= self.quantum and math.isfinite(self.window / self.quantum)):
+            raise ValidationError("window must be >= quantum and a finite number of quanta")
         if not (math.isfinite(self.warmup) and self.warmup >= 0):
             raise ValidationError("warmup must be finite and >= 0")
         # The quantized engine measures round(duration/quantum) - round(warmup/quantum) quanta.

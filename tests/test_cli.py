@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fairshare
@@ -569,10 +569,11 @@ def test_overflowing_workload_prints_only_the_error(tmp_path, argv):
     assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
 
 
-# A small valid grid per flag, and the values a numeric flag must reject.
-# The grid stays at or below 500 quanta per run: longer runs are valid, only
+# A small valid grid per flag, and values a numeric flag may have to reject
+# (a 1e308 s window is 1e310 quanta of 10 ms, past the float range).  The
+# grid stays at or below 500 quanta per run: longer runs are valid, only
 # slow.
-BAD_NUMBERS = ("nan", "inf", "-inf", "0", "-1")
+BAD_NUMBERS = ("nan", "inf", "-inf", "0", "-1", "1e308")
 SIM_GRID = {
     "--duration": ("2", "5"),
     "--warmup": ("0.5", "1", "1.995"),  # 1.995 s and 2 s round to the same quantum
@@ -610,6 +611,7 @@ def fuzzed_argv(draw):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=fuzzed_argv())
+@example(argv=["simulate", "good", "--window=1e308"])
 def test_fuzzed_numeric_flags_never_raise(capsys, tmp_path, two_user_files, argv):
     slo = tmp_path / "slo.txt"
     slo.write_text("target alice umax=0.4 demand=0.5 rslo=2\ntarget bob umax=0.3\n")

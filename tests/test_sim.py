@@ -430,6 +430,8 @@ def test_config_validation():
         SimConfig(duration=10.0, quantum=0.0)
     with pytest.raises(ValidationError):
         SimConfig(duration=10.0, window=0.001)
+    with pytest.raises(ValidationError, match="^window "):
+        SimConfig(duration=10.0, window=1e308)  # its 1e310 quanta of 10 ms overflow
     with pytest.raises(ValidationError):
         SimConfig(duration=10.0, warmup=20.0)
     with pytest.raises(ValidationError):
