@@ -294,6 +294,7 @@ class TestParsePsLog:
         assert log.samples[1:3] == listed[1:3]
         assert log.samples == listed and listed == log.samples
         assert log.samples != listed[:3] and log.samples != tuple(listed)
+        assert repr(log.samples) == f"SampleColumns({listed!r})"
 
     @pytest.mark.parametrize("header", ["T nan", "T 10:00"])
     def test_lines_under_a_bad_header_are_skipped(self, header):
