@@ -183,31 +183,44 @@ def directions() -> dict[str, str]:
     return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
 
 
+def seed_pairs(base: list[dict], change: list[dict]) -> tuple[list[dict], list[dict]]:
+    """The metrics, name to value, of the ``base`` and of the ``change`` runs
+    that share a ``meta.seed``, in seed order."""
+    by_seed = [{run["meta"]["seed"]: {key: m["value"]
+                                      for key, m in run["result"]["metrics"].items()}
+                for run in runs} for runs in (base, change)]
+    seeds = sorted(by_seed[0].keys() & by_seed[1].keys())
+    return tuple([tree[seed] for seed in seeds] for tree in by_seed)
+
+
+def tally(before: list[float], after: list[float], sign: int) -> dict:
+    """``after``'s wins over ``before``, pair by pair, where ``sign`` is 1 if
+    higher is better and -1 if lower is (a tie counts for neither); the
+    ties; and both medians."""
+    return {
+        "pairs": len(before),
+        "wins": sum(sign * (b - a) > 0 for a, b in zip(before, after)),
+        "ties": sum(a == b for a, b in zip(before, after)),
+        "median_base": statistics.median(before),
+        "median_change": statistics.median(after),
+    }
+
+
 def pair_summary(base: list[dict], change: list[dict], better: dict[str, str]) -> list[dict]:
     """Per end-to-end metric, how the ``change`` runs fare against the ``base`` runs
     of the same ``meta.seed``: wins in the ``better`` direction (a tie counts for
     neither), both medians, and whether they differ by more than the base's q3 - q1."""
-    by_seed = [{run["meta"]["seed"]: run["result"]["metrics"] for run in runs}
-               for runs in (base, change)]
-    seeds = sorted(by_seed[0].keys() & by_seed[1].keys())
+    trees = seed_pairs(base, change)
     rows = []
     for metric, direction in better.items():
-        if not seeds or metric not in by_seed[0][seeds[0]]:
+        if not trees[0] or metric not in trees[0][0]:
             continue
-        before, after = ([tree[seed][metric]["value"] for seed in seeds] for tree in by_seed)
-        sign = 1 if direction == "higher" else -1
-        median_base, median_change = statistics.median(before), statistics.median(after)
+        before, after = ([m[metric] for m in tree] for tree in trees)
         q1, q3 = quartiles(before)
-        rows.append({
-            "metric": metric,
-            "pairs": len(seeds),
-            "wins": sum(sign * (b - a) > 0 for a, b in zip(before, after)),
-            "ties": sum(a == b for a, b in zip(before, after)),
-            "median_base": median_base,
-            "median_change": median_change,
-            "spread": q3 - q1,
-            "beyond": abs(median_change - median_base) > q3 - q1,
-        })
+        row = {"metric": metric, **tally(before, after, 1 if direction == "higher" else -1)}
+        row["spread"] = q3 - q1
+        row["beyond"] = abs(row["median_change"] - row["median_base"]) > q3 - q1
+        rows.append(row)
     return rows
 
 
@@ -216,13 +229,9 @@ def layer_pair_summary(base: list[dict], change: list[dict]) -> list[dict]:
     ``change`` runs fare against the ``base`` runs of the same ``meta.seed``: wins
     on self time per op (lower is better; a tie counts for neither), both medians
     of it, and both medians of the layer's cost per unit of work."""
-    by_seed = [{run["meta"]["seed"]: {key: m["value"]
-                                      for key, m in run["result"]["metrics"].items()}
-                for run in runs} for runs in (base, change)]
-    seeds = sorted(by_seed[0].keys() & by_seed[1].keys())
-    if not seeds:
+    trees = seed_pairs(base, change)
+    if not trees[0]:
         return []
-    trees = [[tree[seed] for seed in seeds] for tree in by_seed]
     rows = []
     for key in trees[0][0].keys() & trees[1][0].keys():
         name, _, stat = key.rpartition(".")
@@ -230,17 +239,8 @@ def layer_pair_summary(base: list[dict], change: list[dict]) -> list[dict]:
             continue
         before, after = ([m[key] / m["cli.main.calls"] for m in tree] for tree in trees)
         (unit_base, per), (unit_change, _) = (unit_cost(tree, name) for tree in trees)
-        rows.append({
-            "layer": name,
-            "pairs": len(seeds),
-            "wins": sum(new < old for old, new in zip(before, after)),
-            "ties": sum(new == old for old, new in zip(before, after)),
-            "median_base": statistics.median(before),
-            "median_change": statistics.median(after),
-            "per": per,
-            "per_unit_base": unit_base,
-            "per_unit_change": unit_change,
-        })
+        rows.append({"layer": name, **tally(before, after, -1), "per": per,
+                     "per_unit_base": unit_base, "per_unit_change": unit_change})
     return sorted(rows, key=lambda row: row["layer"])
 
 
